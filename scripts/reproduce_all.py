@@ -2,15 +2,19 @@
 """Regenerate every figure artifact into out/ (fig3, fig4, fig5).
 
 Equivalent to running `sarlab reproduce figN` three times; exits with the
-first nonzero code encountered.
+first nonzero code encountered.  The fig5 sweep uses one worker per CPU
+this process may run on (results do not depend on the worker count).
 """
 
+import os
 import sys
 
 from sarlab.cli import main
 
 
-def run(out_dir: str = "out", jobs: int = 4) -> int:
+def run(out_dir: str = "out", jobs: int | None = None) -> int:
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0))
     for fig in ("fig3", "fig4", "fig5"):
         print(f"== {fig} ==", flush=True)
         code = main(["reproduce", fig, "--out", out_dir, "--jobs", str(jobs)])

@@ -8,7 +8,7 @@ neuron demonstration.
 
 __version__ = "0.1.0"
 
-from .lure import LureSystem, AugmentedSystem, Violation, validate, sector_check, augment
+from .lure import LureSystem, Violation, validate, sector_check, augment
 from .sde import SimConfig, SdePath, simulate, simulate_ensemble, ensemble_moments, lowpass
 from .certify import (CertProblem, Certificate, SolverOptions, certificate_matrix,
                       max_eigenvalue, certify, sigma_sweep, lyapunov_value)
@@ -19,7 +19,6 @@ from .embedding import EmbeddingConfig, EmbeddingReport, build_embedding
 __all__ = [
     "__version__",
     "LureSystem",
-    "AugmentedSystem",
     "Violation",
     "validate",
     "sector_check",

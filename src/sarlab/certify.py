@@ -37,7 +37,6 @@ __all__ = [
     "certify",
     "recompute_margin",
     "sigma_sweep",
-    "sweep_to_csv",
     "lyapunov_value",
     "save_certificate",
     "load_certificate",
@@ -414,14 +413,6 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
         certs = [certify(CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options))
                  for s in sigmas]
     return [(float(s), c) for s, c in zip(sigmas, certs)]
-
-
-def sweep_to_csv(results: list[tuple[float, Certificate]], file) -> None:
-    """Write `sigma,margin,feasible` rows (feasible as 0/1)."""
-    with open(file, "w") as fh:
-        fh.write("sigma,margin,feasible\n")
-        for sigma, cert in results:
-            fh.write(f"{sigma:.17g},{cert.margin:.17g},{int(cert.feasible)}\n")
 
 
 # ---------------------------------------------------------------------------

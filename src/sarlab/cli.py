@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import morris_lecar as ml
-from .certify import (CertProblem, SolverOptions, certify, save_certificate,
-                      sigma_sweep, sweep_to_csv)
+from .certify import CertProblem, SolverOptions, certify, save_certificate, sigma_sweep
 from .embedding import EmbeddingConfig, build_embedding
 from .lure import LureSystem, load_system
 from .sde import SimConfig, lowpass, simulate
@@ -83,11 +82,19 @@ def _odd_window(w) -> int:
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """The package's one CSV writer: a header row, then %.17g fields."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*cols):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_sweep_csv(path, results) -> None:
+    """`sigma,margin,feasible` rows of a sigma_sweep (feasible as 0/1)."""
+    write_csv(path, ["sigma", "margin", "feasible"],
+              [[s for s, _ in results], [c.margin for _, c in results],
+               [c.feasible for _, c in results]])
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
@@ -361,7 +368,7 @@ def cmd_sweep(args) -> int:
 
     results = sigma_sweep(system, sigmas, nu_grid=nu_grid,
                           options=_certify_options(args, embedded), jobs=args.jobs)
-    sweep_to_csv(results, out_dir / "sweep.csv")
+    write_sweep_csv(out_dir / "sweep.csv", results)
     feasible = [s for s, cert in results if cert.feasible]
     boundary = feasible[0] if feasible else None
     with open(out_dir / "sweep.plt", "w") as fh:
@@ -454,7 +461,7 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
     sigmas = parse_range(sigma_text, "sigma") if sigma_text else np.arange(0.2, 2.0001, 0.2)
     opts = SolverOptions(seed=seed, allow_nonorthonormal_c=True)
     results = sigma_sweep(report.embedding.system, sigmas, options=opts, jobs=jobs)
-    sweep_to_csv(results, out_dir / "sweep.csv")
+    write_sweep_csv(out_dir / "sweep.csv", results)
     feasible = [s for s, cert in results if cert.feasible]
     with open(out_dir / "sweep.plt", "w") as fh:
         fh.write(sweep_plot_script("sweep.csv", feasible[0] if feasible else None))

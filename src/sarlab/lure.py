@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "Nonlinearity",
     "LureSystem",
-    "AugmentedSystem",
     "AugmentSkeleton",
     "Violation",
     "SectorCheck",
@@ -53,10 +52,15 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
-    """Componentwise feedback nonlinearity y in R^m -> f(y) in R^m."""
+    """Componentwise feedback nonlinearity y in R^m -> f(y) in R^m.
+
+    biases holds the unit biases of a bank built with them, so that they
+    travel in system JSON; None for banks without biases.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    biases: np.ndarray | None = None
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -74,7 +78,7 @@ def tanh_bank(slopes, biases=None) -> Nonlinearity:
     if biases is None:
         b = np.zeros_like(s)
     else:
-        b = np.asarray(biases, dtype=float)
+        b = _frozen(biases)
         if b.shape != s.shape:
             raise ValueError("biases shape must match slopes")
     tb = np.tanh(b)
@@ -82,7 +86,7 @@ def tanh_bank(slopes, biases=None) -> Nonlinearity:
     def fn(y: np.ndarray) -> np.ndarray:
         return np.tanh(s * y + b) - tb
 
-    return Nonlinearity("tanh_bank", fn)
+    return Nonlinearity("tanh_bank", fn, None if biases is None else b)
 
 
 def identity_bank(slopes=None, biases=None) -> Nonlinearity:
@@ -101,8 +105,8 @@ def register_nonlinearity(name: str, factory: Callable[..., Nonlinearity]) -> No
 
 
 def get_nonlinearity(name: str, slopes=None, biases=None) -> Nonlinearity:
-    """Build a registered evaluator.  Registry names travel in system JSON;
-    unit parameters do not, so reconstruction uses the system's slopes."""
+    """Build a registered evaluator from the name, slopes and (optional)
+    biases that system JSON carries."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown nonlinearity {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[name](slopes=slopes, biases=biases)
@@ -157,17 +161,6 @@ class LureSystem:
         """A x + F f(C x) evaluated at one state (or a stack of states)."""
         y = x @ self.c.T
         return x @ self.a.T + self.nonlinearity(y) @ self.f_gain.T
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedSystem:
-    """A LureSystem produced by padding an n_phys-state model with p
-    fictitious states decaying at rate kappa (so that F is square)."""
-
-    base: LureSystem
-    kappa: float
-    n_phys: int
-    p: int
 
 
 class AugmentSkeleton(NamedTuple):
@@ -318,7 +311,7 @@ def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
 
 
 def system_to_dict(sys: LureSystem) -> dict:
-    return {
+    doc = {
         "a": sys.a.tolist(),
         "f_gain": sys.f_gain.tolist(),
         "c": sys.c.tolist(),
@@ -327,12 +320,16 @@ def system_to_dict(sys: LureSystem) -> dict:
         "deriv_bounds": sys.deriv_bounds.tolist(),
         "nonlinearity": sys.nonlinearity.name,
     }
+    if sys.nonlinearity.biases is not None:
+        doc["biases"] = sys.nonlinearity.biases.tolist()
+    return doc
 
 
 def system_from_dict(d: dict, nonlinearity: Nonlinearity | None = None) -> LureSystem:
     slopes = np.asarray(d["sector_slopes"], dtype=float)
     if nonlinearity is None:
-        nonlinearity = get_nonlinearity(d.get("nonlinearity", "tanh_bank"), slopes=slopes)
+        nonlinearity = get_nonlinearity(d.get("nonlinearity", "tanh_bank"), slopes=slopes,
+                                        biases=d.get("biases"))
     return LureSystem(
         a=np.asarray(d["a"], dtype=float),
         f_gain=np.asarray(d["f_gain"], dtype=float),
@@ -351,8 +348,8 @@ def save_system(sys: LureSystem, path) -> None:
 
 
 def load_system(path, nonlinearity: Nonlinearity | None = None) -> LureSystem:
-    """Load a system JSON.  The evaluator is rebuilt from the registry by
-    name using the stored slopes (unit biases are not serialized here; the
-    cli reconstructs embedding evaluators exactly from their net files)."""
+    """Load a system JSON.  Unless an evaluator is passed, it is rebuilt
+    from the registry by name with the stored slopes and unit biases
+    (files without biases get zero biases)."""
     with open(path) as fh:
         return system_from_dict(json.load(fh), nonlinearity=nonlinearity)

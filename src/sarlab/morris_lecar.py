@@ -8,7 +8,9 @@ with leak L = -g_l (V - v_l), calcium Ca = -g_ca m_ss(V) (V - v_ca),
 potassium K = -g_k N (V - v_k); the recovery variable relaxes as
 dN/dt = (n_ss(V) - N) / tau_n(V).  Noise enters the voltage equation
 either as state-multiplicative (sigma * V dW / cap) or as a fluctuating
-applied current (sigma * i_app dW / cap).
+applied current (sigma * i_app dW / cap).  Single paths and the current
+calibration grid (one batch row per current) are stepped by the shared
+Euler-Maruyama kernel of :mod:`sarlab.sde`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .sde import SimConfig, SdePath, path_stream
+from .sde import SimConfig, SdePath, _euler_maruyama, _recorded_paths, path_stream
 
 __all__ = [
     "MorrisLecarParams",
@@ -178,46 +180,20 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be (V, N)")
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    sqdt = np.sqrt(dt)
-    rng = path_stream(cfg.seed, path_index)
-
-    rec_idx = np.arange(0, n_steps + 1, cfg.record_stride)
-    rec = np.empty((rec_idx.size, 2))
-    times = rec_idx * dt
-
-    x = x0.copy()
-    rec[0] = x
-    nrec = 1
-    chunk = 8192
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < n_steps:
-            todo = min(chunk, n_steps - k)
-            dw = rng.standard_normal(todo) * sqdt
-            for j in range(todo):
-                drift = rhs(x, p)
-                amp = sigma * (x[0] if noise_mode == "state" else p.i_app) / p.cap
-                x = x + drift * dt + np.array([amp * dw[j], 0.0])
-                k += 1
-                if nrec < rec_idx.size and k == rec_idx[nrec]:
-                    rec[nrec] = x
-                    nrec += 1
-
-    diverged = False
-    finite = np.isfinite(rec).all(axis=1)
-    if not finite.all():
-        cut = int(np.argmin(finite))
-        rec = rec[:cut]
-        times = times[:cut]
-        diverged = True
+    diffusion = None
+    if sigma != 0.0:
+        def diffusion(x, dw):
+            amp = sigma * (x[0] if noise_mode == "state" else p.i_app) / p.cap
+            return np.array([amp * dw, 0.0])
+    times, rec = _euler_maruyama(lambda x: rhs(x, p), diffusion, x0, cfg,
+                                 [path_stream(cfg.seed, path_index)])
+    path = _recorded_paths(times, rec, cfg.seed, float(sigma), [path_index])[0]
     # recovery variable is nominally a gating fraction; flag excursions
-    if rec.size and (np.nanmin(rec[:, 1]) < -0.1 or np.nanmax(rec[:, 1]) > 1.1):
+    n = path.states[:, 1]
+    if n.size and (np.nanmin(n) < -0.1 or np.nanmax(n) > 1.1):
         warnings.warn("recovery variable left [-0.1, 1.1]; values reported unclamped",
                       RuntimeWarning, stacklevel=2)
-    return SdePath(times=times, states=rec, seed=cfg.seed, sigma=float(sigma),
-                   path_index=path_index, diverged=diverged)
+    return path
 
 
 def spike_times(times, v, threshold: float = 0.0) -> np.ndarray:
@@ -236,18 +212,23 @@ def calibrate_iapp(p: MorrisLecarParams, grid=None, t_end: float = 600.0,
     """Smallest applied current on the grid giving sustained spiking.
 
     Sustained means at least min_spikes upward crossings of 0 mV in the
-    last third of a noise-free run started from DEFAULT_INIT.
+    last third of a noise-free run started from DEFAULT_INIT.  The whole
+    grid is integrated as one batch, one row per current.
     """
     if grid is None:
         grid = np.arange(0.0, 300.0 + 1e-9, 5.0)
+    grid = np.asarray(grid, dtype=float)
     cfg = SimConfig(t_end=t_end, dt=dt, record_stride=5)
-    for i_app in np.asarray(grid, dtype=float):
-        path = simulate_ml(p.with_iapp(i_app), DEFAULT_INIT, cfg, sigma=0.0)
-        if path.diverged:
-            continue
-        t, v = path.times, path.states[:, 0]
-        tail = t >= (2.0 / 3.0) * t_end
-        if spike_times(t[tail], v[tail]).size >= min_spikes:
+    # each row of the batch sees its own current in V's equation
+    drive = replace(p, i_app=grid)
+    # record only the last third, which the spike test reads; a row that blew
+    # up earlier is NaN there, since NaN persists through rhs
+    times, rec = _euler_maruyama(lambda x: rhs(x, drive), None,
+                                 np.tile(DEFAULT_INIT, (grid.size, 1)), cfg, [],
+                                 record_from=(2.0 / 3.0) * t_end)
+    for i, i_app in enumerate(grid):
+        row = rec[:, i]  # a view: no per-current copies of the record
+        if np.isfinite(row).all() and spike_times(times, row[:, 0]).size >= min_spikes:
             return float(i_app)
     raise ValueError("no sustained oscillation found on the grid")
 

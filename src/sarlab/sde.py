@@ -1,6 +1,9 @@
-"""Euler-Maruyama simulation of Lur'e systems with multiplicative noise.
+"""Euler-Maruyama simulation of SDEs dx = f(x) dt + g(x) dbeta.
 
-Ito discretization with a single scalar Wiener increment shared by all
+One kernel, _euler_maruyama, steps every model in the package: Lur'e
+paths and ensembles here, and the Morris-Lecar neuron's paths and its
+calibration grid in :mod:`sarlab.morris_lecar`.  For a Lur'e system the
+Ito discretization uses a single scalar Wiener increment shared by all
 states of a path:
 
     x_{k+1} = x_k + (A x_k + F f(C x_k)) dt + sigma * x_k * dW_k,
@@ -22,14 +25,11 @@ from .lure import LureSystem
 __all__ = [
     "SimConfig",
     "SdePath",
-    "em_step",
     "path_stream",
     "simulate",
     "simulate_ensemble",
     "ensemble_moments",
     "lowpass",
-    "path_to_csv",
-    "moments_to_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -84,78 +84,88 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def em_step(x, sys: LureSystem, dt: float, dw: float) -> np.ndarray:
-    """One Euler-Maruyama step: x + (Ax + F f(Cx)) dt + sigma x dw."""
-    x = np.asarray(x, dtype=float)
-    return x + sys.drift(x) * dt + sys.sigma * x * dw
+def _euler_maruyama(drift, diffusion, x0, cfg: SimConfig, streams,
+                    record_from: float = 0.0):
+    """The one Euler-Maruyama loop: x <- x + drift(x) dt + diffusion(x, dW).
 
-
-def _integrate(sys: LureSystem, x0: np.ndarray, cfg: SimConfig,
-               path_indices: list[int]) -> list[SdePath]:
-    n = sys.n
-    npaths = len(path_indices)
+    x0 has shape batch + (n,); streams holds one generator per batch entry
+    (in row-major order) and each entry draws one scalar dW per step.
+    diffusion(x, dw) returns the noise increment for dw of shape batch; pass
+    None for a noise-free run, which draws nothing.  Every record_stride-th
+    state from time record_from on is recorded.  Returns the times and the
+    (rows,) + batch + (n,) record.
+    """
+    x = np.array(x0, dtype=float)
+    batch = x.shape[:-1]
     n_steps = cfg.n_steps
     stride = cfg.record_stride
-    n_rec = n_steps // stride + 1
     dt = cfg.dt
-    sigma = sys.sigma
     sqdt = np.sqrt(dt)
-
-    x = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (npaths, 1))
-    rec = np.empty((n_rec, npaths, n))
-    rec[0] = x
-
-    gens = [path_stream(cfg.seed, i) for i in path_indices]
-    a_t = sys.a.T
-    c_t = sys.c.T
-    f_t = sys.f_gain.T
-    nl = sys.nonlinearity
+    # the time stamp of row k is (k * stride) * dt, rounded once
+    times = np.arange(0, n_steps + 1, stride) * dt
+    first_row = int(np.searchsorted(times, record_from))  # first stamp >= record_from
+    times = times[first_row:]
+    rec = np.empty((times.size,) + x.shape)
+    if first_row == 0:
+        rec[0] = x
 
     # a non-finite state propagates through the arithmetic on its own, so
-    # divergence needs no masking here; truncation happens per path below
+    # divergence needs no masking here; _recorded_paths truncates it
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             todo = min(_CHUNK, n_steps - step)
-            dw = None
-            if sigma != 0.0:
-                dw = np.empty((npaths, todo))
-                for i, g in enumerate(gens):
-                    dw[i] = g.standard_normal(todo) * sqdt
+            if diffusion is not None:
+                # Philox normals do not depend on the chunking, so neither do paths
+                dw = np.stack([g.standard_normal(todo) for g in streams], axis=-1)
+                dw = dw.reshape((todo,) + batch) * sqdt
             for k in range(todo):
-                drift = x @ a_t + nl(x @ c_t) @ f_t
-                if sigma != 0.0:
-                    x = x + drift * dt + (sigma * dw[:, k])[:, None] * x
+                if diffusion is None:
+                    x = x + drift(x) * dt
                 else:
-                    x = x + drift * dt
+                    x = x + drift(x) * dt + diffusion(x, dw[k])
                 step += 1
-                if step % stride == 0:
-                    rec[step // stride] = x
+                if step % stride == 0 and step // stride >= first_row:
+                    rec[step // stride - first_row] = x
+    return times, rec
 
+
+def _recorded_paths(times, rec, seed: int, sigma: float, path_indices) -> list[SdePath]:
+    """One SdePath per batch entry of a kernel record, each truncated at
+    its first non-finite row and then flagged diverged."""
+    rec = rec.reshape(rec.shape[0], len(path_indices), rec.shape[-1])
     paths = []
-    times_full = np.arange(n_rec) * (dt * stride)
     for i, pidx in enumerate(path_indices):
-        states = rec[:, i, :]
+        states = rec[:, i]
         finite = np.isfinite(states).all(axis=1)
-        if finite.all():
-            paths.append(SdePath(times_full.copy(), states.copy(), cfg.seed, sigma, pidx, False))
-        else:
-            first_bad = int(np.argmin(finite))
-            paths.append(SdePath(times_full[:first_bad].copy(), states[:first_bad].copy(),
-                                 cfg.seed, sigma, pidx, True))
+        cut = finite.size if finite.all() else int(np.argmin(finite))
+        paths.append(SdePath(times[:cut].copy(), states[:cut].copy(), seed, sigma, pidx,
+                             cut < finite.size))
     return paths
+
+
+def _lure_paths(sys: LureSystem, x0, cfg: SimConfig, path_indices: list[int]) -> list[SdePath]:
+    x0 = np.tile(np.asarray(x0, dtype=float).reshape(1, sys.n), (len(path_indices), 1))
+    sigma = sys.sigma
+    diffusion = None
+    if sigma != 0.0:
+        def diffusion(x, dw):
+            return (sigma * dw)[..., None] * x
+    streams = [path_stream(cfg.seed, i) for i in path_indices]
+    times, rec = _euler_maruyama(sys.drift, diffusion, x0, cfg, streams)
+    return _recorded_paths(times, rec, cfg.seed, sigma, path_indices)
 
 
 def simulate(sys: LureSystem, x0, cfg: SimConfig, path_index: int = 0) -> SdePath:
     """Integrate one path.  Divergence (non-finite state) truncates the
     recorded path and sets diverged=True."""
-    return _integrate(sys, np.asarray(x0, dtype=float), cfg, [path_index])[0]
+    return _lure_paths(sys, x0, cfg, [path_index])[0]
 
 
 def simulate_ensemble(sys: LureSystem, x0, cfg: SimConfig) -> list[SdePath]:
     """Integrate cfg.n_paths paths; path i uses the stream keyed seed XOR i.
     Results are identical to calling simulate() per index."""
-    return _integrate(sys, np.asarray(x0, dtype=float), cfg, list(range(cfg.n_paths)))
+    return _lure_paths(sys, x0, cfg, list(range(cfg.n_paths)))
 
 
 def ensemble_moments(paths: list[SdePath], order: int = 1):
@@ -209,34 +219,3 @@ def lowpass(x, window: int) -> np.ndarray:
         padded = np.pad(x[:, j], half, mode="reflect")
         out[:, j] = np.convolve(padded, kernel, mode="valid")
     return out
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def path_to_csv(path: SdePath, file, var_names: list[str] | None = None) -> None:
-    """Write `t,x1,...,xn` rows with %.17g formatting."""
-    n = path.states.shape[1]
-    names = var_names if var_names is not None else [f"x{i+1}" for i in range(n)]
-    if len(names) != n:
-        raise ValueError("var_names length mismatch")
-    with open(file, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for t, row in zip(path.times, path.states):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
-
-
-def moments_to_csv(times, moments, stderrs, file) -> None:
-    """Write `t,m1,...,mn,se1,...,sen` rows with %.17g formatting."""
-    times = np.asarray(times)
-    moments = np.asarray(moments)
-    stderrs = np.asarray(stderrs)
-    n = moments.shape[1]
-    hdr = ("t," + ",".join(f"m{i+1}" for i in range(n)) + ","
-           + ",".join(f"se{i+1}" for i in range(n)))
-    with open(file, "w") as fh:
-        fh.write(hdr + "\n")
-        for t, m, s in zip(times, moments, stderrs):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in m) + ","
-                     + ",".join(_fmt(v) for v in s) + "\n")

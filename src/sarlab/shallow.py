@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -323,9 +323,7 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    bank = tanh_bank(slopes, biases)
-    if bank_name != bank.name:
-        bank = Nonlinearity(bank_name, bank.fn)
+    bank = replace(tanh_bank(slopes, biases), name=bank_name)
     system = LureSystem(a=skel.a_bar, f_gain=skel.f_bar, c=c_bar, sigma=sigma,
                         nonlinearity=bank, sector_slopes=slopes, deriv_bounds=slopes)
     return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys)
@@ -383,9 +381,8 @@ def save_embedding(e: SectorEmbedding, path) -> None:
 
 def load_embedding(path, nonlinearity: Nonlinearity | None = None) -> SectorEmbedding:
     """Rebuild an embedding from JSON.  Without an explicit evaluator the
-    bank is reconstructed from the registry with zero biases, which is
-    enough for certification (matrix data only) but not for simulating the
-    exact trained bank; pass the evaluator (or rebuild via embed) for that."""
+    bank is rebuilt from the registry with the stored slopes and unit
+    biases, so the loaded system has the saved drift."""
     from .lure import system_from_dict
 
     with open(path) as fh:

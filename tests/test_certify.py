@@ -11,7 +11,8 @@ from sarlab.certify import (CertProblem, SolverOptions, _dual_lower_bound,
                             certificate_matrix, certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             lyapunov_value, max_eigenvalue, recompute_margin,
-                            save_certificate, sigma_sweep, sweep_to_csv)
+                            save_certificate, sigma_sweep)
+from sarlab.cli import write_sweep_csv
 from sarlab.lure import LureSystem, tanh_bank
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
@@ -195,7 +196,7 @@ def test_sweep_to_csv_format(tmp_path):
     sys = make_scalar(0.1, 0.0)
     res = sigma_sweep(sys, [0.0, 0.7])
     f = tmp_path / "s.csv"
-    sweep_to_csv(res, f)
+    write_sweep_csv(f, res)
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "sigma,margin,feasible"
     assert lines[1].startswith("0,") and lines[1].endswith(",0")

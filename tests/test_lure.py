@@ -152,6 +152,22 @@ def test_save_load_file(tmp_path):
     assert again.sigma == 0.7 and again.n == 1 and again.m == 1
 
 
+def test_save_load_keeps_bank_biases(tmp_path):
+    # the unit biases travel in the JSON, so the reloaded system has the saved drift
+    rng = np.random.default_rng(1)
+    slopes = rng.uniform(0.5, 2.0, 4)
+    sys = LureSystem(a=-np.eye(4), f_gain=rng.standard_normal((4, 4)),
+                     c=rng.standard_normal((4, 4)), sigma=0.3,
+                     nonlinearity=tanh_bank(slopes, rng.standard_normal(4)),
+                     sector_slopes=slopes, deriv_bounds=slopes)
+    path = tmp_path / "sys.json"
+    save_system(sys, path)
+    again = load_system(path)
+    x = rng.standard_normal((5, 4))
+    np.testing.assert_array_equal(again.drift(x), sys.drift(x))
+    np.testing.assert_array_equal(again.nonlinearity.biases, sys.nonlinearity.biases)
+
+
 def test_matrices_are_frozen():
     sys = make_scalar(-1.0, 0.0)
     with pytest.raises(ValueError):

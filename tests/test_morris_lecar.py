@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarlab import morris_lecar as ml
-from sarlab.sde import SimConfig
+from sarlab.sde import SimConfig, path_stream
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,65 @@ def test_recovery_band_warning(p):
     q = p.with_iapp(0.0)
     with pytest.warns(RuntimeWarning, match="recovery"):
         ml.simulate_ml(q, np.array([-52.14, 2.0]), SimConfig(t_end=1.0, dt=1e-3))
+
+
+def reference_simulate_ml(p, x0, cfg, sigma, noise_mode, path_index=0):
+    """The per-step neuron loop that simulate_ml replaced, kept as its oracle."""
+    n_steps = cfg.n_steps
+    dt = cfg.dt
+    sqdt = np.sqrt(dt)
+    rng = path_stream(cfg.seed, path_index)
+    rec_idx = np.arange(0, n_steps + 1, cfg.record_stride)
+    rec = np.empty((rec_idx.size, 2))
+    x = np.asarray(x0, dtype=float).copy()
+    rec[0] = x
+    nrec = 1
+    k = 0
+    while k < n_steps:
+        todo = min(8192, n_steps - k)
+        dw = rng.standard_normal(todo) * sqdt
+        for j in range(todo):
+            drift = ml.rhs(x, p)
+            amp = sigma * (x[0] if noise_mode == "state" else p.i_app) / p.cap
+            x = x + drift * dt + np.array([amp * dw[j], 0.0])
+            k += 1
+            if nrec < rec_idx.size and k == rec_idx[nrec]:
+                rec[nrec] = x
+                nrec += 1
+    return rec_idx * dt, rec
+
+
+@pytest.mark.parametrize("noise_mode", ["state", "current"])
+def test_simulate_ml_matches_reference_loop(spiking_params, noise_mode):
+    cfg = SimConfig(t_end=20.0, dt=5e-3, seed=4, record_stride=10)  # 4,000 steps
+    path = ml.simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, sigma=0.85,
+                          noise_mode=noise_mode, path_index=2)
+    times, states = reference_simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, 0.85,
+                                          noise_mode, path_index=2)
+    assert not path.diverged
+    np.testing.assert_array_equal(path.times, times)
+    np.testing.assert_array_equal(path.states, states)
+
+
+def test_batched_calibration_matches_per_current_runs(p):
+    # the first spiking current is not the first grid entry
+    grid = [0.0, 30.0, 35.0, 40.0, 45.0, 50.0]
+    kw = dict(t_end=300.0, dt=0.02, min_spikes=2)
+    cfg = SimConfig(t_end=kw["t_end"], dt=kw["dt"], record_stride=5)
+    expected = None
+    for i_app in grid:
+        path = ml.simulate_ml(p.with_iapp(i_app), ml.DEFAULT_INIT, cfg)
+        tail = path.times >= (2.0 / 3.0) * kw["t_end"]
+        if ml.spike_times(path.times[tail], path.states[tail, 0]).size >= kw["min_spikes"]:
+            expected = i_app
+            break
+    assert expected not in (None, grid[0])
+    assert ml.calibrate_iapp(p, grid=grid, **kw) == expected
+
+
+def test_calibration_rejects_silent_grid(p):
+    with pytest.raises(ValueError, match="no sustained oscillation"):
+        ml.calibrate_iapp(p, grid=[0.0, 5.0], t_end=60.0)
 
 
 def test_spike_times_interpolation():

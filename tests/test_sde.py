@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scalar
-from sarlab.sde import (SimConfig, em_step, ensemble_moments, lowpass,
-                        moments_to_csv, path_stream, path_to_csv, simulate,
+from sarlab.cli import write_csv
+from sarlab.sde import (SimConfig, ensemble_moments, lowpass, path_stream, simulate,
                         simulate_ensemble)
 
 
@@ -21,16 +21,18 @@ def test_sim_config_validation():
     assert SimConfig(t_end=1.0, dt=1e-3).n_steps == 1000
 
 
-def test_em_step_deterministic_example():
+def test_simulate_one_step_deterministic():
     # x=1, a=-1, no feedback, dt=0.1, no noise -> 0.9
     sys = make_scalar(-1.0, 0.0)
-    assert em_step(np.array([1.0]), sys, 0.1, 0.0)[0] == pytest.approx(0.9, abs=0.0)
+    path = simulate(sys, np.array([1.0]), SimConfig(t_end=0.1, dt=0.1, record_stride=1))
+    assert path.states[-1, 0] == pytest.approx(0.9, abs=0.0)
 
 
-def test_em_step_noise_term():
+def test_simulate_one_step_noise_term():
     sys = make_scalar(0.0, 2.0)  # pure noise: dx = sigma x dw
-    out = em_step(np.array([1.0]), sys, 0.0, 0.25)
-    assert out[0] == pytest.approx(1.0 + 2.0 * 0.25, abs=1e-15)
+    path = simulate(sys, np.array([1.0]), SimConfig(t_end=0.1, dt=0.1, seed=5, record_stride=1))
+    dw = path_stream(5, 0).standard_normal(1)[0] * np.sqrt(0.1)
+    assert path.states[-1, 0] == 1.0 + 2.0 * dw
 
 
 def test_simulate_deterministic_decay():
@@ -73,6 +75,15 @@ def test_path_stream_keying():
     # xor keying: (seed, index) and (seed^index, 0) give the same stream
     a = path_stream(12, 5).standard_normal(8)
     b = path_stream(12 ^ 5, 0).standard_normal(8)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_philox_normals_do_not_depend_on_chunking():
+    # the integrator draws increments chunk by chunk; paths must not see the chunk size
+    small = path_stream(3, 1)
+    large = path_stream(3, 1)
+    a = np.concatenate([small.standard_normal(2048) for _ in range(8)])
+    b = np.concatenate([large.standard_normal(8192) for _ in range(2)])
     np.testing.assert_array_equal(a, b)
 
 
@@ -138,26 +149,12 @@ def test_path_to_csv_roundtrip_precision(tmp_path):
     sys = make_scalar(-0.3, 0.4)
     path = simulate(sys, np.array([1.0]), SimConfig(t_end=0.05, dt=1e-3, seed=3))
     f = tmp_path / "p.csv"
-    path_to_csv(path, f, var_names=["v"])
+    write_csv(f, ["t", "v"], [path.times, path.states[:, 0]])
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "t,v"
     parsed = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    np.testing.assert_array_equal(parsed[:, 0], path.times)
     np.testing.assert_array_equal(parsed[:, 1], path.states[:, 0])  # %.17g is lossless
-
-
-def test_path_to_csv_name_mismatch(tmp_path):
-    sys = make_scalar(-0.3, 0.0)
-    path = simulate(sys, np.array([1.0]), SimConfig(t_end=0.01, dt=1e-2))
-    with pytest.raises(ValueError):
-        path_to_csv(path, tmp_path / "x.csv", var_names=["a", "b"])
-
-
-def test_moments_to_csv_header(tmp_path):
-    f = tmp_path / "m.csv"
-    moments_to_csv(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]),
-                   np.array([[0.1], [0.2]]), f)
-    head = f.read_text().splitlines()[0]
-    assert head == "t,m1,se1"
 
 
 @settings(max_examples=25, deadline=None)

@@ -236,6 +236,20 @@ def test_embedding_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.system.sector_slopes, emb.system.sector_slopes)
 
 
+def test_embedding_roundtrip_keeps_the_drift(tmp_path):
+    # a random 4-unit net: its unit biases must survive save/load
+    rng = np.random.default_rng(1)
+    net = ShallowNet(rng.standard_normal((4, 2)), rng.standard_normal(4),
+                     rng.standard_normal((1, 4)), [0.0])
+    net = ShallowNet(net.w1, net.b1, net.w2, -net(np.zeros(2)))  # vanish at the origin
+    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0)
+    f = tmp_path / "emb.json"
+    save_embedding(emb, f)
+    back = load_embedding(f)
+    x = rng.standard_normal((5, emb.system.n))
+    np.testing.assert_array_equal(back.system.drift(x), emb.system.drift(x))
+
+
 @settings(max_examples=30, deadline=None)
 @given(w=st.lists(st.floats(-3, 3), min_size=2, max_size=2),
        b=st.floats(-1, 1), x=st.lists(st.floats(-2, 2), min_size=2, max_size=2))
