@@ -10,8 +10,9 @@ __version__ = "0.1.0"
 
 from .lure import LureSystem, Violation, validate, sector_check, augment
 from .sde import SimConfig, SdePath, simulate, simulate_ensemble, ensemble_moments, lowpass
+# certify() is not re-exported: the name sarlab.certify stays the module
 from .certify import (CertProblem, Certificate, SolverOptions, certificate_matrix,
-                      max_eigenvalue, certify, sigma_sweep, lyapunov_value)
+                      max_eigenvalue, sigma_sweep, lyapunov_value)
 from .shallow import ShallowNet, TrainOptions, SectorEmbedding, train, extract_bounds, embed
 from .morris_lecar import MorrisLecarParams, simulate_ml, calibrate_iapp
 from .embedding import EmbeddingConfig, EmbeddingReport, build_embedding
@@ -34,7 +35,6 @@ __all__ = [
     "SolverOptions",
     "certificate_matrix",
     "max_eigenvalue",
-    "certify",
     "sigma_sweep",
     "lyapunov_value",
     "ShallowNet",

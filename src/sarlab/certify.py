@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .lure import LureSystem, system_from_dict, system_to_dict
+from .lure import LureSystem
 
 __all__ = [
     "SolverOptions",
@@ -47,6 +47,12 @@ def default_nu_grid() -> np.ndarray:
     return np.linspace(0.05, 0.95, 19)
 
 
+_STALL_WINDOW = 25           # stop a restart after this many non-improving iters
+_INIT_STEP = 1.0
+_FEASIBLE_EXIT_FACTOR = 10.0  # a search exits once its margin drops below -factor * tol
+_C_DEFECT_TOL = 1e-9          # Frobenius defect of C^T C - I that needs the opt-in
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the projected-subgradient feasibility search."""
@@ -55,11 +61,7 @@ class SolverOptions:
     tol: float = 1e-8           # feasible iff margin < -tol (absolute)
     restarts: int = 5
     seed: int = 0
-    stall_window: int = 25      # stop a restart after this many non-improving iters
-    init_step: float = 1.0
     allow_nonorthonormal_c: bool = False
-    c_defect_tol: float = 1e-9
-    feasible_exit_factor: float = 10.0
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
@@ -152,8 +154,6 @@ def _affine_parts(sys: LureSystem, nu: float):
 
 
 def _top_eig(mat: np.ndarray):
-    if mat.shape[0] == 1:
-        return float(mat[0, 0]), np.ones(1)
     if mat.shape[0] == 2:
         # closed form keeps scalar demos cheap
         a, b, d = mat[0, 0], mat[0, 1], mat[1, 1]
@@ -208,7 +208,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
         mat = n0 + np.tensordot(phi, sbasis, axes=1)
         return _top_eig(0.5 * (mat + mat.T))
 
-    exit_level = max(-opts.feasible_exit_factor * opts.tol, lower_bound + 1e-12 * ref)
+    exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
 
     best_phi = np.zeros(nparams)
     best_g, _ = value(best_phi)
@@ -238,7 +238,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
         g, vec = value(phi)
         if g < best_g:
             best_g, best_phi = g, phi.copy()
-        alpha = opts.init_step
+        alpha = _INIT_STEP
         since_improve = 0
         it = 0
         while it < opts.max_iters:
@@ -262,7 +262,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
                     break
             if not stepped:
                 # diminishing subgradient fallback keeps nonsmooth cases moving
-                a = opts.init_step / (1.0 + it) ** 0.6
+                a = _INIT_STEP / (1.0 + it) ** 0.6
                 phi = np.maximum(phi - a * grad / gnorm, 0.0)
                 g, vec = value(phi)
                 alpha = max(alpha * 0.5, 1e-9)
@@ -274,7 +274,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
                 since_improve += 1
             if best_g < exit_level:
                 return best_g, best_phi * scale, False
-            if since_improve > opts.stall_window:
+            if since_improve > _STALL_WINDOW:
                 break
         else:
             hit_cap = True
@@ -302,7 +302,7 @@ def certify(problem: CertProblem) -> Certificate:
         raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
 
     defect = float(np.linalg.norm(sys.c.T @ sys.c - np.eye(n)))
-    if defect > opts.c_defect_tol and not opts.allow_nonorthonormal_c:
+    if defect > _C_DEFECT_TOL and not opts.allow_nonorthonormal_c:
         raise ValueError(
             f"C^T C deviates from identity by {defect:.3g} (Frobenius); the certificate "
             "hypothesis does not hold. Pass SolverOptions(allow_nonorthonormal_c=True) "
@@ -381,12 +381,6 @@ def linear_necessity_bound(sys: LureSystem, n_random: int = 200, seed: int = 0):
 # sweeps
 
 
-def _sweep_worker(args):
-    sys_dict, sigma, nu_grid, options = args
-    sys = system_from_dict(sys_dict).with_sigma(sigma)
-    return certify(CertProblem(sys, np.asarray(nu_grid), options))
-
-
 def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | None = None,
                 jobs: int = 1) -> list[tuple[float, Certificate]]:
     """Certify a template system at each noise level of an ascending grid.
@@ -405,13 +399,13 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     if options is None:
         options = SolverOptions()
 
+    problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options)
+                for s in sigmas]
     if jobs > 1:
-        payload = [(system_to_dict(sys), float(s), np.asarray(nu_grid), options) for s in sigmas]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(_sweep_worker, payload))
+            certs = list(pool.map(certify, problems))
     else:
-        certs = [certify(CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options))
-                 for s in sigmas]
+        certs = [certify(p) for p in problems]
     return [(float(s), c) for s, c in zip(sigmas, certs)]
 
 

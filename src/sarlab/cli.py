@@ -25,7 +25,7 @@ from . import __version__
 from . import morris_lecar as ml
 from .certify import CertProblem, SolverOptions, certify, save_certificate, sigma_sweep
 from .embedding import EmbeddingConfig, build_embedding
-from .lure import LureSystem, load_system
+from .lure import LureSystem, load_system, validate
 from .sde import SimConfig, lowpass, simulate
 from .shallow import embedding_to_dict, load_embedding, save_net
 
@@ -180,14 +180,18 @@ def _ml_params(config: dict) -> ml.MorrisLecarParams:
 def _load_cert_target(path) -> tuple[LureSystem, bool]:
     """A certification target is a bare system JSON or an embedding JSON
     (detected by the n_phys field, whose C block is rank-deficient by
-    construction)."""
+    construction).  Systems that fail validation are rejected; warnings
+    (such as the embeddings' C^T C != I) pass."""
     doc = _load_json(path)
+    embedded = "n_phys" in doc
     try:
-        if "n_phys" in doc:
-            return load_embedding(path).system, True
-        return load_system(path), False
+        system = load_embedding(path).system if embedded else load_system(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad system file {path}: {exc}") from exc
+    errors = [v.code for v in validate(system) if v.severity == "error"]
+    if errors:
+        raise CliError(f"invalid system in {path}: {', '.join(errors)}")
+    return system, embedded
 
 
 # ---------------------------------------------------------------------------

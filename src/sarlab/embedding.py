@@ -121,8 +121,7 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     comb = np.array([[1.0 / p.cap, 0.0], [0.0, 1.0]])
     combiners = [comb] * 3
     emb = embed(nets, combiners, a_phys, cfg.kappa, x_star=x_star, sigma=cfg.sigma,
-                const_drift=np.array([p.i_app / p.cap, 0.0]), offset_tol=cfg.offset_tol,
-                bank_name="morris_lecar_bank")
+                const_drift=np.array([p.i_app / p.cap, 0.0]), offset_tol=cfg.offset_tol)
 
     # fit quality on a fresh sample
     probe = np.random.default_rng(cfg.seed + 7919).uniform(lo, hi, size=(cfg.n_samples, 2))

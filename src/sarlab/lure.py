@@ -18,22 +18,19 @@ is needed for simulation and sector checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Nonlinearity",
     "LureSystem",
     "AugmentSkeleton",
     "Violation",
     "SectorCheck",
+    "TanhBank",
     "tanh_bank",
-    "identity_bank",
-    "zero_bank",
     "get_nonlinearity",
-    "register_nonlinearity",
     "validate",
     "sector_check",
     "augment",
@@ -51,72 +48,46 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Nonlinearity:
-    """Componentwise feedback nonlinearity y in R^m -> f(y) in R^m.
-
-    biases holds the unit biases of a bank built with them, so that they
-    travel in system JSON; None for banks without biases.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    biases: np.ndarray | None = None
-
-    def __call__(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return self.fn(y)
-
-
-def tanh_bank(slopes, biases=None) -> Nonlinearity:
+class TanhBank:
     """Bank of centered tanh units, f_i(y) = tanh(s_i y + b_i) - tanh(b_i).
 
     Each unit vanishes at 0, lies in the sector [0, s_i] and has slope
     bounded by s_i, so a system using this bank with sector_slopes =
-    deriv_bounds = slopes is exactly sector-consistent.
+    deriv_bounds = slopes is exactly sector-consistent.  The bank is plain
+    data: it pickles, and system JSON stores its slopes and biases.
     """
-    s = np.asarray(slopes, dtype=float)
-    if biases is None:
-        b = np.zeros_like(s)
-    else:
-        b = _frozen(biases)
+
+    slopes: np.ndarray
+    biases: np.ndarray | None = None  # None -> zeros
+    _tanh_biases: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = _frozen(np.atleast_1d(self.slopes))
+        b = _frozen(np.zeros_like(s) if self.biases is None else self.biases)
         if b.shape != s.shape:
             raise ValueError("biases shape must match slopes")
-    tb = np.tanh(b)
+        object.__setattr__(self, "slopes", s)
+        object.__setattr__(self, "biases", b)
+        object.__setattr__(self, "_tanh_biases", np.tanh(b))
 
-    def fn(y: np.ndarray) -> np.ndarray:
-        return np.tanh(s * y + b) - tb
-
-    return Nonlinearity("tanh_bank", fn, None if biases is None else b)
-
-
-def identity_bank(slopes=None, biases=None) -> Nonlinearity:
-    return Nonlinearity("identity", lambda y: y.copy())
+    def __call__(self, y) -> np.ndarray:
+        return np.tanh(self.slopes * np.asarray(y, dtype=float) + self.biases) - self._tanh_biases
 
 
-def zero_bank(slopes=None, biases=None) -> Nonlinearity:
-    return Nonlinearity("zero", np.zeros_like)
+def tanh_bank(slopes, biases=None) -> TanhBank:
+    return TanhBank(slopes, biases)
 
 
-_REGISTRY: dict[str, Callable[..., Nonlinearity]] = {}
+# "morris_lecar_bank" labels the same units in embeddings saved before banks were data
+_BANK_NAMES = ("tanh_bank", "morris_lecar_bank")
 
 
-def register_nonlinearity(name: str, factory: Callable[..., Nonlinearity]) -> None:
-    _REGISTRY[name] = factory
-
-
-def get_nonlinearity(name: str, slopes=None, biases=None) -> Nonlinearity:
-    """Build a registered evaluator from the name, slopes and (optional)
-    biases that system JSON carries."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown nonlinearity {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](slopes=slopes, biases=biases)
-
-
-register_nonlinearity("tanh_bank", lambda slopes=None, biases=None: tanh_bank(slopes, biases))
-# the Morris-Lecar embedding uses the same centered-tanh units, under its own name
-register_nonlinearity("morris_lecar_bank", lambda slopes=None, biases=None: tanh_bank(slopes, biases))
-register_nonlinearity("identity", identity_bank)
-register_nonlinearity("zero", zero_bank)
+def get_nonlinearity(name: str, slopes=None, biases=None) -> TanhBank:
+    """The bank a system JSON names, built from its slopes and (optional)
+    biases."""
+    if name not in _BANK_NAMES:
+        raise KeyError(f"unknown nonlinearity {name!r}; known: {list(_BANK_NAMES)}")
+    return TanhBank(slopes, biases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +95,8 @@ class LureSystem:
     """Immutable value object holding the model data.
 
     a: (n, n) drift matrix, f_gain: (n, m) feedback gain, c: (m, n) output
-    map, sigma >= 0 noise level, nonlinearity: componentwise evaluator,
+    map, sigma >= 0 noise level, nonlinearity: componentwise evaluator
+    (any callable; only a TanhBank saves to JSON),
     sector_slopes s and deriv_bounds delta: length-m positive vectors.
     """
 
@@ -132,7 +104,7 @@ class LureSystem:
     f_gain: np.ndarray
     c: np.ndarray
     sigma: float
-    nonlinearity: Nonlinearity
+    nonlinearity: Callable[[np.ndarray], np.ndarray]
     sector_slopes: np.ndarray
     deriv_bounds: np.ndarray
 
@@ -189,8 +161,9 @@ class SectorCheck(NamedTuple):
 
 
 def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool = True) -> list[Violation]:
-    """Structural checks.  Dimension errors and nonpositive bounds are
-    errors; an orthonormality defect ||C^T C - I||_F > tolerance is a
+    """Structural checks.  Dimension errors, nonpositive bounds and tanh
+    units steeper than their sector slope or derivative bound are errors;
+    an orthonormality defect ||C^T C - I||_F > tolerance is a
     warning (the certificate hypothesis wants C^T C = I, which sector
     embeddings of low-dimensional physics cannot satisfy)."""
     out: list[Violation] = []
@@ -209,6 +182,9 @@ def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool
     if sys.deriv_bounds.shape != (m,):
         out.append(Violation("error", "dim_deriv_bounds",
                              f"deriv_bounds must have length {m}"))
+    bank = sys.nonlinearity if isinstance(sys.nonlinearity, TanhBank) else None
+    if bank is not None and bank.slopes.shape != (m,):
+        out.append(Violation("error", "dim_bank", f"the tanh bank must have {m} units"))
     if out:
         return out
 
@@ -222,6 +198,12 @@ def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool
         if not d > 0:
             out.append(Violation("error", "bad_deriv_bound",
                                  f"derivative bound delta[{i}] must be > 0", float(d)))
+    # a unit of slope s_i lies in the sector [0, s_i] with slopes up to s_i, and no tighter
+    if bank is not None:
+        for i in np.nonzero((bank.slopes > sys.sector_slopes) | (bank.slopes > sys.deriv_bounds))[0]:
+            out.append(Violation("error", "bank_outside_sector",
+                                 f"tanh unit {i} has slope {bank.slopes[i]:g}, above its "
+                                 "sector slope or derivative bound", float(bank.slopes[i])))
 
     defect = float(np.linalg.norm(sys.c.T @ sys.c - np.eye(n)))
     if defect > tolerance:
@@ -311,31 +293,32 @@ def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
 
 
 def system_to_dict(sys: LureSystem) -> dict:
-    doc = {
+    bank = sys.nonlinearity
+    return {
         "a": sys.a.tolist(),
         "f_gain": sys.f_gain.tolist(),
         "c": sys.c.tolist(),
         "sigma": sys.sigma,
         "sector_slopes": sys.sector_slopes.tolist(),
         "deriv_bounds": sys.deriv_bounds.tolist(),
-        "nonlinearity": sys.nonlinearity.name,
+        "nonlinearity": "tanh_bank",
+        "unit_slopes": bank.slopes.tolist(),
+        "biases": bank.biases.tolist(),
     }
-    if sys.nonlinearity.biases is not None:
-        doc["biases"] = sys.nonlinearity.biases.tolist()
-    return doc
 
 
-def system_from_dict(d: dict, nonlinearity: Nonlinearity | None = None) -> LureSystem:
+def system_from_dict(d: dict) -> LureSystem:
+    """Files without unit_slopes take the units' slopes from sector_slopes,
+    and files without biases get zero biases."""
     slopes = np.asarray(d["sector_slopes"], dtype=float)
-    if nonlinearity is None:
-        nonlinearity = get_nonlinearity(d.get("nonlinearity", "tanh_bank"), slopes=slopes,
-                                        biases=d.get("biases"))
+    bank = get_nonlinearity(d.get("nonlinearity", "tanh_bank"),
+                            slopes=d.get("unit_slopes", slopes), biases=d.get("biases"))
     return LureSystem(
         a=np.asarray(d["a"], dtype=float),
         f_gain=np.asarray(d["f_gain"], dtype=float),
         c=np.asarray(d["c"], dtype=float),
         sigma=float(d["sigma"]),
-        nonlinearity=nonlinearity,
+        nonlinearity=bank,
         sector_slopes=slopes,
         deriv_bounds=np.asarray(d["deriv_bounds"], dtype=float),
     )
@@ -347,9 +330,6 @@ def save_system(sys: LureSystem, path) -> None:
         fh.write("\n")
 
 
-def load_system(path, nonlinearity: Nonlinearity | None = None) -> LureSystem:
-    """Load a system JSON.  Unless an evaluator is passed, it is rebuilt
-    from the registry by name with the stored slopes and unit biases
-    (files without biases get zero biases)."""
+def load_system(path) -> LureSystem:
     with open(path) as fh:
-        return system_from_dict(json.load(fh), nonlinearity=nonlinearity)
+        return system_from_dict(json.load(fh))

@@ -15,7 +15,6 @@ Euler-Maruyama kernel of :mod:`sarlab.sde`.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -45,8 +44,6 @@ __all__ = [
     "make_training_set",
     "params_to_dict",
     "params_from_dict",
-    "save_params",
-    "load_params",
 ]
 
 DEFAULT_INIT = np.array([-52.14, 0.02])
@@ -267,14 +264,3 @@ def params_from_dict(d: dict) -> MorrisLecarParams:
     kwargs = {attr: float(d.get(key, getattr(base, attr)))
               for key, attr in _JSON_KEYS.items()}
     return MorrisLecarParams(**kwargs)
-
-
-def save_params(p: MorrisLecarParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(p), fh, indent=2)
-        fh.write("\n")
-
-
-def load_params(path) -> MorrisLecarParams:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))

@@ -16,25 +16,23 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lure import LureSystem, Nonlinearity, augment, tanh_bank
+from .lure import LureSystem, augment, system_from_dict, system_to_dict, tanh_bank
 
 __all__ = [
     "ShallowNet",
     "TrainOptions",
     "TrainResult",
     "BankBounds",
-    "ResidualReport",
     "SectorEmbedding",
     "train",
     "loss_and_grad",
     "extract_bounds",
     "embed",
-    "approx_residual",
     "save_net",
     "load_net",
     "embedding_to_dict",
@@ -264,7 +262,7 @@ class SectorEmbedding:
 
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
           kappa: float, x_star=None, sigma: float = 0.0, const_drift=None,
-          offset_tol: float = 1e-3, bank_name: str = "tanh_bank") -> SectorEmbedding:
+          offset_tol: float = 1e-3) -> SectorEmbedding:
     """Assemble the augmented system whose feedback bank is the union of
     the nets' recentred hidden units.
 
@@ -323,26 +321,10 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    bank = replace(tanh_bank(slopes, biases), name=bank_name)
     system = LureSystem(a=skel.a_bar, f_gain=skel.f_bar, c=c_bar, sigma=sigma,
-                        nonlinearity=bank, sector_slopes=slopes, deriv_bounds=slopes)
+                        nonlinearity=tanh_bank(slopes, biases), sector_slopes=slopes,
+                        deriv_bounds=slopes)
     return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys)
-
-
-class ResidualReport(NamedTuple):
-    max_abs: np.ndarray  # per output
-    rms: np.ndarray      # per output
-
-
-def approx_residual(net: ShallowNet, target_fn: Callable[[np.ndarray], np.ndarray],
-                    lo, hi, n_samples: int = 4096, seed: int = 0) -> ResidualReport:
-    """Monte-Carlo fit error of a net against a reference map on a box."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
-    r = net(x) - np.atleast_2d(np.asarray(target_fn(x), dtype=float))
-    return ResidualReport(np.abs(r).max(axis=0), np.sqrt(np.mean(r * r, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +346,6 @@ def load_net(path) -> ShallowNet:
 
 
 def embedding_to_dict(e: SectorEmbedding) -> dict:
-    from .lure import system_to_dict
-
     doc = system_to_dict(e.system)
     doc["offset"] = np.asarray(e.offset).tolist()
     doc["kappa"] = e.kappa
@@ -379,14 +359,10 @@ def save_embedding(e: SectorEmbedding, path) -> None:
         fh.write("\n")
 
 
-def load_embedding(path, nonlinearity: Nonlinearity | None = None) -> SectorEmbedding:
-    """Rebuild an embedding from JSON.  Without an explicit evaluator the
-    bank is rebuilt from the registry with the stored slopes and unit
-    biases, so the loaded system has the saved drift."""
-    from .lure import system_from_dict
-
+def load_embedding(path) -> SectorEmbedding:
+    """Rebuild an embedding from JSON, with the drift it was saved with."""
     with open(path) as fh:
         d = json.load(fh)
-    sys = system_from_dict(d, nonlinearity=nonlinearity)
+    sys = system_from_dict(d)
     return SectorEmbedding(system=sys, offset=np.asarray(d["offset"], dtype=float),
                            kappa=float(d["kappa"]), n_phys=int(d["n_phys"]))

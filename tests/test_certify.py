@@ -1,6 +1,8 @@
 """Certificate tests: the frozen hand oracle, the scalar closed form,
 solver invariants, sweeps, and the diagnostic Lyapunov functional."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,29 @@ def test_sigma_sweep_matches_closed_form_and_jobs_invariant():
     # the known boundary for a = 0.1 sits between 0.4 and 0.5
     feas = [s for s, c in seq if c.feasible]
     assert 0.4 < feas[0] <= 0.5
+
+
+def test_cert_problem_pickles_with_its_drift():
+    # process-pool sweeps send pickled problems; the bank must arrive intact
+    rng = np.random.default_rng(6)
+    slopes = rng.uniform(0.5, 2.0, 3)
+    sys = LureSystem(a=-np.eye(3), f_gain=rng.standard_normal((3, 3)), c=np.eye(3),
+                     sigma=0.5, nonlinearity=tanh_bank(slopes, rng.standard_normal(3)),
+                     sector_slopes=slopes, deriv_bounds=slopes)
+    problem = CertProblem(sys, np.array([0.3, 0.6]), SolverOptions(seed=3))
+    back = pickle.loads(pickle.dumps(problem))
+    x = rng.standard_normal((4, 3))
+    np.testing.assert_array_equal(back.sys.drift(x), sys.drift(x))
+    np.testing.assert_array_equal(back.nu_grid, problem.nu_grid)
+    assert back.options == problem.options
+    assert certify(back).margin == certify(problem).margin
+
+
+def test_sarlab_certify_is_the_module():
+    import sys
+
+    import sarlab.certify as m
+    assert m is sys.modules["sarlab.certify"]
 
 
 def test_sweep_to_csv_format(tmp_path):

@@ -73,6 +73,17 @@ def test_certify_rejects_range_sigma(scalar_files, tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_certify_rejects_system_outside_the_hypotheses(tmp_path, capsys):
+    # negative sector and slope bounds: the search alone would report "feasible"
+    path = tmp_path / "negative.json"
+    save_system(make_scalar(a=0.1, sigma=0.7, s=-1.0, delta=-1.0), path)
+    rc = cli.main(["certify", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_sector_slope" in err and "bad_deriv_bound" in err
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_certify_missing_system_file(tmp_path):
     assert cli.main(["certify", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2

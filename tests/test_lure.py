@@ -1,6 +1,8 @@
 """Model-layer tests: nonlinearity banks, validation, augmentation,
 serialization."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import make_scalar
 from sarlab.lure import (LureSystem, Violation, augment, get_nonlinearity,
-                         identity_bank, load_system, save_system, sector_check,
-                         system_from_dict, system_to_dict, tanh_bank, validate,
-                         zero_bank)
+                         load_system, save_system, sector_check, system_from_dict,
+                         system_to_dict, tanh_bank, validate)
 
 TANH1 = 0.7615941559557649  # tanh(1) to double precision
 
@@ -36,8 +37,13 @@ def test_tanh_bank_bias_shape_mismatch():
 
 
 def test_registry_roundtrip_and_unknown():
-    bank = get_nonlinearity("tanh_bank", slopes=np.ones(1))
-    assert bank.name == "tanh_bank"
+    # both names found in saved files build the same bank; anything else is unknown
+    for name in ("tanh_bank", "morris_lecar_bank"):
+        bank = get_nonlinearity(name, slopes=np.ones(1), biases=np.array([0.5]))
+        np.testing.assert_array_equal(bank.slopes, [1.0])
+        np.testing.assert_array_equal(bank.biases, [0.5])
+    np.testing.assert_array_equal(get_nonlinearity("tanh_bank", slopes=np.ones(2)).biases,
+                                  np.zeros(2))
     with pytest.raises(KeyError):
         get_nonlinearity("nope")
 
@@ -84,11 +90,24 @@ def test_validate_catches_non_componentwise():
         out[0] += 0.1 * y[1]
         return out
 
-    from sarlab.lure import Nonlinearity
     sys = LureSystem(a=-np.eye(2), f_gain=np.zeros((2, 2)), c=np.eye(2),
-                     sigma=0.0, nonlinearity=Nonlinearity("mixed", mixed),
+                     sigma=0.0, nonlinearity=mixed,
                      sector_slopes=np.ones(2), deriv_bounds=np.ones(2))
     assert "not_componentwise" in {v.code for v in validate(sys)}
+
+
+def test_validate_checks_the_bank_against_the_sector():
+    def codes(bank, sector, deriv):
+        sys = LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2), sigma=0.1,
+                         nonlinearity=bank, sector_slopes=sector, deriv_bounds=deriv)
+        return {v.code for v in validate(sys) if v.severity == "error"}
+
+    steep = tanh_bank(np.array([3.0, 1.0]))
+    assert codes(steep, np.ones(2), 5.0 * np.ones(2)) == {"bank_outside_sector"}
+    assert codes(steep, 5.0 * np.ones(2), np.ones(2)) == {"bank_outside_sector"}
+    assert codes(steep, np.array([3.0, 1.0]), np.array([3.0, 1.0])) == set()
+    assert codes(tanh_bank(np.ones(1)), np.ones(2), np.ones(2)) == {"dim_bank"}
+    assert codes(loose_sector_system().nonlinearity, 2.0 * np.ones(2), 2.0 * np.ones(2)) == set()
 
 
 def test_sector_check_needs_zero_in_grid():
@@ -138,10 +157,11 @@ def test_serialization_roundtrip():
     np.testing.assert_array_equal(back.a, sys.a)
     np.testing.assert_array_equal(back.f_gain, sys.f_gain)
     assert back.sigma == sys.sigma
-    assert back.nonlinearity.name == "tanh_bank"
-    # rebuilt evaluator matches the zero-bias bank pointwise
+    np.testing.assert_array_equal(back.nonlinearity.slopes, sys.nonlinearity.slopes)
+    np.testing.assert_array_equal(back.nonlinearity.biases, [0.0])
+    # the loaded bank matches the zero-bias bank pointwise
     y = np.array([0.37])
-    np.testing.assert_allclose(back.nonlinearity(y), sys.nonlinearity(y), atol=1e-15)
+    np.testing.assert_array_equal(back.nonlinearity(y), sys.nonlinearity(y))
 
 
 def test_save_load_file(tmp_path):
@@ -168,6 +188,50 @@ def test_save_load_keeps_bank_biases(tmp_path):
     np.testing.assert_array_equal(again.nonlinearity.biases, sys.nonlinearity.biases)
 
 
+def loose_sector_system():
+    # units of slope 1 under a sector bound of 2: the JSON must keep both
+    return LureSystem(a=-np.eye(2), f_gain=np.array([[1.0, 0.5], [-0.3, 2.0]]),
+                      c=np.eye(2), sigma=0.4, nonlinearity=tanh_bank(np.ones(2)),
+                      sector_slopes=2.0 * np.ones(2), deriv_bounds=2.0 * np.ones(2))
+
+
+def test_roundtrip_keeps_units_looser_than_their_sector():
+    sys = loose_sector_system()
+    back = system_from_dict(system_to_dict(sys))
+    x = np.random.default_rng(3).standard_normal((6, 2))
+    np.testing.assert_array_equal(back.drift(x), sys.drift(x))
+    np.testing.assert_array_equal(back.nonlinearity.slopes, [1.0, 1.0])
+    np.testing.assert_array_equal(back.sector_slopes, [2.0, 2.0])
+
+
+def test_pickled_system_keeps_the_drift():
+    rng = np.random.default_rng(4)
+    sys = LureSystem(a=-np.eye(3), f_gain=rng.standard_normal((3, 3)),
+                     c=rng.standard_normal((3, 3)), sigma=0.2,
+                     nonlinearity=tanh_bank(rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)),
+                     sector_slopes=np.ones(3), deriv_bounds=np.ones(3))
+    back = pickle.loads(pickle.dumps(sys))
+    x = rng.standard_normal((5, 3))
+    np.testing.assert_array_equal(back.drift(x), sys.drift(x))
+
+
+def test_old_format_dict_loads_with_the_saved_drift():
+    # files written before unit_slopes existed: the units' slopes are the
+    # sector slopes, under the bank name the Morris-Lecar pipeline used
+    rng = np.random.default_rng(5)
+    slopes = rng.uniform(0.5, 2.0, 3)
+    sys = LureSystem(a=-np.eye(3), f_gain=rng.standard_normal((3, 3)),
+                     c=rng.standard_normal((3, 3)), sigma=0.0,
+                     nonlinearity=tanh_bank(slopes, rng.standard_normal(3)),
+                     sector_slopes=slopes, deriv_bounds=slopes)
+    doc = system_to_dict(sys)
+    del doc["unit_slopes"]
+    doc["nonlinearity"] = "morris_lecar_bank"
+    back = system_from_dict(doc)
+    x = rng.standard_normal((5, 3))
+    np.testing.assert_array_equal(back.drift(x), sys.drift(x))
+
+
 def test_matrices_are_frozen():
     sys = make_scalar(-1.0, 0.0)
     with pytest.raises(ValueError):
@@ -191,12 +255,6 @@ def test_centered_tanh_unit_slope_bound(slope, y, bias):
     h = 1e-6
     num = (bank(np.array([y + h]))[0] - bank(np.array([y - h]))[0]) / (2 * h)
     assert num <= slope * (1 + 1e-6) + 1e-9
-
-
-def test_identity_and_zero_banks():
-    y = np.array([0.5, -2.0])
-    np.testing.assert_array_equal(identity_bank()(y), y)
-    np.testing.assert_array_equal(zero_bank()(y), np.zeros(2))
 
 
 def test_violation_is_plain_record():

@@ -247,14 +247,13 @@ def test_make_training_set_empty_and_collapsed(p):
     assert np.ptp(targets, axis=0).max() == 0.0
 
 
-def test_params_json_keys(tmp_path, p):
-    f = tmp_path / "params.json"
-    ml.save_params(p.with_iapp(40.0), f)
-    doc = json.loads(f.read_text())
+def test_params_json_keys(p):
+    # the dict is what a CLI config's "params" block holds; it survives JSON
+    doc = json.loads(json.dumps(ml.params_to_dict(p.with_iapp(40.0))))
     assert set(doc) == {"cap", "gL", "vL", "gCa", "vCa", "gK", "vK",
                         "v1", "v2", "v3", "v4", "phi", "i_app"}
     assert doc["vK"] == -80.0 and doc["gCa"] == 4.0
-    back = ml.load_params(f)
+    back = ml.params_from_dict(doc)
     assert back == p.with_iapp(40.0)
 
 

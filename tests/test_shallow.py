@@ -1,6 +1,7 @@
 """Network tests: forward pass, backprop gradients, training behavior,
 sector extraction, embedding assembly, serialization."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarlab.shallow import (ShallowNet, TrainOptions, approx_residual, embed,
+from sarlab.shallow import (ShallowNet, TrainOptions, embed,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
 
@@ -142,19 +143,6 @@ def test_extract_bounds_prunes_dead_units():
     np.testing.assert_allclose(bounds.slopes, [1.0, 2.0])
 
 
-def test_approx_residual_zero_for_self():
-    net = tiny_net()
-    rep = approx_residual(net, lambda x: net(x), -1.0, 1.0, n_samples=64)
-    assert rep.max_abs[0] == 0.0 and rep.rms[0] == 0.0
-
-
-def test_approx_residual_detects_error():
-    net = tiny_net()
-    rep = approx_residual(net, lambda x: net(x) + 0.1, -1.0, 1.0, n_samples=64)
-    assert rep.max_abs[0] == pytest.approx(0.1, abs=1e-12)
-    assert rep.rms[0] == pytest.approx(0.1, abs=1e-12)
-
-
 def test_save_load_net_bit_exact(tmp_path):
     net = tiny_net()
     f = tmp_path / "net.json"
@@ -248,6 +236,9 @@ def test_embedding_roundtrip_keeps_the_drift(tmp_path):
     back = load_embedding(f)
     x = rng.standard_normal((5, emb.system.n))
     np.testing.assert_array_equal(back.system.drift(x), emb.system.drift(x))
+    # the bank is plain data, so the embedded system also pickles exactly
+    unpickled = pickle.loads(pickle.dumps(emb.system))
+    np.testing.assert_array_equal(unpickled.drift(x), emb.system.drift(x))
 
 
 @settings(max_examples=30, deadline=None)
