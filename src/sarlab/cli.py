@@ -14,6 +14,7 @@ Exit codes: 0 ok/feasible, 1 infeasible, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -24,10 +25,10 @@ import numpy as np
 from . import __version__
 from . import morris_lecar as ml
 from .certify import CertProblem, SolverOptions, certify, save_certificate, sigma_sweep
-from .embedding import EmbeddingConfig, build_embedding
+from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
 from .lure import LureSystem, load_system, validate
 from .sde import SimConfig, lowpass, simulate
-from .shallow import embedding_to_dict, load_embedding, save_net
+from .shallow import load_embedding, save_embedding, save_net
 
 CHANNEL_NAMES = ("leak", "ca", "k")
 
@@ -153,13 +154,21 @@ def sweep_plot_script(csv_name: str, boundary: float | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _calibrated_iapp(p: ml.MorrisLecarParams) -> float:
+    """calibrate_iapp on its default grid, run once per parameter set and
+    process (reproduce_all resolves the same current for three figures; a
+    process sees one or a few parameter sets)."""
+    return ml.calibrate_iapp(p)
+
+
 def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, float]:
     """spec is a number, or the string 'calibrate' (scan for the smallest
     current giving sustained spiking)."""
     if isinstance(spec, str):
         if spec != "calibrate":
             raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
-        value = ml.calibrate_iapp(p)
+        value = _calibrated_iapp(p)
     else:
         try:
             value = float(spec)
@@ -192,6 +201,20 @@ def _load_cert_target(path) -> tuple[LureSystem, bool]:
     if errors:
         raise CliError(f"invalid system in {path}: {', '.join(errors)}")
     return system, embedded
+
+
+def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
+    """Write the channel nets, the embedding and the per-epoch training
+    losses; return the file names."""
+    outputs = []
+    for name, net in zip(CHANNEL_NAMES, report.nets):
+        fname = f"net_{name}.json"
+        save_net(net, out_dir / fname)
+        outputs.append(fname)
+    save_embedding(report.embedding, out_dir / "embedding.json")
+    epochs = np.arange(1, report.loss_histories.shape[1] + 1)
+    write_csv(out_dir / "loss.csv", ["epoch", *CHANNELS], [epochs, *report.loss_histories])
+    return outputs + ["embedding.json", "loss.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +311,7 @@ def cmd_approximate(args) -> int:
         print("training diverged (non-finite loss); no embedding written", file=sys.stderr)
         return 4
 
-    outputs = []
-    for name, net in zip(CHANNEL_NAMES, report.nets):
-        fname = f"net_{name}.json"
-        save_net(net, out_dir / fname)
-        outputs.append(fname)
-    with open(out_dir / "embedding.json", "w") as fh:
-        json.dump(embedding_to_dict(report.embedding), fh, indent=2)
-        fh.write("\n")
-    outputs.append("embedding.json")
+    outputs = _save_fit(out_dir, report)
 
     rng_pct = 100.0 * report.channel_rms / report.channel_range
     residuals = {
@@ -452,15 +467,7 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
         print("training diverged; fig5 artifacts not written", file=sys.stderr)
         return 4
 
-    outputs = []
-    for name, net in zip(CHANNEL_NAMES, report.nets):
-        fname = f"net_{name}.json"
-        save_net(net, out_dir / fname)
-        outputs.append(fname)
-    with open(out_dir / "embedding.json", "w") as fh:
-        json.dump(embedding_to_dict(report.embedding), fh, indent=2)
-        fh.write("\n")
-    outputs.append("embedding.json")
+    outputs = _save_fit(out_dir, report)
 
     sigmas = parse_range(sigma_text, "sigma") if sigma_text else np.arange(0.2, 2.0001, 0.2)
     opts = SolverOptions(seed=seed, allow_nonorthonormal_c=True)

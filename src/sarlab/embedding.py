@@ -1,7 +1,7 @@
 """End-to-end Morris-Lecar sector-embedding pipeline.
 
 Three width-10 tanh nets are trained on the training box, one per channel
-current (leak, calcium, potassium).  Each net has two outputs: output 0
+current (leak, calcium, potassium), as one stacked SGD run.  Each net has two outputs: output 0
 fits its channel current; the three output-1 heads jointly fit the
 nonlinear residue of the recovery equation (one third each), i.e.
 h(V,N) - grad h(x*) . (x - x*) with h = (n_ss - N)/tau_n.  After training,
@@ -64,7 +64,7 @@ class EmbeddingReport:
     channel_range: np.ndarray      # peak-to-peak of each channel over the box
     recovery_rms: float            # RMS error of the reconstructed recovery rate
     recovery_max: float
-    loss_histories: list[np.ndarray]
+    loss_histories: np.ndarray     # (3, epochs run), one row per channel net
     diverged: bool
 
 
@@ -106,16 +106,13 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
 
     opts = TrainOptions(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                         momentum=0.9, lr_decay=cfg.lr_decay, seed=cfg.seed)
-    nets, histories, diverged = [], [], False
     chans = channel_functions(p)
-    for i, (_, chan) in enumerate(chans):
-        targets = np.column_stack([chan(x), res / 3.0])
-        result = train(x, targets, cfg.hidden, replace(opts, seed=cfg.seed + i))
-        diverged = diverged or result.diverged
-        histories.append(result.loss_history)
+    targets = np.stack([np.column_stack([chan(x), res / 3.0]) for _, chan in chans])
+    result = train(x, targets, cfg.hidden, opts)  # net i trains on seed cfg.seed + i
+    nets = []
+    for (_, chan), net in zip(chans, result.nets):
         # pin the net at the rest state so the assembled origin drift vanishes
         star_target = np.array([float(chan(x_star[None, :])[0]), 0.0])
-        net = result.net
         nets.append(replace(net, b2=net.b2 - (net(x_star) - star_target)))
 
     comb = np.array([[1.0 / p.cap, 0.0], [0.0, 1.0]])
@@ -139,7 +136,7 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
         channel_range=np.asarray(chan_rng),
         recovery_rms=float(np.sqrt(np.mean(h_err ** 2))),
         recovery_max=float(np.max(np.abs(h_err))),
-        loss_histories=histories, diverged=diverged)
+        loss_histories=result.loss_history, diverged=bool(result.diverged.any()))
 
 
 def model_rhs(report: EmbeddingReport, x) -> np.ndarray:

@@ -18,7 +18,7 @@ is needed for simulation and sector checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +47,12 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _reduce_through_init(self):
+    """Unpickle through the constructor: restoring __dict__ would skip the
+    __post_init__ that makes the arrays read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
 class TanhBank:
     """Bank of centered tanh units, f_i(y) = tanh(s_i y + b_i) - tanh(b_i).
@@ -69,6 +75,8 @@ class TanhBank:
         object.__setattr__(self, "slopes", s)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "_tanh_biases", np.tanh(b))
+
+    __reduce__ = _reduce_through_init
 
     def __call__(self, y) -> np.ndarray:
         return np.tanh(self.slopes * np.asarray(y, dtype=float) + self.biases) - self._tanh_biases
@@ -115,6 +123,8 @@ class LureSystem:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "sector_slopes", _frozen(np.atleast_1d(self.sector_slopes)))
         object.__setattr__(self, "deriv_bounds", _frozen(np.atleast_1d(self.deriv_bounds)))
+
+    __reduce__ = _reduce_through_init
 
     @property
     def n(self) -> int:
@@ -294,6 +304,9 @@ def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
 
 def system_to_dict(sys: LureSystem) -> dict:
     bank = sys.nonlinearity
+    if not isinstance(bank, TanhBank):
+        raise TypeError(f"only a system whose nonlinearity is a TanhBank saves to JSON, "
+                        f"not one with {type(bank).__name__} {bank!r}")
     return {
         "a": sys.a.tolist(),
         "f_gain": sys.f_gain.tolist(),

@@ -102,25 +102,58 @@ class TrainOptions:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
-    net: ShallowNet
-    loss_history: np.ndarray  # full-set MSE in normalized units, per epoch
-    final_rms: np.ndarray     # raw-unit RMS error per output on the training set
-    diverged: bool = False
+    """A stack of k nets fitted to the same inputs; every field has a
+    leading net axis."""
+
+    nets: tuple[ShallowNet, ...]
+    loss_history: np.ndarray  # (k, epochs run): full-set MSE in normalized units, NaN once diverged
+    final_rms: np.ndarray     # (k, q): raw-unit RMS error per output on the training set
+    diverged: np.ndarray      # (k,) bool
 
 
-def _mse_and_grads(w1, b1, w2, b2, x, t):
-    """0.5 * mean_i ||y_i - t_i||^2 and its gradients (plain backprop)."""
-    n = x.shape[0]
-    a1 = np.tanh(x @ w1.T + b1)
-    r = a1 @ w2.T + b2 - t
-    loss = 0.5 * float(np.sum(r * r)) / n
-    rn = r / n
-    g_b2 = rn.sum(axis=0)
-    g_w2 = rn.T @ a1
-    dz1 = (rn @ w2) * (1.0 - a1 * a1)
-    g_b1 = dz1.sum(axis=0)
-    g_w1 = dz1.T @ x
-    return loss, g_w1, g_b1, g_w2, g_b2
+def _views(flat: np.ndarray, h: int, d: int, q: int):
+    """w1 (k, h, d), b1 (k, h), w2 (k, q, h), b2 (k, q) views of a (k, P)
+    parameter stack; each net's parameters are one contiguous row."""
+    k = flat.shape[0]
+    o1, o2 = h * d, h * d + h
+    o3 = o2 + q * h
+    return (flat[:, :o1].reshape(k, h, d), flat[:, o1:o2],
+            flat[:, o2:o3].reshape(k, q, h), flat[:, o3:])
+
+
+def _backprop(params, x, t, grads) -> None:
+    """Gradients of 0.5 * mean_i ||y_i - t_i||^2 for a stack of nets, each
+    on its own batch: x (k, m, d), t (k, m, q).  params and grads are
+    (w1, b1, w2, b2) stacks from :func:`_views`; the gradients are written
+    into grads.  The operation order is fixed: it decides the trained bits."""
+    w1, b1, w2, b2 = params
+    z = np.matmul(x, w1.transpose(0, 2, 1))
+    z += b1[:, None, :]
+    a1 = np.tanh(z)
+    r = np.matmul(a1, w2.transpose(0, 2, 1))
+    r += b2[:, None, :]
+    r -= t
+    r /= x.shape[1]
+    np.sum(r, axis=1, out=grads[3])
+    np.matmul(r.transpose(0, 2, 1), a1, out=grads[2])
+    dz = np.matmul(r, w2)
+    dz *= 1.0 - a1 * a1
+    np.sum(dz, axis=1, out=grads[1])
+    np.matmul(dz.transpose(0, 2, 1), x, out=grads[0])
+
+
+def _full_loss(params, x, t, a1, r) -> float:
+    """0.5 * mean_i ||y_i - t_i||^2 of one net (w1, b1, w2, b2) on (x, t),
+    computed in the buffers a1 (n, h) and r (n, q)."""
+    w1, b1, w2, b2 = params
+    np.matmul(x, w1.T, out=a1)
+    a1 += b1
+    np.tanh(a1, out=a1)
+    np.matmul(a1, w2.T, out=r)
+    r += b2
+    r -= t
+    r *= r
+    return 0.5 * float(np.sum(r)) / x.shape[0]
 
 
 def loss_and_grad(net: ShallowNet, x, targets):
@@ -128,27 +161,39 @@ def loss_and_grad(net: ShallowNet, x, targets):
     as a ShallowNet of the same shapes (for finite-difference checks)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
-    loss, g_w1, g_b1, g_w2, g_b2 = _mse_and_grads(net.w1, net.b1, net.w2, net.b2, x, t)
-    return loss, ShallowNet(g_w1, g_b1, g_w2, g_b2)
+    h, d, q = net.hidden, net.d_in, net.q_out
+    flat = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])[None, :]
+    grad = np.empty_like(flat)
+    _backprop(_views(flat, h, d, q), x[None], t[None], _views(grad, h, d, q))
+    loss = _full_loss((net.w1, net.b1, net.w2, net.b2), x, t,
+                      np.empty((x.shape[0], h)), np.empty((x.shape[0], q)))
+    return loss, ShallowNet(*(g[0] for g in _views(grad, h, d, q)))
 
 
 def train(x, targets, hidden: int, options: TrainOptions | None = None) -> TrainResult:
-    """Fit a one-hidden-layer tanh net by minibatch SGD with momentum.
+    """Fit k one-hidden-layer tanh nets on shared inputs by minibatch SGD
+    with momentum, as one stacked loop.
 
-    Inputs and targets are rescaled internally to the unit box / unit range;
-    the returned net acts on the raw coordinates (scaling folded back into
-    the weights).  A non-finite loss aborts training and returns the last
-    finite iterate flagged as diverged.
+    targets is (k, n, q), one target set per net; a 2-D (n, q) target is a
+    stack of one.  Net i draws its initial weights and its per-epoch
+    sample order from default_rng(options.seed + i), so it ends with the
+    same bits as when trained alone.  Inputs and targets are rescaled
+    internally to the unit box / unit range; the returned nets act on the
+    raw coordinates (scaling folded back into the weights).  A net whose
+    loss turns non-finite keeps its last finite iterate, is flagged as
+    diverged and gets NaN for its remaining epochs; training stops early
+    only when every net has diverged.
     """
     opts = options or TrainOptions()
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.atleast_2d(np.asarray(targets, dtype=float))
-    if t.shape[0] != x.shape[0]:
+    t = np.asarray(targets, dtype=float)
+    t = np.atleast_2d(t)[None] if t.ndim < 3 else t
+    if t.ndim != 3 or t.shape[1] != x.shape[0]:
         raise ValueError("x and targets must have the same number of rows")
     if x.shape[0] == 0:
         raise ValueError("need at least one training sample")
     n, d = x.shape
-    q = t.shape[1]
+    k, _, q = t.shape
     h = int(hidden)
     if h < 1:
         raise ValueError("hidden must be >= 1")
@@ -161,60 +206,68 @@ def train(x, targets, hidden: int, options: TrainOptions | None = None) -> Train
     # center / half-width scaling of both sides
     x_mu = 0.5 * (x.min(axis=0) + x.max(axis=0))
     x_half = np.maximum(0.5 * (x.max(axis=0) - x.min(axis=0)), 1e-12)
-    t_mu = 0.5 * (t.min(axis=0) + t.max(axis=0))
-    t_half = np.maximum(0.5 * (t.max(axis=0) - t.min(axis=0)), 1e-12)
+    t_mu = 0.5 * (t.min(axis=1) + t.max(axis=1))
+    t_half = np.maximum(0.5 * (t.max(axis=1) - t.min(axis=1)), 1e-12)
     xn = (x - x_mu) / x_half
-    tn = (t - t_mu) / t_half
+    tn = (t - t_mu[:, None, :]) / t_half[:, None, :]
 
-    rng = np.random.default_rng(opts.seed)
-    w1 = rng.uniform(-1, 1, size=(h, d)) / np.sqrt(d)
-    b1 = rng.uniform(-1, 1, size=h) / np.sqrt(d)
-    w2 = rng.uniform(-1, 1, size=(q, h)) / np.sqrt(h)
-    b2 = np.zeros(q)
-    vel = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
-
-    def full_loss():
-        a1 = np.tanh(xn @ w1.T + b1)
-        r = a1 @ w2.T + b2 - tn
-        return 0.5 * float(np.sum(r * r)) / n
-
-    history = []
-    last_good = (w1.copy(), b1.copy(), w2.copy(), b2.copy())
-    diverged = False
+    theta = np.zeros((k, n_params))
+    params = _views(theta, h, d, q)
+    rngs = [np.random.default_rng(opts.seed + i) for i in range(k)]
+    for rng, w1, b1, w2 in zip(rngs, *params[:3]):
+        w1[...] = rng.uniform(-1, 1, size=(h, d)) / np.sqrt(d)
+        b1[...] = rng.uniform(-1, 1, size=h) / np.sqrt(d)
+        w2[...] = rng.uniform(-1, 1, size=(q, h)) / np.sqrt(h)
+    vel = np.zeros_like(theta)
+    grad = np.zeros_like(theta)
+    grads = _views(grad, h, d, q)
+    good = theta.copy()
+    alive = np.ones(k, dtype=bool)
+    t_rows = tn.reshape(k * n, q)
+    net_offsets = n * np.arange(k)[:, None]
+    bs = opts.batch_size
+    a1_full, r_full = np.empty((n, h)), np.empty((n, q))  # full-set loss buffers
+    history = np.full((k, opts.epochs), np.nan)
+    ran = opts.epochs
     # runaway steps overflow before the finite check catches them; that is
     # the expected signal here, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(opts.epochs):
             lr = opts.lr / (1.0 + opts.lr_decay * epoch)
-            order = rng.permutation(n)
-            for start in range(0, n, opts.batch_size):
-                idx = order[start:start + opts.batch_size]
-                _, g_w1, g_b1, g_w2, g_b2 = _mse_and_grads(w1, b1, w2, b2, xn[idx], tn[idx])
-                for p, v, g in zip((w1, b1, w2, b2), vel, (g_w1, g_b1, g_w2, g_b2)):
-                    v *= opts.momentum
-                    v -= lr * g
-                    p += v
-            loss = full_loss()
-            if not np.isfinite(loss):
-                w1, b1, w2, b2 = last_good
-                diverged = True
-                warnings.warn("training diverged; keeping the last finite iterate",
-                              stacklevel=2)
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            xo, to = xn.take(order, axis=0), t_rows.take(order + net_offsets, axis=0)
+            for s in range(0, n, bs):
+                _backprop(params, xo[:, s:s + bs], to[:, s:s + bs], grads)
+                vel *= opts.momentum
+                vel -= lr * grad
+                theta += vel
+            for i in np.flatnonzero(alive):
+                loss = _full_loss([p[i] for p in params], xn, tn[i], a1_full, r_full)
+                if np.isfinite(loss):
+                    history[i, epoch] = loss
+                else:
+                    alive[i] = False
+                    warnings.warn(f"net {i} diverged in epoch {epoch}; keeping its last "
+                                  "finite iterate", stacklevel=2)
+            if not alive.any():
+                ran = epoch
                 break
-            history.append(loss)
-            last_good = (w1.copy(), b1.copy(), w2.copy(), b2.copy())
+            np.copyto(good, theta, where=alive[:, None])
 
-    # fold the scaling back so the net acts on raw coordinates
-    w1_raw = w1 / x_half[None, :]
-    b1_raw = b1 - w1 @ (x_mu / x_half)
-    w2_raw = t_half[:, None] * w2
-    b2_raw = t_mu + t_half * b2
-    net = ShallowNet(w1_raw, b1_raw, w2_raw, b2_raw)
-    # a diverged iterate can square to inf here; report that quietly
-    with np.errstate(over="ignore"):
-        rms = np.sqrt(np.mean((net(x) - t) ** 2, axis=0))
-    return TrainResult(net=net, loss_history=np.asarray(history),
-                       final_rms=rms, diverged=diverged)
+    nets, rms = [], []
+    for i, (w1, b1, w2, b2) in enumerate(zip(*_views(good, h, d, q))):
+        # fold the scaling back so the net acts on raw coordinates
+        w1_raw = w1 / x_half[None, :]
+        b1_raw = b1 - w1 @ (x_mu / x_half)
+        w2_raw = t_half[i][:, None] * w2
+        b2_raw = t_mu[i] + t_half[i] * b2
+        net = ShallowNet(w1_raw, b1_raw, w2_raw, b2_raw)
+        nets.append(net)
+        # a diverged iterate can square to inf here; report that quietly
+        with np.errstate(over="ignore"):
+            rms.append(np.sqrt(np.mean((net(x) - t[i]) ** 2, axis=0)))
+    return TrainResult(nets=tuple(nets), loss_history=history[:, :ran].copy(),
+                       final_rms=np.array(rms), diverged=~alive)
 
 
 class BankBounds(NamedTuple):

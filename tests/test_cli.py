@@ -8,7 +8,9 @@ import pytest
 
 from sarlab import cli
 from sarlab import morris_lecar as ml
+from sarlab.embedding import EmbeddingConfig, build_embedding
 from sarlab.lure import save_system
+from sarlab.sde import SdePath
 
 from conftest import make_scalar
 
@@ -207,6 +209,25 @@ def test_approximate_width_one_gives_three_state_embedding(tmp_path):
     assert manifest["calibrated"] == {"i_app": 40.0, "v2": 18.0}
 
 
+def test_approximate_writes_per_epoch_loss_curves(tmp_path):
+    cfg = {"width": 2, "epochs": 7, "n_samples": 500, "i_app": 40.0, "seed": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["approximate", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "loss.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "leak", "calcium", "potassium"]
+    assert [r[0] for r in rows[1:]] == [str(e) for e in range(1, 8)]
+    report = build_embedding(ml.MorrisLecarParams(),
+                             EmbeddingConfig(hidden=2, epochs=7, n_samples=500,
+                                             i_app=40.0, seed=2))
+    np.testing.assert_array_equal(np.array(rows[1:], dtype=float)[:, 1:],
+                                  report.loss_histories.T)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "loss.csv" in manifest["outputs"]
+
+
 def test_certify_consumes_embedding_file(tmp_path):
     # reuse a tiny width-1 embedding; rank-deficient C must not be fatal
     cfg_path = tmp_path / "cfg.json"
@@ -225,6 +246,35 @@ def test_certify_consumes_embedding_file(tmp_path):
 
 def test_reproduce_unknown_figure(tmp_path):
     assert cli.main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2
+
+
+@pytest.fixture
+def fresh_calibration_cache():
+    cli._calibrated_iapp.cache_clear()
+    yield
+    cli._calibrated_iapp.cache_clear()
+
+
+def test_reproduce_calibrates_once_per_process(monkeypatch, tmp_path, fresh_calibration_cache):
+    calls = []
+
+    def counted_calibrate(p, *args, **kwargs):
+        calls.append(p)
+        return 40.0
+
+    def flat_path(p, x0, cfg, sigma=0.0, noise_mode="state", path_index=0):
+        return SdePath(times=np.zeros(1), states=np.zeros((1, 2)), seed=cfg.seed, sigma=sigma)
+
+    monkeypatch.setattr(ml, "calibrate_iapp", counted_calibrate)
+    monkeypatch.setattr(ml, "simulate_ml", flat_path)
+    for k in range(3):
+        assert cli.main(["reproduce", "fig3", "--out", str(tmp_path / str(k))]) == 0
+        manifest = json.loads((tmp_path / str(k) / "fig3" / "manifest.json").read_text())
+        assert manifest["calibrated"]["i_app"] == 40.0
+    assert len(calls) == 1
+    # other parameters are another calibration
+    cli._resolve_iapp(ml.MorrisLecarParams(g_ca=4.4), "calibrate")
+    assert len(calls) == 2
 
 
 def test_usage_errors_return_two():

@@ -215,6 +215,33 @@ def test_pickled_system_keeps_the_drift():
     np.testing.assert_array_equal(back.drift(x), sys.drift(x))
 
 
+def test_unpickled_system_and_bank_stay_read_only():
+    # sweep workers receive pickled systems; they must be as frozen as the original
+    rng = np.random.default_rng(6)
+    sys = LureSystem(a=-np.eye(2), f_gain=rng.standard_normal((2, 2)),
+                     c=np.eye(2), sigma=0.3,
+                     nonlinearity=tanh_bank(rng.uniform(0.5, 2.0, 2), rng.standard_normal(2)),
+                     sector_slopes=2.0 * np.ones(2), deriv_bounds=2.0 * np.ones(2))
+    back = pickle.loads(pickle.dumps(sys))
+    bank = back.nonlinearity
+    arrays = [back.a, back.f_gain, back.c, back.sector_slopes, back.deriv_bounds,
+              bank.slopes, bank.biases]
+    assert not any(a.flags.writeable for a in arrays)
+    assert not pickle.loads(pickle.dumps(sys.nonlinearity)).slopes.flags.writeable
+    assert back.sigma == sys.sigma
+    x = rng.standard_normal((5, 2))
+    np.testing.assert_array_equal(back.drift(x), sys.drift(x))
+
+
+def test_saving_a_plain_callable_nonlinearity_says_why_it_fails(tmp_path):
+    sys = LureSystem(a=-np.eye(1), f_gain=np.ones((1, 1)), c=np.eye(1), sigma=0.0,
+                     nonlinearity=np.tanh, sector_slopes=np.ones(1), deriv_bounds=np.ones(1))
+    with pytest.raises(TypeError, match="only a system whose nonlinearity is a TanhBank"):
+        system_to_dict(sys)
+    with pytest.raises(TypeError, match="TanhBank"):
+        save_system(sys, tmp_path / "sys.json")
+
+
 def test_old_format_dict_loads_with_the_saved_drift():
     # files written before unit_slopes existed: the units' slopes are the
     # sector slopes, under the bank name the Morris-Lecar pipeline used

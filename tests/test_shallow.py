@@ -3,6 +3,7 @@ sector extraction, embedding assembly, serialization."""
 
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,16 +78,17 @@ def test_train_constant_target():
     x = rng.uniform(-1, 1, size=(400, 2))
     t = np.full((400, 1), 3.25)
     res = train(x, t, hidden=3, options=TrainOptions(epochs=120, seed=0))
-    assert not res.diverged
-    assert res.final_rms[0] < 1e-4
+    assert res.diverged.tolist() == [False]
+    assert res.final_rms.shape == (1, 1) and res.final_rms[0, 0] < 1e-4
 
 
 def test_train_identity_target():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, size=(2000, 1))
     res = train(x, x, hidden=6, options=TrainOptions(epochs=300, seed=0))
-    assert not res.diverged
-    assert res.final_rms[0] < 0.01
+    assert res.diverged.tolist() == [False]
+    assert res.loss_history.shape == (1, 300)
+    assert res.final_rms[0, 0] < 0.01
 
 
 def test_train_zero_samples_errors():
@@ -97,6 +99,8 @@ def test_train_zero_samples_errors():
 def test_train_row_mismatch_errors():
     with pytest.raises(ValueError):
         train(np.zeros((5, 2)), np.zeros((4, 1)), hidden=2)
+    with pytest.raises(ValueError, match="rows"):  # a stack of three target sets
+        train(np.zeros((5, 2)), np.zeros((3, 4, 1)), hidden=2)
 
 
 def test_train_warns_when_undersampled():
@@ -112,8 +116,10 @@ def test_train_divergence_keeps_last_finite_iterate():
     with pytest.warns(UserWarning, match="diverged"):
         res = train(x, t, hidden=2,
                     options=TrainOptions(epochs=50, lr=4e3, momentum=0.0))
-    assert res.diverged
-    assert np.isfinite(res.net.w1).all() and np.isfinite(res.net.b2).all()
+    assert res.diverged.tolist() == [True]
+    net = res.nets[0]
+    assert np.isfinite(net.w1).all() and np.isfinite(net.b2).all()
+    assert np.isfinite(res.loss_history).all() and res.loss_history.shape[1] < 50
 
 
 def test_train_is_deterministic_by_seed():
@@ -122,8 +128,116 @@ def test_train_is_deterministic_by_seed():
     t = np.tanh(2 * x)
     a = train(x, t, hidden=3, options=TrainOptions(epochs=20, seed=9))
     b = train(x, t, hidden=3, options=TrainOptions(epochs=20, seed=9))
-    np.testing.assert_array_equal(a.net.w1, b.net.w1)
+    np.testing.assert_array_equal(a.nets[0].w1, b.nets[0].w1)
     np.testing.assert_array_equal(a.loss_history, b.loss_history)
+
+
+# -- the stacked trainer against a single-net reference loop -----------------
+
+def oracle_train(x, t, hidden, opts):
+    """The single-net minibatch SGD loop that train() generalizes to a stack
+    of nets: (net, loss history, final rms, diverged)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    n, d = x.shape
+    q, h = t.shape[1], hidden
+
+    def mse_and_grads(w1, b1, w2, b2, x, t):
+        m = x.shape[0]
+        a1 = np.tanh(x @ w1.T + b1)
+        rn = (a1 @ w2.T + b2 - t) / m
+        dz1 = (rn @ w2) * (1.0 - a1 * a1)
+        return dz1.T @ x, dz1.sum(axis=0), rn.T @ a1, rn.sum(axis=0)
+
+    x_mu = 0.5 * (x.min(axis=0) + x.max(axis=0))
+    x_half = np.maximum(0.5 * (x.max(axis=0) - x.min(axis=0)), 1e-12)
+    t_mu = 0.5 * (t.min(axis=0) + t.max(axis=0))
+    t_half = np.maximum(0.5 * (t.max(axis=0) - t.min(axis=0)), 1e-12)
+    xn = (x - x_mu) / x_half
+    tn = (t - t_mu) / t_half
+    rng = np.random.default_rng(opts.seed)
+    w1 = rng.uniform(-1, 1, size=(h, d)) / np.sqrt(d)
+    b1 = rng.uniform(-1, 1, size=h) / np.sqrt(d)
+    w2 = rng.uniform(-1, 1, size=(q, h)) / np.sqrt(h)
+    b2 = np.zeros(q)
+    vel = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
+    history, diverged = [], False
+    last_good = (w1.copy(), b1.copy(), w2.copy(), b2.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(opts.epochs):
+            lr = opts.lr / (1.0 + opts.lr_decay * epoch)
+            order = rng.permutation(n)
+            for start in range(0, n, opts.batch_size):
+                idx = order[start:start + opts.batch_size]
+                grads = mse_and_grads(w1, b1, w2, b2, xn[idx], tn[idx])
+                for p, v, g in zip((w1, b1, w2, b2), vel, grads):
+                    v *= opts.momentum
+                    v -= lr * g
+                    p += v
+            r = np.tanh(xn @ w1.T + b1) @ w2.T + b2 - tn
+            loss = 0.5 * float(np.sum(r * r)) / n
+            if not np.isfinite(loss):
+                w1, b1, w2, b2 = last_good
+                diverged = True
+                break
+            history.append(loss)
+            last_good = (w1.copy(), b1.copy(), w2.copy(), b2.copy())
+    net = ShallowNet(w1 / x_half[None, :], b1 - w1 @ (x_mu / x_half),
+                     t_half[:, None] * w2, t_mu + t_half * b2)
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean((net(x) - t) ** 2, axis=0))
+    return net, np.asarray(history), rms, diverged
+
+
+def assert_matches_oracle(res, x, targets, hidden, opts):
+    """Net i of a stacked result equals a solo oracle run on seed opts.seed + i."""
+    for i, t in enumerate(targets):
+        net, history, rms, diverged = oracle_train(x, t, hidden, replace(opts, seed=opts.seed + i))
+        for field in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(res.nets[i], field), getattr(net, field))
+        np.testing.assert_array_equal(res.loss_history[i, :history.size], history)
+        assert np.isnan(res.loss_history[i, history.size:]).all()
+        np.testing.assert_array_equal(res.final_rms[i], rms)
+        assert res.diverged[i] == diverged
+
+
+@pytest.mark.parametrize("n, d, q, batch", [(301, 2, 2, 64), (130, 1, 1, 32), (97, 3, 3, 128)])
+def test_stacked_nets_equal_solo_oracle_runs(n, d, q, batch):
+    # ragged last batches (n not a multiple of batch_size), k = 3 distinct seeds
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-3.0, 3.0, size=(n, d))
+    targets = np.stack([np.sin((i + 1) * x[:, :1] + np.arange(q)) * 10.0 ** i for i in range(3)])
+    opts = TrainOptions(epochs=25, batch_size=batch, lr=0.02, lr_decay=0.004, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # (97, 3, 3) is undersampled on purpose
+        res = train(x, targets, 4, opts)
+    assert res.loss_history.shape == (3, 25) and res.final_rms.shape == (3, q)
+    assert_matches_oracle(res, x, targets, 4, opts)
+
+
+def test_single_target_is_a_stack_of_one():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, size=(300, 2))
+    t = np.column_stack([x[:, 0] * x[:, 1], np.cos(x[:, 0])])
+    opts = TrainOptions(epochs=10, seed=3)
+    flat, stacked = train(x, t, 5, opts), train(x, t[None], 5, opts)
+    assert len(flat.nets) == 1 and flat.loss_history.shape == (1, 10)
+    np.testing.assert_array_equal(flat.nets[0].w1, stacked.nets[0].w1)
+    np.testing.assert_array_equal(flat.loss_history, stacked.loss_history)
+    assert_matches_oracle(flat, x, t[None], 5, opts)
+
+
+def test_one_diverging_net_leaves_the_others_training():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, size=(100, 1))
+    targets = np.stack([np.sin(3 * x), x, np.full_like(x, 2.0)])
+    # at this step size net 0 (seed 0) blows up part-way; nets 1 and 2 do not
+    opts = TrainOptions(epochs=200, batch_size=32, lr=1.62, momentum=0.0)
+    with pytest.warns(UserWarning, match=r"net \d diverged"):
+        res = train(x, targets, 2, opts)
+    assert res.diverged.any() and not res.diverged.all()
+    assert res.loss_history.shape == (3, 200)
+    assert_matches_oracle(res, x, targets, 2, opts)
 
 
 def test_extract_bounds_row_norm_oracle():
