@@ -8,11 +8,11 @@ neuron demonstration.
 
 __version__ = "0.1.0"
 
-from .lure import LureSystem, Violation, validate, sector_check, augment
+from .lure import LureSystem, Violation, validate, augment
 from .sde import SimConfig, SdePath, simulate, simulate_ensemble, ensemble_moments, lowpass
 # certify() is not re-exported: the name sarlab.certify stays the module
 from .certify import (CertProblem, Certificate, SolverOptions, certificate_matrix,
-                      max_eigenvalue, sigma_sweep, lyapunov_value)
+                      max_eigenvalue, sigma_sweep)
 from .shallow import ShallowNet, TrainOptions, SectorEmbedding, train, extract_bounds, embed
 from .morris_lecar import MorrisLecarParams, simulate_ml, calibrate_iapp
 from .embedding import EmbeddingConfig, EmbeddingReport, build_embedding
@@ -22,7 +22,6 @@ __all__ = [
     "LureSystem",
     "Violation",
     "validate",
-    "sector_check",
     "augment",
     "SimConfig",
     "SdePath",
@@ -36,7 +35,6 @@ __all__ = [
     "certificate_matrix",
     "max_eigenvalue",
     "sigma_sweep",
-    "lyapunov_value",
     "ShallowNet",
     "TrainOptions",
     "SectorEmbedding",

@@ -23,9 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .lure import LureSystem
+from .lure import C_DEFECT_TOL, LureSystem, c_defect
 
 __all__ = [
     "SolverOptions",
@@ -37,7 +36,6 @@ __all__ = [
     "certify",
     "recompute_margin",
     "sigma_sweep",
-    "lyapunov_value",
     "save_certificate",
     "load_certificate",
 ]
@@ -47,25 +45,24 @@ def default_nu_grid() -> np.ndarray:
     return np.linspace(0.05, 0.95, 19)
 
 
+_MAX_ITERS = 5000            # subgradient iterations per restart
+_RESTARTS = 5
 _STALL_WINDOW = 25           # stop a restart after this many non-improving iters
 _INIT_STEP = 1.0
 _FEASIBLE_EXIT_FACTOR = 10.0  # a search exits once its margin drops below -factor * tol
-_C_DEFECT_TOL = 1e-9          # Frobenius defect of C^T C - I that needs the opt-in
+_ASYM_TOL = 1e-8             # relative asymmetry max_eigenvalue accepts
+_NECESSITY_CORNERS = 200     # random theta corners linear_necessity_bound tries
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the projected-subgradient feasibility search."""
 
-    max_iters: int = 5000
     tol: float = 1e-8           # feasible iff margin < -tol (absolute)
-    restarts: int = 5
     seed: int = 0
     allow_nonorthonormal_c: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
 
@@ -121,13 +118,13 @@ def certificate_matrix(sys: LureSystem, nu: float, lam, tau) -> np.ndarray:
     return np.block([[n11, n12], [n12.T, n22]])
 
 
-def max_eigenvalue(mat: np.ndarray, asym_tol: float = 1e-8) -> float:
+def max_eigenvalue(mat: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix; the input is symmetrized
-    as (M + M^T)/2 first and rejected if the asymmetry exceeds asym_tol
+    as (M + M^T)/2 first and rejected if the asymmetry exceeds 1e-8
     relative to its norm."""
     mat = np.asarray(mat, dtype=float)
     scale = max(1.0, float(np.linalg.norm(mat)))
-    if float(np.linalg.norm(mat - mat.T)) > asym_tol * scale:
+    if float(np.linalg.norm(mat - mat.T)) > _ASYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     sym = 0.5 * (mat + mat.T)
     return float(np.linalg.eigvalsh(sym)[-1])
@@ -229,7 +226,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
 
     hit_cap = False
     flat_restarts = 0
-    for restart in range(opts.restarts):
+    for restart in range(_RESTARTS):
         best_before = best_g
         if restart == 0:
             phi = best_phi.copy()
@@ -241,7 +238,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
         alpha = _INIT_STEP
         since_improve = 0
         it = 0
-        while it < opts.max_iters:
+        while it < _MAX_ITERS:
             it += 1
             grad = np.einsum("pij,i,j->p", sbasis, vec, vec)
             gnorm = float(np.linalg.norm(grad))
@@ -301,8 +298,8 @@ def certify(problem: CertProblem) -> Certificate:
     if nu_grid.size == 0 or np.any(nu_grid <= 0.0) or np.any(nu_grid >= 1.0):
         raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
 
-    defect = float(np.linalg.norm(sys.c.T @ sys.c - np.eye(n)))
-    if defect > _C_DEFECT_TOL and not opts.allow_nonorthonormal_c:
+    defect = c_defect(sys)
+    if defect > C_DEFECT_TOL and not opts.allow_nonorthonormal_c:
         raise ValueError(
             f"C^T C deviates from identity by {defect:.3g} (Frobenius); the certificate "
             "hypothesis does not hold. Pass SolverOptions(allow_nonorthonormal_c=True) "
@@ -336,7 +333,7 @@ def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
                                              cert.lam, cert.tau))
 
 
-def linear_necessity_bound(sys: LureSystem, n_random: int = 200, seed: int = 0):
+def linear_necessity_bound(sys: LureSystem):
     """Lower bound on the noise any sound certificate must demand.
 
     The sector class contains the linear feedbacks f_j(u) = theta_j s_j u
@@ -355,10 +352,10 @@ def linear_necessity_bound(sys: LureSystem, n_random: int = 200, seed: int = 0):
     def growth(theta):
         return float(np.linalg.eigvals(sys.a + (fs * theta[None, :]) @ sys.c).real.max())
 
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    rng = np.random.Generator(np.random.Philox(key=0))
     corners = [np.zeros(m), np.ones(m)]
     corners += [np.eye(m)[j] for j in range(m)]
-    corners += [rng.integers(0, 2, size=m).astype(float) for _ in range(n_random)]
+    corners += [rng.integers(0, 2, size=m).astype(float) for _ in range(_NECESSITY_CORNERS)]
     best_theta, best = None, -np.inf
     for th in corners:
         g = growth(th)
@@ -407,43 +404,6 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     else:
         certs = [certify(p) for p in problems]
     return [(float(s), c) for s, c in zip(sigmas, certs)]
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov functional (diagnostic)
-
-
-def lyapunov_value(x, sys: LureSystem, nu: float, lam, rho: float = 0.0) -> float:
-    """V(x) = (x.x)^(nu/2) + sum_k lam_k * integral_0^{y_k} s^(-2 rho) f_k(s) ds.
-
-    rho is a free exponent left unpinned by the certificate (default 0);
-    rho >= 1 makes the integral diverge for components with linear growth
-    at 0 and is rejected.  Diagnostic only: not used by certify.
-    """
-    if not 0.0 < nu < 1.0:
-        raise ValueError("nu must lie in (0, 1)")
-    if rho >= 1.0:
-        raise ValueError("rho >= 1 gives a non-integrable weight at 0")
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float) * np.ones(sys.m)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be >= 0")
-    val = float(np.dot(x, x)) ** (nu / 2.0)
-    y = sys.c @ x
-    for k in range(sys.m):
-        if lam[k] == 0.0 or y[k] == 0.0:
-            continue
-
-        def integrand(s, k=k):
-            e = np.zeros(sys.m)
-            e[k] = s
-            fk = float(sys.nonlinearity(e)[k])
-            w = abs(s) ** (-2.0 * rho) if rho != 0.0 else 1.0
-            return w * fk
-
-        part, _ = quad(integrand, 0.0, float(y[k]), limit=200)
-        val += float(lam[k]) * part
-    return val
 
 
 # ---------------------------------------------------------------------------

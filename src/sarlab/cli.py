@@ -179,24 +179,44 @@ def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, 
 
 def _ml_params(config: dict) -> ml.MorrisLecarParams:
     if "params" in config:
+        block = config["params"]
+        if not isinstance(block, dict):
+            raise CliError(f"params must be a JSON object, got {block!r}")
         try:
-            return ml.params_from_dict(config["params"])
+            return ml.params_from_dict(block)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad params block: {exc}") from exc
     return ml.MorrisLecarParams()
 
 
-def _load_cert_target(path) -> tuple[LureSystem, bool]:
+def _box(value) -> tuple:
+    """The training box [[V_lo, N_lo], [V_hi, N_hi]] as a pair of float pairs."""
+    try:
+        box = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {value!r}") from exc
+    if box.shape != (2, 2):
+        raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {value!r}")
+    return tuple(map(float, box[0])), tuple(map(float, box[1]))
+
+
+def _load_cert_target(path, sigma=None) -> tuple[LureSystem, bool]:
     """A certification target is a bare system JSON or an embedding JSON
     (detected by the n_phys field, whose C block is rank-deficient by
-    construction).  Systems that fail validation are rejected; warnings
-    (such as the embeddings' C^T C != I) pass."""
+    construction), with its noise level replaced by sigma when one is
+    given.  Systems that fail validation are rejected; warnings (such as
+    the embeddings' C^T C != I) pass."""
     doc = _load_json(path)
     embedded = "n_phys" in doc
     try:
         system = load_embedding(path).system if embedded else load_system(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad system file {path}: {exc}") from exc
+    if sigma is not None:
+        try:
+            system = system.with_sigma(float(sigma))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"bad sigma {sigma!r}") from exc
     errors = [v.code for v in validate(system) if v.severity == "error"]
     if errors:
         raise CliError(f"invalid system in {path}: {', '.join(errors)}")
@@ -256,9 +276,7 @@ def cmd_simulate(args) -> int:
     elif model == "lure":
         if "system" not in config:
             raise CliError("lure model config needs a 'system' file path")
-        system = _load_cert_target(config["system"])[0]
-        if "sigma" in config:
-            system = system.with_sigma(float(config["sigma"]))
+        system = _load_cert_target(config["system"], config.get("sigma"))[0]
         x0 = np.asarray(config.get("x0", np.zeros(system.n)), dtype=float)
         path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
@@ -291,11 +309,10 @@ def cmd_approximate(args) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     p = _ml_params(config)
     p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
-    box = config.get("box", [[-80.0, 0.0], [120.0, 1.0]])
     ecfg = EmbeddingConfig(
         hidden=int(config.get("width", 10)),
         kappa=float(config.get("kappa", 1.0)),
-        box=(tuple(box[0]), tuple(box[1])),
+        box=_box(config.get("box", [[-80.0, 0.0], [120.0, 1.0]])),
         n_samples=int(config.get("n_samples", 10000)),
         epochs=int(config.get("epochs", 1500)),
         batch_size=int(config.get("batch_size", 128)),
@@ -344,11 +361,9 @@ def _certify_options(args, embedded: bool) -> SolverOptions:
 
 
 def cmd_certify(args) -> int:
-    system, embedded = _load_cert_target(args.system)
-    if args.sigma is not None:
-        if ":" in args.sigma:
-            raise CliError("certify wants a single --sigma value")
-        system = system.with_sigma(float(args.sigma))
+    if args.sigma is not None and ":" in args.sigma:
+        raise CliError("certify wants a single --sigma value")
+    system, embedded = _load_cert_target(args.system, args.sigma)
     nu_grid = (parse_range(args.nu_grid, "nu-grid")
                if args.nu_grid is not None else None)
     out_dir = Path(args.out)

@@ -24,7 +24,6 @@ from .shallow import SectorEmbedding, ShallowNet, TrainOptions, embed, train
 __all__ = [
     "EmbeddingConfig",
     "EmbeddingReport",
-    "channel_functions",
     "recovery_residue",
     "build_embedding",
     "model_rhs",
@@ -68,15 +67,6 @@ class EmbeddingReport:
     diverged: bool
 
 
-def channel_functions(p: ml.MorrisLecarParams):
-    """(name, fn) pairs; each fn maps (k, 2) states to the channel current."""
-    return [
-        ("leak", lambda x: ml.leak_current(x[..., 0], p)),
-        ("calcium", lambda x: ml.ca_current(x[..., 0], p)),
-        ("potassium", lambda x: ml.k_current(x[..., 0], x[..., 1], p)),
-    ]
-
-
 def recovery_residue(x, p: ml.MorrisLecarParams, x_star, jac) -> np.ndarray:
     """Recovery rate minus its linearization at x_star."""
     x = np.asarray(x, dtype=float)
@@ -98,22 +88,19 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     jac = ml.recovery_jacobian(x_star[0], x_star[1], p)
     a_phys = np.array([[0.0, 0.0], jac])
 
-    lo = np.asarray(cfg.box[0], dtype=float)
-    hi = np.asarray(cfg.box[1], dtype=float)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(lo, hi, size=(cfg.n_samples, 2))
+    x, currents = ml.make_training_set(p, cfg.box, cfg.n_samples, cfg.seed)
     res = recovery_residue(x, p, x_star, jac)
 
     opts = TrainOptions(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                        momentum=0.9, lr_decay=cfg.lr_decay, seed=cfg.seed)
-    chans = channel_functions(p)
-    targets = np.stack([np.column_stack([chan(x), res / 3.0]) for _, chan in chans])
+                        lr_decay=cfg.lr_decay, seed=cfg.seed)
+    targets = np.stack([np.column_stack([cur, res / 3.0]) for cur in currents.T])
     result = train(x, targets, cfg.hidden, opts)  # net i trains on seed cfg.seed + i
-    nets = []
-    for (_, chan), net in zip(chans, result.nets):
-        # pin the net at the rest state so the assembled origin drift vanishes
-        star_target = np.array([float(chan(x_star[None, :])[0]), 0.0])
-        nets.append(replace(net, b2=net.b2 - (net(x_star) - star_target)))
+    # pin each net at the rest state so the assembled origin drift vanishes
+    # (x_star goes in as a (1, 2) batch, which fixes the pinned biases' bits)
+    star = x_star[None, :]
+    star_currents = ml.channel_currents(star[:, 0], star[:, 1], p)[0]
+    nets = [replace(net, b2=net.b2 - (net(x_star) - np.array([cur, 0.0])))
+            for cur, net in zip(star_currents, result.nets)]
 
     comb = np.array([[1.0 / p.cap, 0.0], [0.0, 1.0]])
     combiners = [comb] * 3
@@ -121,10 +108,9 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
                 const_drift=np.array([p.i_app / p.cap, 0.0]), offset_tol=cfg.offset_tol)
 
     # fit quality on a fresh sample
-    probe = np.random.default_rng(cfg.seed + 7919).uniform(lo, hi, size=(cfg.n_samples, 2))
+    probe, probe_currents = ml.make_training_set(p, cfg.box, cfg.n_samples, cfg.seed + 7919)
     chan_rms, chan_rng = [], []
-    for (_, chan), net in zip(chans, nets):
-        truth = chan(probe)
+    for truth, net in zip(probe_currents.T, nets):
         chan_rms.append(float(np.sqrt(np.mean((net(probe)[:, 0] - truth) ** 2))))
         chan_rng.append(float(np.ptp(truth)))
     h_true = ml.recovery_rate(probe[:, 0], probe[:, 1], p)

@@ -11,28 +11,23 @@ is confined to the sector
     0 <= y_i f_i(y_i) <= s_i y_i^2      (equivalently f_i (f_i - s_i y_i) <= 0)
 
 and has a bounded slope f_i' < delta_i.  The certificate machinery in
-:mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the evaluator
-is needed for simulation and sector checks.
+:mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the bank of
+tanh units is needed for simulation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "LureSystem",
-    "AugmentSkeleton",
     "Violation",
-    "SectorCheck",
     "TanhBank",
-    "tanh_bank",
     "get_nonlinearity",
     "validate",
-    "sector_check",
     "augment",
     "save_system",
     "load_system",
@@ -82,10 +77,6 @@ class TanhBank:
         return np.tanh(self.slopes * np.asarray(y, dtype=float) + self.biases) - self._tanh_biases
 
 
-def tanh_bank(slopes, biases=None) -> TanhBank:
-    return TanhBank(slopes, biases)
-
-
 # "morris_lecar_bank" labels the same units in embeddings saved before banks were data
 _BANK_NAMES = ("tanh_bank", "morris_lecar_bank")
 
@@ -103,20 +94,22 @@ class LureSystem:
     """Immutable value object holding the model data.
 
     a: (n, n) drift matrix, f_gain: (n, m) feedback gain, c: (m, n) output
-    map, sigma >= 0 noise level, nonlinearity: componentwise evaluator
-    (any callable; only a TanhBank saves to JSON),
-    sector_slopes s and deriv_bounds delta: length-m positive vectors.
+    map, sigma >= 0 noise level, nonlinearity: the TanhBank of feedback
+    units, sector_slopes s and deriv_bounds delta: length-m positive vectors.
     """
 
     a: np.ndarray
     f_gain: np.ndarray
     c: np.ndarray
     sigma: float
-    nonlinearity: Callable[[np.ndarray], np.ndarray]
+    nonlinearity: TanhBank
     sector_slopes: np.ndarray
     deriv_bounds: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.nonlinearity, TanhBank):
+            raise TypeError(f"nonlinearity must be a TanhBank, not "
+                            f"{type(self.nonlinearity).__name__} {self.nonlinearity!r}")
         object.__setattr__(self, "a", _frozen(np.atleast_2d(self.a)))
         object.__setattr__(self, "f_gain", _frozen(np.atleast_2d(self.f_gain)))
         object.__setattr__(self, "c", _frozen(np.atleast_2d(self.c)))
@@ -145,16 +138,6 @@ class LureSystem:
         return x @ self.a.T + self.nonlinearity(y) @ self.f_gain.T
 
 
-class AugmentSkeleton(NamedTuple):
-    """Padded matrices produced by :func:`augment`."""
-
-    a_bar: np.ndarray
-    f_bar: np.ndarray
-    n_phys: int
-    p: int
-    kappa: float
-
-
 @dataclass(frozen=True)
 class Violation:
     severity: str  # "error" | "warning"
@@ -163,19 +146,21 @@ class Violation:
     value: float | None = None
 
 
-class SectorCheck(NamedTuple):
-    ok: bool
-    worst_point: float
-    worst_value: float
-    worst_index: int
+# the certificate hypothesis C^T C = I holds when ||C^T C - I||_F is at most this
+C_DEFECT_TOL = 1e-9
 
 
-def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool = True) -> list[Violation]:
-    """Structural checks.  Dimension errors, nonpositive bounds and tanh
-    units steeper than their sector slope or derivative bound are errors;
-    an orthonormality defect ||C^T C - I||_F > tolerance is a
-    warning (the certificate hypothesis wants C^T C = I, which sector
-    embeddings of low-dimensional physics cannot satisfy)."""
+def c_defect(sys: LureSystem) -> float:
+    """||C^T C - I||_F, the distance from the certificate hypothesis."""
+    return float(np.linalg.norm(sys.c.T @ sys.c - np.eye(sys.n)))
+
+
+def validate(sys: LureSystem) -> list[Violation]:
+    """Structural checks.  Dimension errors, non-finite data, nonpositive
+    bounds and tanh units steeper than their sector slope or derivative
+    bound are errors; a defect ||C^T C - I||_F > C_DEFECT_TOL is a warning
+    (the certificate hypothesis wants C^T C = I, which sector embeddings of
+    low-dimensional physics cannot satisfy)."""
     out: list[Violation] = []
     n, m = sys.n, sys.m
 
@@ -192,12 +177,18 @@ def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool
     if sys.deriv_bounds.shape != (m,):
         out.append(Violation("error", "dim_deriv_bounds",
                              f"deriv_bounds must have length {m}"))
-    bank = sys.nonlinearity if isinstance(sys.nonlinearity, TanhBank) else None
-    if bank is not None and bank.slopes.shape != (m,):
+    bank = sys.nonlinearity
+    if bank.slopes.shape != (m,):
         out.append(Violation("error", "dim_bank", f"the tanh bank must have {m} units"))
     if out:
         return out
 
+    data = {"a": sys.a, "f_gain": sys.f_gain, "c": sys.c, "sigma": sys.sigma,
+            "sector_slopes": sys.sector_slopes, "deriv_bounds": sys.deriv_bounds,
+            "unit slopes": bank.slopes, "unit biases": bank.biases}
+    for name, value in data.items():
+        if not np.isfinite(value).all():
+            out.append(Violation("error", "non_finite", f"{name} has non-finite entries"))
     if sys.sigma < 0:
         out.append(Violation("error", "sigma_negative", "sigma must be >= 0", sys.sigma))
     for i, s in enumerate(sys.sector_slopes):
@@ -209,69 +200,24 @@ def validate(sys: LureSystem, tolerance: float = 1e-9, probe_componentwise: bool
             out.append(Violation("error", "bad_deriv_bound",
                                  f"derivative bound delta[{i}] must be > 0", float(d)))
     # a unit of slope s_i lies in the sector [0, s_i] with slopes up to s_i, and no tighter
-    if bank is not None:
-        for i in np.nonzero((bank.slopes > sys.sector_slopes) | (bank.slopes > sys.deriv_bounds))[0]:
-            out.append(Violation("error", "bank_outside_sector",
-                                 f"tanh unit {i} has slope {bank.slopes[i]:g}, above its "
-                                 "sector slope or derivative bound", float(bank.slopes[i])))
+    for i in np.nonzero((bank.slopes > sys.sector_slopes) | (bank.slopes > sys.deriv_bounds))[0]:
+        out.append(Violation("error", "bank_outside_sector",
+                             f"tanh unit {i} has slope {bank.slopes[i]:g}, above its "
+                             "sector slope or derivative bound", float(bank.slopes[i])))
 
-    defect = float(np.linalg.norm(sys.c.T @ sys.c - np.eye(n)))
-    if defect > tolerance:
+    defect = c_defect(sys)
+    if defect > C_DEFECT_TOL:
         out.append(Violation("warning", "c_not_orthonormal",
-                             f"||C^T C - I||_F = {defect:.6g} exceeds {tolerance:g}; "
+                             f"||C^T C - I||_F = {defect:.6g} exceeds {C_DEFECT_TOL:g}; "
                              "the certificate hypothesis C^T C = I does not hold",
                              defect))
-
-    if probe_componentwise:
-        rng = np.random.default_rng(0)
-        bases = [np.zeros(m)] + [rng.standard_normal(m) for _ in range(2)]
-        for y0 in bases:
-            f0 = sys.nonlinearity(y0)
-            for j in range(m):
-                y1 = y0.copy()
-                y1[j] += 0.7
-                f1 = sys.nonlinearity(y1)
-                moved = np.abs(f1 - f0) > 1e-14
-                moved[j] = False
-                if np.any(moved):
-                    out.append(Violation(
-                        "error", "not_componentwise",
-                        f"perturbing y[{j}] changed f at components {np.nonzero(moved)[0].tolist()}"))
-                    break
-            else:
-                continue
-            break
 
     return out
 
 
-def sector_check(f, slopes, grid, tol: float = 1e-12) -> SectorCheck:
-    """Sample the sector inequality f_i(y)(f_i(y) - s_i y) <= tol on a grid
-    of scalar y values (applied to every component).  The grid must contain 0
-    so that the check pins f_i(0) = 0."""
-    grid = np.asarray(grid, dtype=float)
-    if not np.any(grid == 0.0):
-        raise ValueError("sector grid must include 0")
-    s = np.atleast_1d(np.asarray(slopes, dtype=float))
-    m = s.shape[0]
-
-    worst_value = -np.inf
-    worst_point = 0.0
-    worst_index = 0
-    for g in grid:
-        fy = np.atleast_1d(np.asarray(f(np.full(m, g)), dtype=float))
-        v = fy * (fy - s * g)
-        i = int(np.argmax(v))
-        if v[i] > worst_value:
-            worst_value = float(v[i])
-            worst_point = float(g)
-            worst_index = i
-    return SectorCheck(worst_value <= tol, worst_point, worst_value, worst_index)
-
-
-def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
+def augment(a_phys, f_phys, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Pad an (n, m) system with p = m - n fictitious states decaying at
-    -kappa, so the feedback gain becomes square:
+    -kappa, so the feedback gain becomes square; returns (A_bar, F_bar):
 
         A_bar = [[A, 0], [0, -kappa I_p]],   F_bar = [[F], [0]].
     """
@@ -295,7 +241,7 @@ def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
         a_bar[n:, n:] = -kappa * np.eye(p)
     f_bar = np.zeros((m, m))
     f_bar[:n, :] = f_phys
-    return AugmentSkeleton(a_bar, f_bar, n, p, float(kappa))
+    return a_bar, f_bar
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +250,6 @@ def augment(a_phys, f_phys, kappa: float) -> AugmentSkeleton:
 
 def system_to_dict(sys: LureSystem) -> dict:
     bank = sys.nonlinearity
-    if not isinstance(bank, TanhBank):
-        raise TypeError(f"only a system whose nonlinearity is a TanhBank saves to JSON, "
-                        f"not one with {type(bank).__name__} {bank!r}")
     return {
         "a": sys.a.tolist(),
         "f_gain": sys.f_gain.tolist(),

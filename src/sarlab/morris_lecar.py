@@ -37,7 +37,6 @@ __all__ = [
     "recovery_jacobian",
     "rhs",
     "equilibria",
-    "equilibrium",
     "simulate_ml",
     "spike_times",
     "calibrate_iapp",
@@ -87,11 +86,6 @@ def n_ss(v, p: MorrisLecarParams):
 
 def tau_n(v, p: MorrisLecarParams):
     return 1.0 / (p.phi * np.cosh((v - p.v3) / (2.0 * p.v4)))
-
-
-def gating(v, p: MorrisLecarParams):
-    """All three gating quantities (m_ss, n_ss, tau_n) at once."""
-    return m_ss(v, p), n_ss(v, p), tau_n(v, p)
 
 
 def leak_current(v, p: MorrisLecarParams):
@@ -154,14 +148,6 @@ def equilibria(p: MorrisLecarParams, v_window=(-80.0, 120.0), scan_points: int =
     if vals[-1] == 0.0:
         out.append(float(grid[-1]))
     return [np.array([v, float(n_ss(v, p))]) for v in out]
-
-
-def equilibrium(p: MorrisLecarParams, v_window=(-80.0, 120.0)) -> np.ndarray:
-    roots = equilibria(p, v_window)
-    if len(roots) != 1:
-        raise ValueError(f"expected a unique rest state in {v_window}, found {len(roots)}; "
-                         "narrow v_window to select one")
-    return roots[0]
 
 
 def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,

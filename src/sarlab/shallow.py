@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lure import LureSystem, augment, system_from_dict, system_to_dict, tanh_bank
+from .lure import LureSystem, TanhBank, augment, system_from_dict, system_to_dict
 
 __all__ = [
     "ShallowNet",
@@ -72,10 +72,6 @@ class ShallowNet:
     def q_out(self) -> int:
         return self.w2.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -84,20 +80,21 @@ class ShallowNet:
         return y[0] if squeeze else y
 
 
+_MOMENTUM = 0.9
+_PRUNE_TOL = 1e-12  # units with ||w1 row|| below this (relative) are dropped
+
+
 @dataclass(frozen=True)
 class TrainOptions:
     epochs: int = 300
     batch_size: int = 64
     lr: float = 1e-2
-    momentum: float = 0.9
     lr_decay: float = 0.01   # lr_t = lr / (1 + lr_decay * epoch)
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +169,7 @@ def loss_and_grad(net: ShallowNet, x, targets):
 
 def train(x, targets, hidden: int, options: TrainOptions | None = None) -> TrainResult:
     """Fit k one-hidden-layer tanh nets on shared inputs by minibatch SGD
-    with momentum, as one stacked loop.
+    with momentum 0.9, as one stacked loop.
 
     targets is (k, n, q), one target set per net; a 2-D (n, q) target is a
     stack of one.  Net i draws its initial weights and its per-epoch
@@ -238,7 +235,7 @@ def train(x, targets, hidden: int, options: TrainOptions | None = None) -> Train
             xo, to = xn.take(order, axis=0), t_rows.take(order + net_offsets, axis=0)
             for s in range(0, n, bs):
                 _backprop(params, xo[:, s:s + bs], to[:, s:s + bs], grads)
-                vel *= opts.momentum
+                vel *= _MOMENTUM
                 vel -= lr * grad
                 theta += vel
             for i in np.flatnonzero(alive):
@@ -279,9 +276,9 @@ class BankBounds(NamedTuple):
     kept: np.ndarray        # indices of kept rows in the original net
 
 
-def extract_bounds(net: ShallowNet, prune_tol: float = 1e-12) -> BankBounds:
+def extract_bounds(net: ShallowNet) -> BankBounds:
     norms = np.linalg.norm(net.w1, axis=1)
-    keep = norms > prune_tol * max(1.0, float(norms.max(initial=0.0)))
+    keep = norms > _PRUNE_TOL * max(1.0, float(norms.max(initial=0.0)))
     kept = np.nonzero(keep)[0]
     slopes = norms[keep]
     dirs = net.w1[keep] / slopes[:, None]
@@ -297,20 +294,6 @@ class SectorEmbedding:
     offset: np.ndarray
     kappa: float
     n_phys: int
-
-    @property
-    def p(self) -> int:
-        return self.system.n - self.n_phys
-
-    @property
-    def c_rows(self) -> np.ndarray:
-        """Unit input directions on the physical coordinates."""
-        return self.system.c[:, :self.n_phys]
-
-    @property
-    def f_phys(self) -> np.ndarray:
-        """Physical block of the feedback gain (n_phys x units)."""
-        return self.system.f_gain[:self.n_phys]
 
 
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
@@ -362,7 +345,7 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
     dirs = np.vstack(dirs)
     biases = np.concatenate(biases)
     f_phys = np.hstack(cols)
-    skel = augment(a_phys, f_phys, kappa)
+    a_bar, f_bar = augment(a_phys, f_phys, kappa)
     m = slopes.size
     c_bar = np.zeros((m, m))
     c_bar[:, :n_phys] = dirs
@@ -374,8 +357,8 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    system = LureSystem(a=skel.a_bar, f_gain=skel.f_bar, c=c_bar, sigma=sigma,
-                        nonlinearity=tanh_bank(slopes, biases), sector_slopes=slopes,
+    system = LureSystem(a=a_bar, f_gain=f_bar, c=c_bar, sigma=sigma,
+                        nonlinearity=TanhBank(slopes, biases), sector_slopes=slopes,
                         deriv_bounds=slopes)
     return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys)
 

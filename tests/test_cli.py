@@ -91,6 +91,21 @@ def test_certify_missing_system_file(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_certify_validates_the_overridden_sigma(scalar_files, tmp_path, capsys, sigma):
+    good, _ = scalar_files
+    assert cli.main(["certify", str(good), "--sigma", sigma, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_certify_rejects_non_finite_system_data(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    save_system(make_scalar(a=float("nan"), sigma=0.7), path)
+    assert cli.main(["certify", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "non_finite" in capsys.readouterr().err
+
+
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_reports_boundary_and_writes_artifacts(scalar_files, tmp_path, capsys):
@@ -185,7 +200,32 @@ def test_simulate_bad_noise_mode_is_usage_error(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_lure_validates_the_config_sigma(scalar_files, tmp_path, capsys):
+    good, _ = scalar_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"model": "lure", "system": str(good), "sigma": -1.0, "t_end": 1.0, "dt": 1e-3}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "sigma_negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "approximate"])
+def test_params_block_that_is_not_an_object_is_a_usage_error(command, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"params": [1, 2], "i_app": 40.0, "t_end": 1.0}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "error: params must be a JSON object" in capsys.readouterr().err
+
+
 # -- approximate --------------------------------------------------------------
+
+@pytest.mark.parametrize("box", [[[-80, 0]], 5])
+def test_approximate_malformed_box_is_a_usage_error(box, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"box": box, "i_app": 40.0}))
+    assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "error: box must be" in capsys.readouterr().err
+
 
 def test_approximate_width_one_gives_three_state_embedding(tmp_path):
     cfg = {"width": 1, "epochs": 60, "n_samples": 1500, "batch_size": 64,

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from sarlab import morris_lecar as ml
-from sarlab.embedding import (EmbeddingConfig, build_embedding, channel_functions,
-                              model_rhs, simulate_embedded)
+from sarlab.embedding import EmbeddingConfig, build_embedding, model_rhs, simulate_embedded
 from sarlab.lure import validate
 from sarlab.sde import SimConfig
 
@@ -15,9 +14,9 @@ def test_report_structure(embedding_report):
     sys = embedding_report.embedding.system
     assert sys.n == 30 and sys.m == 30
     assert embedding_report.embedding.n_phys == 2
-    assert embedding_report.embedding.f_phys.shape == (2, 30)
-    # every unit reads only the two physical coordinates
+    # every unit reads only the two physical coordinates and feeds only them
     assert np.all(sys.c[:, 2:] == 0.0)
+    assert np.all(sys.f_gain[2:] == 0.0)
     assert not embedding_report.diverged
 
 
@@ -80,16 +79,6 @@ def test_simulate_embedded_short_horizon_tracks(embedding_report):
     assert err < 2.0  # mV over a spike-free window
 
 
-def test_channel_functions_match_module(embedding_report):
-    p = embedding_report.params
-    fns = channel_functions(p)
-    x = np.array([[-30.0, 0.4], [0.0, 0.1]])
-    stack = ml.channel_currents(x[:, 0], x[:, 1], p)
-    assert [name for name, _ in fns] == ["leak", "calcium", "potassium"]
-    for j, (_, fn) in enumerate(fns):
-        np.testing.assert_allclose(fn(x), stack[:, j], atol=1e-12)
-
-
 def test_training_is_seed_deterministic(spiking_params, calibrated_iapp):
     cfg = EmbeddingConfig(hidden=3, epochs=30, n_samples=500, seed=7,
                           i_app=calibrated_iapp)
@@ -108,4 +97,4 @@ def test_small_width_embedding_is_square(spiking_params, calibrated_iapp):
     rep = build_embedding(spiking_params, cfg)
     sys = rep.embedding.system
     assert sys.n == sys.m == 3
-    assert rep.embedding.p == 1
+    assert sys.n - rep.embedding.n_phys == 1  # one fictitious state

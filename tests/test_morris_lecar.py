@@ -37,8 +37,6 @@ def test_gating_midpoints_and_timescale(p):
     assert ml.m_ss(p.v1, p) == pytest.approx(0.5, abs=0.0)
     assert ml.n_ss(p.v3, p) == pytest.approx(0.5, abs=0.0)
     assert ml.tau_n(p.v3, p) == pytest.approx(15.0, abs=1e-12)
-    trip = ml.gating(p.v3, p)
-    assert trip[1] == 0.5 and trip[2] == pytest.approx(15.0)
 
 
 def test_gating_asymptotics(p):
@@ -89,14 +87,16 @@ def test_recovery_jacobian_matches_finite_differences(p):
 
 def test_equilibrium_is_a_root(p):
     q = p.with_iapp(40.0)
-    eq = ml.equilibrium(q)
+    roots = ml.equilibria(q)
+    assert len(roots) == 1
+    eq = roots[0]
     res = ml.rhs(eq, q)
     assert np.abs(res).max() < 1e-10
 
 
 def test_equilibrium_conserved_with_zero_noise(p):
     q = p.with_iapp(40.0)
-    eq = ml.equilibrium(q)
+    [eq] = ml.equilibria(q)
     path = ml.simulate_ml(q, eq, SimConfig(t_end=100.0, dt=1e-3, record_stride=100))
     drift = np.linalg.norm(path.states - eq, axis=1).max()
     assert drift < 1e-6
@@ -263,7 +263,7 @@ def test_gating_bounds_hold_everywhere(v):
     # strict bounds hold for all finite v; double precision saturates the
     # tanh to exactly 1.0 past |v| ~ 350, so probe below that
     p = ml.MorrisLecarParams()
-    m, n, tau = ml.gating(v, p)
+    m, n, tau = ml.m_ss(v, p), ml.n_ss(v, p), ml.tau_n(v, p)
     assert 0.0 < m < 1.0
     assert 0.0 < n < 1.0
     assert tau > 0.0

@@ -115,7 +115,7 @@ def test_train_divergence_keeps_last_finite_iterate():
     t = 100.0 * x
     with pytest.warns(UserWarning, match="diverged"):
         res = train(x, t, hidden=2,
-                    options=TrainOptions(epochs=50, lr=4e3, momentum=0.0))
+                    options=TrainOptions(epochs=50, lr=4e3))
     assert res.diverged.tolist() == [True]
     net = res.nets[0]
     assert np.isfinite(net.w1).all() and np.isfinite(net.b2).all()
@@ -171,7 +171,7 @@ def oracle_train(x, t, hidden, opts):
                 idx = order[start:start + opts.batch_size]
                 grads = mse_and_grads(w1, b1, w2, b2, xn[idx], tn[idx])
                 for p, v, g in zip((w1, b1, w2, b2), vel, grads):
-                    v *= opts.momentum
+                    v *= 0.9  # train's momentum
                     v -= lr * g
                     p += v
             r = np.tanh(xn @ w1.T + b1) @ w2.T + b2 - tn
@@ -232,7 +232,7 @@ def test_one_diverging_net_leaves_the_others_training():
     x = rng.uniform(-1, 1, size=(100, 1))
     targets = np.stack([np.sin(3 * x), x, np.full_like(x, 2.0)])
     # at this step size net 0 (seed 0) blows up part-way; nets 1 and 2 do not
-    opts = TrainOptions(epochs=200, batch_size=32, lr=1.62, momentum=0.0)
+    opts = TrainOptions(epochs=200, batch_size=32, lr=2.41)
     with pytest.warns(UserWarning, match=r"net \d diverged"):
         res = train(x, targets, 2, opts)
     assert res.diverged.any() and not res.diverged.all()
@@ -279,10 +279,10 @@ def test_embed_shapes_and_bank():
     emb = embed([net], [np.array([[1.0], [0.0]])], a_phys, kappa=1.0)
     sys = emb.system
     assert sys.n == sys.m == 2
-    assert emb.n_phys == 2 and emb.p == 0
+    assert emb.n_phys == 2
     # physical F columns are combiner @ w2 per unit
-    np.testing.assert_allclose(emb.f_phys, [[0.5, -0.25], [0.0, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(emb.c_rows, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(sys.f_gain, [[0.5, -0.25], [0.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(sys.c, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
     np.testing.assert_allclose(sys.sector_slopes, [1.0, 2.0], atol=1e-15)
 
 
@@ -291,7 +291,7 @@ def test_embed_pads_fictitious_states():
     net = ShallowNet([[1.0], [2.0], [0.5]], np.zeros(3), [[1.0, 1.0, 1.0]], [0.0])
     emb = embed([net], [np.array([[1.0]])], [[-1.0]], kappa=2.0)
     sys = emb.system
-    assert sys.n == 3 and emb.p == 2
+    assert sys.n == 3 and emb.n_phys == 1
     np.testing.assert_allclose(sys.a[1:, 1:], -2.0 * np.eye(2), atol=1e-15)
     assert np.all(sys.f_gain[1:] == 0.0)
     assert np.all(sys.c[:, 1:] == 0.0)
