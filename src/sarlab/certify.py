@@ -77,7 +77,8 @@ class CertProblem:
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """Outcome of a certification run: the best (nu, lambda, tau) found,
-    the achieved margin = lambda_max(N), and the feasibility verdict."""
+    the achieved margin = lambda_max(N), and the feasibility verdict, with
+    the witness that settled it: "search" or "necessity" (see certify)."""
 
     sigma: float
     nu: float
@@ -86,6 +87,7 @@ class Certificate:
     margin: float
     feasible: bool
     capped: bool = False
+    witness: str = "search"
 
 
 def certificate_matrix(sys: LureSystem, nu: float, lam, tau) -> np.ndarray:
@@ -288,7 +290,9 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
 def certify(problem: CertProblem) -> Certificate:
     """Grid-search nu, minimizing lambda_max(N) over the multiplier cone at
     each grid point; feasible iff some margin drops below -tol.  Scanning
-    stops at the first feasible nu."""
+    stops at the first feasible nu.  A noise level with sigma^2/2 at most
+    the growth rate of `linear_necessity_bound` is infeasible without a
+    search (witness "necessity"; lambda = tau = 0 at the best grid nu)."""
     sys = problem.sys
     opts = problem.options
     n = sys.n
@@ -305,8 +309,19 @@ def certify(problem: CertProblem) -> Certificate:
             "hypothesis does not hold. Pass SolverOptions(allow_nonorthonormal_c=True) "
             "to proceed anyway.")
 
-    rng = np.random.Generator(np.random.Philox(key=opts.seed & ((1 << 64) - 1)))
     top_sym_a = float(np.linalg.eigvalsh(sys.a + sys.a.T)[-1])
+    # no linear member grows faster than this ceiling; above it the bound cannot settle sigma
+    ceiling = top_sym_a / 2.0 + float(np.linalg.norm(_linear_gain(sys)) * np.linalg.norm(sys.c))
+    half_s2 = sys.sigma ** 2 / 2.0
+    if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
+        zeros = np.zeros(n)
+        margins = [max_eigenvalue(certificate_matrix(sys, float(nu), zeros, zeros))
+                   for nu in nu_grid]
+        best = int(np.argmin(margins))
+        return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
+                           margin=margins[best], feasible=False, witness="necessity")
+
+    rng = np.random.Generator(np.random.Philox(key=opts.seed & ((1 << 64) - 1)))
     best = None  # (margin, nu, theta)
     capped = False
     for nu in nu_grid:
@@ -333,41 +348,49 @@ def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
                                              cert.lam, cert.tau))
 
 
+def _linear_gain(sys: LureSystem) -> np.ndarray:
+    """F K with K = diag(min(s, delta)): the class's steepest linear feedbacks."""
+    return sys.f_gain * np.minimum(sys.sector_slopes, sys.deriv_bounds)[None, :]
+
+
 def linear_necessity_bound(sys: LureSystem):
     """Lower bound on the noise any sound certificate must demand.
 
-    The sector class contains the linear feedbacks f_j(u) = theta_j s_j u
-    with theta_j in [0, 1], so a certificate at noise level sigma also
-    asserts almost-sure stability of dx = (A + F Theta S C) x dt
-    + sigma x dbeta, which for this noise structure holds iff
-    max Re eig(A + F Theta S C) < sigma^2 / 2.  Searching theta over
-    corners (all-on, per-coordinate, random, plus greedy flips) yields a
-    growth rate `rate`; no sigma with sigma^2/2 <= rate can be soundly
-    certified.  Returns (rate, sigma_floor) with sigma_floor =
-    sqrt(2 * max(rate, 0)).
+    The sector class contains the linear feedbacks f_j(u) = theta_j k_j u
+    with theta_j in [0, 1] and k_j = min(s_j, delta_j), so a certificate at
+    noise level sigma also asserts almost-sure stability of
+    dx = (A + F Theta K C) x dt + sigma x dbeta, which for this noise
+    structure holds iff max Re eig(A + F Theta K C) < sigma^2 / 2.
+    Searching theta over corners yields a growth rate `rate`; no sigma
+    with sigma^2/2 <= rate can be soundly certified.  All 2^m corners are
+    tried while 2^m <= 2 + m + _NECESSITY_CORNERS, else all-off, all-on,
+    unit and random corners, then greedy flips.  Returns (rate, sigma_floor =
+    sqrt(2 * max(rate, 0))).
     """
     m = sys.m
-    fs = sys.f_gain * sys.sector_slopes[None, :]  # F S
+    fk = _linear_gain(sys)
 
-    def growth(theta):
-        return float(np.linalg.eigvals(sys.a + (fs * theta[None, :]) @ sys.c).real.max())
+    def growth(thetas):  # (corners, m) -> (corners,)
+        mats = sys.a + (fk * thetas[:, None, :]) @ sys.c
+        return np.linalg.eigvals(mats).real.max(axis=1)
 
-    rng = np.random.Generator(np.random.Philox(key=0))
-    corners = [np.zeros(m), np.ones(m)]
-    corners += [np.eye(m)[j] for j in range(m)]
-    corners += [rng.integers(0, 2, size=m).astype(float) for _ in range(_NECESSITY_CORNERS)]
-    best_theta, best = None, -np.inf
-    for th in corners:
-        g = growth(th)
-        if g > best:
-            best, best_theta = g, th.copy()
-    improved = True
+    exhaustive = 2 ** m <= 2 + m + _NECESSITY_CORNERS
+    if exhaustive:
+        corners = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(float)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=0))
+        corners = np.vstack([np.zeros(m), np.ones(m), np.eye(m),
+                             rng.integers(0, 2, size=(_NECESSITY_CORNERS, m)).astype(float)])
+    rates = growth(corners)
+    i = int(np.argmax(rates))
+    best, best_theta = float(rates[i]), corners[i]
+    improved = not exhaustive  # no flip can beat the best of every corner
     while improved:  # greedy bit flips from the incumbent corner
         improved = False
         for j in range(m):
             cand = best_theta.copy()
             cand[j] = 1.0 - cand[j]
-            g = growth(cand)
+            g = float(growth(cand[None])[0])
             if g > best + 1e-12:
                 best, best_theta = g, cand
                 improved = True
@@ -419,6 +442,7 @@ def save_certificate(cert: Certificate, path) -> None:
         "margin": cert.margin,
         "feasible": bool(cert.feasible),
         "capped": bool(cert.capped),
+        "witness": cert.witness,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -432,4 +456,5 @@ def load_certificate(path) -> Certificate:
                        lam=np.asarray(d["lambda"], dtype=float),
                        tau=np.asarray(d["tau"], dtype=float),
                        margin=float(d["margin"]), feasible=bool(d["feasible"]),
-                       capped=bool(d.get("capped", False)))
+                       capped=bool(d.get("capped", False)),
+                       witness=str(d.get("witness", "search")))

@@ -75,8 +75,18 @@ def parse_range(text: str, name: str) -> np.ndarray:
     return grid
 
 
-def _odd_window(w) -> int:
-    w = int(w)
+def _config_number(config: dict, key: str, default, kind=float):
+    """config[key] (default when absent) as a float, or for kind=int an
+    int; anything but a JSON number of that kind is a usage error."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{key} must be a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _odd_window(w: int) -> int:
     if w < 1 or w % 2 == 0:
         raise CliError("filter window must be a positive odd integer")
     return w
@@ -224,8 +234,8 @@ def _load_cert_target(path, sigma=None) -> tuple[LureSystem, bool]:
 
 
 def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
-    """Write the channel nets, the embedding and the per-epoch training
-    losses; return the file names."""
+    """Write the channel nets, the embedding and the training losses (one
+    row per L-BFGS iteration); return the file names."""
     outputs = []
     for name, net in zip(CHANNEL_NAMES, report.nets):
         fname = f"net_{name}.json"
@@ -246,16 +256,16 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    sim = SimConfig(t_end=float(config.get("t_end", 500.0)),
-                    dt=float(config.get("dt", 5e-3)),
+    seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
+    sim = SimConfig(t_end=_config_number(config, "t_end", 500.0),
+                    dt=_config_number(config, "dt", 5e-3),
                     seed=seed,
-                    record_stride=int(config.get("record_stride", 10)))
+                    record_stride=_config_number(config, "record_stride", 10, int))
     model = config.get("model", "ml")
     calibrated = None
 
     if model == "ml":
-        sigma = float(config.get("sigma", 0.0))
+        sigma = _config_number(config, "sigma", 0.0)
         noise_mode = args.noise_mode or config.get("noise_mode", "state")
         if noise_mode not in ("state", "current"):
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")
@@ -268,7 +278,7 @@ def cmd_simulate(args) -> int:
         cols = [path.times, path.states[:, 0], path.states[:, 1]]
         if sigma > 0.0:
             window = _odd_window(args.filter_window if args.filter_window is not None
-                                 else config.get("filter_window", 101))
+                                 else _config_number(config, "filter_window", 101, int))
             filt = lowpass(path.states, window)
             header += ["V_filt", "N_filt"]
             cols += [filt[:, 0], filt[:, 1]]
@@ -306,23 +316,19 @@ def cmd_approximate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    dropped = [key for key in ("batch_size", "lr", "lr_decay") if key in config]
+    if dropped:
+        raise CliError(f"{', '.join(dropped)}: training is full-batch L-BFGS, which takes "
+                       "no batch size or learning rate (epochs caps its iterations)")
+    seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
+    defaults = EmbeddingConfig()
+    fit = {field: _config_number(config, "width" if field == "hidden" else field,
+                                 getattr(defaults, field), type(getattr(defaults, field)))
+           for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
+    fit["box"] = _box(config.get("box", defaults.box))
     p = _ml_params(config)
     p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
-    ecfg = EmbeddingConfig(
-        hidden=int(config.get("width", 10)),
-        kappa=float(config.get("kappa", 1.0)),
-        box=_box(config.get("box", [[-80.0, 0.0], [120.0, 1.0]])),
-        n_samples=int(config.get("n_samples", 10000)),
-        epochs=int(config.get("epochs", 1500)),
-        batch_size=int(config.get("batch_size", 128)),
-        lr=float(config.get("lr", 0.02)),
-        lr_decay=float(config.get("lr_decay", 0.004)),
-        seed=seed,
-        sigma=float(config.get("sigma", 0.0)),
-        i_app=i_app,
-        offset_tol=float(config.get("offset_tol", 1e-3)),
-    )
+    ecfg = EmbeddingConfig(**fit, seed=seed, i_app=i_app)
     report = build_embedding(p, ecfg)
     if report.diverged:
         print("training diverged (non-finite loss); no embedding written", file=sys.stderr)

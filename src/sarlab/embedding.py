@@ -1,14 +1,14 @@
 """End-to-end Morris-Lecar sector-embedding pipeline.
 
 Three width-10 tanh nets are trained on the training box, one per channel
-current (leak, calcium, potassium), as one stacked SGD run.  Each net has two outputs: output 0
-fits its channel current; the three output-1 heads jointly fit the
-nonlinear residue of the recovery equation (one third each), i.e.
-h(V,N) - grad h(x*) . (x - x*) with h = (n_ss - N)/tau_n.  After training,
-output biases are shifted so every net is exact at the rest state x*,
-which makes the assembled model's origin offset vanish identically.  The
-union of the 30 hidden units then forms the feedback bank of a square
-30-state Lur'e system (2 physical + 28 fictitious states).
+current (leak, calcium, potassium), each by full-batch L-BFGS.  Each net
+has two outputs: output 0 fits its channel current; the three output-1
+heads jointly fit the nonlinear residue of the recovery equation (one
+third each), i.e. h(V,N) - grad h(x*) . (x - x*) with h = (n_ss - N)/tau_n.
+After training, output biases are shifted so every net is exact at the
+rest state x*, which makes the assembled model's origin offset vanish
+identically.  The union of the 30 hidden units then forms the feedback
+bank of a square 30-state Lur'e system (2 physical + 28 fictitious states).
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ class EmbeddingConfig:
     kappa: float = 1.0
     box: tuple = ((-80.0, 0.0), (120.0, 1.0))
     n_samples: int = 10000
-    epochs: int = 1500
-    batch_size: int = 128
-    lr: float = 0.02
-    lr_decay: float = 0.004
+    epochs: int = 700   # L-BFGS iteration cap per net
     seed: int = 0
     sigma: float = 0.0
     i_app: float | None = None  # None -> calibrate
@@ -63,7 +60,7 @@ class EmbeddingReport:
     channel_range: np.ndarray      # peak-to-peak of each channel over the box
     recovery_rms: float            # RMS error of the reconstructed recovery rate
     recovery_max: float
-    loss_histories: np.ndarray     # (3, epochs run), one row per channel net
+    loss_histories: np.ndarray     # (3, iterations run), one row per channel net
     diverged: bool
 
 
@@ -91,8 +88,7 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     x, currents = ml.make_training_set(p, cfg.box, cfg.n_samples, cfg.seed)
     res = recovery_residue(x, p, x_star, jac)
 
-    opts = TrainOptions(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                        lr_decay=cfg.lr_decay, seed=cfg.seed)
+    opts = TrainOptions(epochs=cfg.epochs, seed=cfg.seed)
     targets = np.stack([np.column_stack([cur, res / 3.0]) for cur in currents.T])
     result = train(x, targets, cfg.hidden, opts)  # net i trains on seed cfg.seed + i
     # pin each net at the rest state so the assembled origin drift vanishes

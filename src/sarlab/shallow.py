@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .lure import LureSystem, TanhBank, augment, system_from_dict, system_to_dict
 
@@ -80,21 +81,22 @@ class ShallowNet:
         return y[0] if squeeze else y
 
 
-_MOMENTUM = 0.9
 _PRUNE_TOL = 1e-12  # units with ||w1 row|| below this (relative) are dropped
 
 
 @dataclass(frozen=True)
 class TrainOptions:
-    epochs: int = 300
-    batch_size: int = 64
-    lr: float = 1e-2
-    lr_decay: float = 0.01   # lr_t = lr / (1 + lr_decay * epoch)
+    epochs: int = 300   # L-BFGS iteration cap per net
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+
+    @property
+    def batch_size(self) -> int:
+        """Training is full-batch: every iteration sees the whole set."""
+        return np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,54 +105,47 @@ class TrainResult:
     leading net axis."""
 
     nets: tuple[ShallowNet, ...]
-    loss_history: np.ndarray  # (k, epochs run): full-set MSE in normalized units, NaN once diverged
+    loss_history: np.ndarray  # (k, iterations run): full-set MSE in normalized units
     final_rms: np.ndarray     # (k, q): raw-unit RMS error per output on the training set
     diverged: np.ndarray      # (k,) bool
 
 
 def _views(flat: np.ndarray, h: int, d: int, q: int):
-    """w1 (k, h, d), b1 (k, h), w2 (k, q, h), b2 (k, q) views of a (k, P)
-    parameter stack; each net's parameters are one contiguous row."""
-    k = flat.shape[0]
+    """w1 (h, d), b1 (h,), w2 (q, h), b2 (q,) views of a flat parameter vector."""
     o1, o2 = h * d, h * d + h
     o3 = o2 + q * h
-    return (flat[:, :o1].reshape(k, h, d), flat[:, o1:o2],
-            flat[:, o2:o3].reshape(k, q, h), flat[:, o3:])
+    return flat[:o1].reshape(h, d), flat[o1:o2], flat[o2:o3].reshape(q, h), flat[o3:]
 
 
-def _backprop(params, x, t, grads) -> None:
-    """Gradients of 0.5 * mean_i ||y_i - t_i||^2 for a stack of nets, each
-    on its own batch: x (k, m, d), t (k, m, q).  params and grads are
-    (w1, b1, w2, b2) stacks from :func:`_views`; the gradients are written
-    into grads.  The operation order is fixed: it decides the trained bits."""
+def _workspace(n: int, h: int, q: int):
+    """Buffers for :func:`_loss_grad`: a1, dz (h, n), r (q, n) and ones (n,)."""
+    return np.empty((h, n)), np.empty((h, n)), np.empty((q, n)), np.ones(n)
+
+
+def _loss_grad(params, xt, tt, grads, work) -> float:
+    """0.5 * mean_i ||y_i - t_i||^2 of one net (w1, b1, w2, b2) on samples
+    stored as columns, xt (d, n) and tt (q, n); the gradient is written into
+    grads, arrays shaped like params.  Everything of the sample size lives in
+    work (from :func:`_workspace`), so a call allocates none of it."""
     w1, b1, w2, b2 = params
-    z = np.matmul(x, w1.transpose(0, 2, 1))
-    z += b1[:, None, :]
-    a1 = np.tanh(z)
-    r = np.matmul(a1, w2.transpose(0, 2, 1))
-    r += b2[:, None, :]
-    r -= t
-    r /= x.shape[1]
-    np.sum(r, axis=1, out=grads[3])
-    np.matmul(r.transpose(0, 2, 1), a1, out=grads[2])
-    dz = np.matmul(r, w2)
-    dz *= 1.0 - a1 * a1
-    np.sum(dz, axis=1, out=grads[1])
-    np.matmul(dz.transpose(0, 2, 1), x, out=grads[0])
-
-
-def _full_loss(params, x, t, a1, r) -> float:
-    """0.5 * mean_i ||y_i - t_i||^2 of one net (w1, b1, w2, b2) on (x, t),
-    computed in the buffers a1 (n, h) and r (n, q)."""
-    w1, b1, w2, b2 = params
-    np.matmul(x, w1.T, out=a1)
-    a1 += b1
+    a1, dz, r, ones = work
+    np.matmul(w1, xt, out=a1)
+    a1 += b1[:, None]
     np.tanh(a1, out=a1)
-    np.matmul(a1, w2.T, out=r)
-    r += b2
-    r -= t
-    r *= r
-    return 0.5 * float(np.sum(r)) / x.shape[0]
+    np.matmul(w2, a1, out=r)
+    r += b2[:, None]
+    r -= tt
+    loss = 0.5 * float(np.einsum("ij,ij->", r, r)) / xt.shape[1]
+    r /= xt.shape[1]
+    np.matmul(r, ones, out=grads[3])
+    np.matmul(r, a1.T, out=grads[2])
+    np.multiply(a1, a1, out=a1)
+    np.subtract(1.0, a1, out=a1)  # tanh' = 1 - a1^2
+    np.matmul(w2.T, r, out=dz)
+    dz *= a1
+    np.matmul(dz, ones, out=grads[1])
+    np.matmul(dz, xt.T, out=grads[0])
+    return loss
 
 
 def loss_and_grad(net: ShallowNet, x, targets):
@@ -159,27 +154,26 @@ def loss_and_grad(net: ShallowNet, x, targets):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
     h, d, q = net.hidden, net.d_in, net.q_out
-    flat = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])[None, :]
-    grad = np.empty_like(flat)
-    _backprop(_views(flat, h, d, q), x[None], t[None], _views(grad, h, d, q))
-    loss = _full_loss((net.w1, net.b1, net.w2, net.b2), x, t,
-                      np.empty((x.shape[0], h)), np.empty((x.shape[0], q)))
-    return loss, ShallowNet(*(g[0] for g in _views(grad, h, d, q)))
+    grad = np.empty(h * (d + q) + h + q)
+    grads = _views(grad, h, d, q)
+    loss = _loss_grad((net.w1, net.b1, net.w2, net.b2), np.ascontiguousarray(x.T),
+                      np.ascontiguousarray(t.T), grads, _workspace(x.shape[0], h, q))
+    return loss, ShallowNet(*grads)
 
 
 def train(x, targets, hidden: int, options: TrainOptions | None = None) -> TrainResult:
-    """Fit k one-hidden-layer tanh nets on shared inputs by minibatch SGD
-    with momentum 0.9, as one stacked loop.
+    """Fit k one-hidden-layer tanh nets on shared inputs by full-batch
+    L-BFGS (scipy's L-BFGS-B without bounds), one run per net, at most
+    options.epochs iterations each.
 
     targets is (k, n, q), one target set per net; a 2-D (n, q) target is a
-    stack of one.  Net i draws its initial weights and its per-epoch
-    sample order from default_rng(options.seed + i), so it ends with the
-    same bits as when trained alone.  Inputs and targets are rescaled
-    internally to the unit box / unit range; the returned nets act on the
-    raw coordinates (scaling folded back into the weights).  A net whose
-    loss turns non-finite keeps its last finite iterate, is flagged as
-    diverged and gets NaN for its remaining epochs; training stops early
-    only when every net has diverged.
+    stack of one.  Net i draws its initial weights from
+    default_rng(options.seed + i), so it ends with the same bits as when
+    trained alone.  Inputs and targets are rescaled internally to the unit
+    box / unit range; the returned nets act on the raw coordinates.
+    loss_history row i holds the loss after each of net i's iterations,
+    then repeats its final loss if other nets ran longer.  A net whose
+    final loss is not finite is flagged as diverged.
     """
     opts = options or TrainOptions()
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -205,66 +199,44 @@ def train(x, targets, hidden: int, options: TrainOptions | None = None) -> Train
     x_half = np.maximum(0.5 * (x.max(axis=0) - x.min(axis=0)), 1e-12)
     t_mu = 0.5 * (t.min(axis=1) + t.max(axis=1))
     t_half = np.maximum(0.5 * (t.max(axis=1) - t.min(axis=1)), 1e-12)
-    xn = (x - x_mu) / x_half
-    tn = (t - t_mu[:, None, :]) / t_half[:, None, :]
+    # samples as columns, the layout _loss_grad works in
+    xt = np.ascontiguousarray(((x - x_mu) / x_half).T)
+    tt = np.ascontiguousarray(((t - t_mu[:, None, :]) / t_half[:, None, :]).transpose(0, 2, 1))
+    work = _workspace(n, h, q)
 
-    theta = np.zeros((k, n_params))
-    params = _views(theta, h, d, q)
-    rngs = [np.random.default_rng(opts.seed + i) for i in range(k)]
-    for rng, w1, b1, w2 in zip(rngs, *params[:3]):
-        w1[...] = rng.uniform(-1, 1, size=(h, d)) / np.sqrt(d)
-        b1[...] = rng.uniform(-1, 1, size=h) / np.sqrt(d)
-        w2[...] = rng.uniform(-1, 1, size=(q, h)) / np.sqrt(h)
-    vel = np.zeros_like(theta)
-    grad = np.zeros_like(theta)
-    grads = _views(grad, h, d, q)
-    good = theta.copy()
-    alive = np.ones(k, dtype=bool)
-    t_rows = tn.reshape(k * n, q)
-    net_offsets = n * np.arange(k)[:, None]
-    bs = opts.batch_size
-    a1_full, r_full = np.empty((n, h)), np.empty((n, q))  # full-set loss buffers
-    history = np.full((k, opts.epochs), np.nan)
-    ran = opts.epochs
-    # runaway steps overflow before the finite check catches them; that is
-    # the expected signal here, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(opts.epochs):
-            lr = opts.lr / (1.0 + opts.lr_decay * epoch)
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            xo, to = xn.take(order, axis=0), t_rows.take(order + net_offsets, axis=0)
-            for s in range(0, n, bs):
-                _backprop(params, xo[:, s:s + bs], to[:, s:s + bs], grads)
-                vel *= _MOMENTUM
-                vel -= lr * grad
-                theta += vel
-            for i in np.flatnonzero(alive):
-                loss = _full_loss([p[i] for p in params], xn, tn[i], a1_full, r_full)
-                if np.isfinite(loss):
-                    history[i, epoch] = loss
-                else:
-                    alive[i] = False
-                    warnings.warn(f"net {i} diverged in epoch {epoch}; keeping its last "
-                                  "finite iterate", stacklevel=2)
-            if not alive.any():
-                ran = epoch
-                break
-            np.copyto(good, theta, where=alive[:, None])
+    def objective(theta, target):
+        grad = np.empty(n_params)
+        loss = _loss_grad(_views(theta, h, d, q), xt, target, _views(grad, h, d, q), work)
+        return loss, grad
 
-    nets, rms = [], []
-    for i, (w1, b1, w2, b2) in enumerate(zip(*_views(good, h, d, q))):
+    nets, rms, histories, finals = [], [], [], []
+    for i in range(k):
+        rng = np.random.default_rng(opts.seed + i)
+        theta = np.concatenate([rng.uniform(-1, 1, size=h * d) / np.sqrt(d),
+                                rng.uniform(-1, 1, size=h) / np.sqrt(d),
+                                rng.uniform(-1, 1, size=q * h) / np.sqrt(h), np.zeros(q)])
+        history = []
+        res = minimize(objective, theta, args=(tt[i],), jac=True, method="L-BFGS-B",
+                       options={"maxiter": opts.epochs},
+                       callback=lambda intermediate_result: history.append(
+                           intermediate_result.fun))
+        histories.append(history)
+        finals.append(float(res.fun))
         # fold the scaling back so the net acts on raw coordinates
-        w1_raw = w1 / x_half[None, :]
-        b1_raw = b1 - w1 @ (x_mu / x_half)
-        w2_raw = t_half[i][:, None] * w2
-        b2_raw = t_mu[i] + t_half[i] * b2
-        net = ShallowNet(w1_raw, b1_raw, w2_raw, b2_raw)
+        w1, b1, w2, b2 = _views(res.x, h, d, q)
+        net = ShallowNet(w1 / x_half[None, :], b1 - w1 @ (x_mu / x_half),
+                         t_half[i][:, None] * w2, t_mu[i] + t_half[i] * b2)
         nets.append(net)
-        # a diverged iterate can square to inf here; report that quietly
-        with np.errstate(over="ignore"):
-            rms.append(np.sqrt(np.mean((net(x) - t[i]) ** 2, axis=0)))
-    return TrainResult(nets=tuple(nets), loss_history=history[:, :ran].copy(),
-                       final_rms=np.array(rms), diverged=~alive)
+        rms.append(np.sqrt(np.mean((net(x) - t[i]) ** 2, axis=0)))
+
+    ran = max(map(len, histories))
+    loss_history = np.array([hist + [final] * (ran - len(hist))
+                             for hist, final in zip(histories, finals)]).reshape(k, ran)
+    diverged = ~np.isfinite(finals)
+    for i in np.flatnonzero(diverged):
+        warnings.warn(f"net {i} diverged: its final loss is not finite", stacklevel=2)
+    return TrainResult(nets=tuple(nets), loss_history=loss_history,
+                       final_rms=np.array(rms), diverged=diverged)
 
 
 class BankBounds(NamedTuple):

@@ -1,6 +1,8 @@
 """Certificate tests: the frozen hand oracle, the scalar closed form,
 solver invariants and sweeps."""
 
+import itertools
+import json
 import pickle
 
 import numpy as np
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scalar
-from sarlab.certify import (CertProblem, SolverOptions, _dual_lower_bound,
-                            certificate_matrix, certify, default_nu_grid,
+from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
+                            _solve_fixed_nu, certificate_matrix, certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, recompute_margin, save_certificate,
                             sigma_sweep)
@@ -95,6 +97,7 @@ def test_infeasible_scalar_point_reports_closed_form_optimum():
     # is nu (2a - sigma^2 (1 - nu)) at lambda = tau = 0, smallest at nu = 0.05
     cert = certify(CertProblem(make_scalar(1.0, 0.5)))
     assert not cert.feasible and not cert.capped
+    assert cert.witness == "necessity"  # sigma^2/2 <= a: even the linear class is unstable
     assert cert.nu == default_nu_grid()[0]
     assert cert.margin == pytest.approx(0.088125, abs=1e-15)
     np.testing.assert_array_equal(cert.lam, [0.0])
@@ -172,6 +175,77 @@ def test_linear_necessity_bound_picks_destabilizing_corner():
     assert floor2 == 0.0
 
 
+def test_linear_necessity_bound_tries_every_corner_for_small_m():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        s = rng.uniform(0.1, 3.0, size=m)
+        delta = s * rng.uniform(0.5, 2.0, size=m)
+        sys = LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, m)),
+                         c=rng.normal(size=(m, n)), sigma=0.0,
+                         nonlinearity=TanhBank(np.minimum(s, delta)),
+                         sector_slopes=s, deriv_bounds=delta)
+        # the linear members of the class have slopes theta_j min(s_j, delta_j)
+        fk = sys.f_gain * np.minimum(s, delta)
+        brute = max(np.linalg.eigvals(sys.a + (fk * np.array(theta)) @ sys.c).real.max()
+                    for theta in itertools.product((0.0, 1.0), repeat=m))
+        rate, floor = linear_necessity_bound(sys)
+        assert rate == brute
+        assert floor == np.sqrt(2.0 * max(brute, 0.0))
+
+
+def test_necessity_exit_is_sound_when_c_is_orthonormal():
+    # with C^T C = I the matrix inequality is a sound certificate, so where
+    # the necessity witness settles a noise level, the multiplier search
+    # must not find a feasible point at any grid nu either
+    rng = np.random.default_rng(12)
+    nu_grid = np.array([0.3, 0.7])
+    opts = SolverOptions()
+    settled = 0
+    for k in range(200):
+        n = int(rng.integers(1, 5))
+        c, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        s = rng.uniform(0.1, 3.0, size=n)
+        delta = s * rng.uniform(0.5, 2.0, size=n)
+        sys = LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, n)), c=c,
+                         sigma=0.0, nonlinearity=TanhBank(np.minimum(s, delta)),
+                         sector_slopes=s, deriv_bounds=delta)
+        rate, floor = linear_necessity_bound(sys)
+        if rate <= 0.0:
+            continue
+        # every other system sits just below its floor, the hardest level
+        at = sys.with_sigma(floor * ((1.0 - 1e-9) if k % 2 else rng.uniform(0.0, 1.0)))
+        cert = certify(CertProblem(at, nu_grid))
+        assert cert.witness == "necessity" and not cert.feasible
+        top = float(np.linalg.eigvalsh(at.a + at.a.T)[-1])
+        for nu in nu_grid:
+            n0, basis = _affine_parts(at, float(nu))
+            margin, _, _ = _solve_fixed_nu(n0, basis, opts, np.random.default_rng(k),
+                                           _dual_lower_bound(at, float(nu), top))
+            assert margin >= -opts.tol, (k, at.sigma, floor, nu, margin)
+        settled += 1
+    assert settled >= 150, settled
+
+
+def test_embedding_certificate_below_the_floor_has_a_necessity_witness(embedding_report):
+    sys = embedding_report.embedding.system.with_sigma(0.85)
+    cert = certify(CertProblem(sys, options=SolverOptions(allow_nonorthonormal_c=True)))
+    assert not cert.feasible and not cert.capped
+    assert cert.witness == "necessity"
+    assert recompute_margin(sys, cert) == cert.margin
+    np.testing.assert_array_equal(cert.lam, 0.0)
+    np.testing.assert_array_equal(cert.tau, 0.0)
+    zeros = np.zeros(sys.n)
+    margins = [max_eigenvalue(certificate_matrix(sys, nu, zeros, zeros))
+               for nu in default_nu_grid()]
+    assert cert.margin == min(margins) and cert.nu == default_nu_grid()[np.argmin(margins)]
+
+
+def test_feasible_certificate_has_a_search_witness():
+    cert = certify(CertProblem(make_scalar(0.1, 0.7)))
+    assert cert.feasible and cert.witness == "search"
+
+
 def test_sigma_sweep_requires_ascending():
     with pytest.raises(ValueError):
         sigma_sweep(make_scalar(0.1, 0.0), [0.5, 0.4])
@@ -235,6 +309,18 @@ def test_certificate_roundtrip(tmp_path):
     assert back.margin == cert.margin
     assert back.feasible == cert.feasible
     np.testing.assert_array_equal(back.lam, cert.lam)
+
+
+def test_certificate_witness_roundtrip(tmp_path):
+    cert = certify(CertProblem(make_scalar(1.0, 0.5)))
+    f = tmp_path / "cert.json"
+    save_certificate(cert, f)
+    doc = json.loads(f.read_text())
+    assert doc["witness"] == "necessity"
+    assert load_certificate(f).witness == "necessity"
+    del doc["witness"]  # a file written before witnesses existed
+    f.write_text(json.dumps(doc))
+    assert load_certificate(f).witness == "search"
 
 
 @settings(max_examples=30, deadline=None)

@@ -217,7 +217,53 @@ def test_params_block_that_is_not_an_object_is_a_usage_error(command, tmp_path, 
     assert "error: params must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("simulate", "t_end"), ("simulate", "dt"), ("simulate", "record_stride"),
+    ("simulate", "sigma"), ("simulate", "seed"),
+    ("approximate", "width"), ("approximate", "epochs"), ("approximate", "n_samples"),
+    ("approximate", "kappa"), ("approximate", "offset_tol"), ("approximate", "seed")])
+@pytest.mark.parametrize("value", [[1], {"v": 1}, "10", True])
+def test_non_numeric_config_field_is_a_usage_error(command, field, value, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40.0, "t_end": 1.0, field: value}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"error: {field} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field", [("simulate", "record_stride"),
+                                            ("simulate", "filter_window"),
+                                            ("approximate", "width"),
+                                            ("approximate", "epochs")])
+def test_fractional_count_in_config_is_a_usage_error(command, field, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40.0, "t_end": 1.0, "sigma": 0.5, field: 2.5}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"error: {field} must be an integer" in capsys.readouterr().err
+
+
 # -- approximate --------------------------------------------------------------
+
+@pytest.mark.parametrize("key", ["batch_size", "lr", "lr_decay"])
+def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40.0, key: 0.5}))
+    assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "full-batch" in err
+
+
+def test_approximate_defaults_are_the_embedding_config(monkeypatch, tmp_path):
+    seen = []
+
+    def stop(p, cfg):
+        seen.append(cfg)
+        raise cli.CliError("stop before training")
+
+    monkeypatch.setattr(cli, "build_embedding", stop)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40.0}))
+    assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert seen == [EmbeddingConfig(seed=0, i_app=40.0)]
 
 @pytest.mark.parametrize("box", [[[-80, 0]], 5])
 def test_approximate_malformed_box_is_a_usage_error(box, tmp_path, capsys):
@@ -228,8 +274,7 @@ def test_approximate_malformed_box_is_a_usage_error(box, tmp_path, capsys):
 
 
 def test_approximate_width_one_gives_three_state_embedding(tmp_path):
-    cfg = {"width": 1, "epochs": 60, "n_samples": 1500, "batch_size": 64,
-           "i_app": 40.0, "seed": 0}
+    cfg = {"width": 1, "epochs": 60, "n_samples": 1500, "i_app": 40.0, "seed": 0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = cli.main(["approximate", "--config", str(cfg_path),
