@@ -3,9 +3,11 @@
 Artifacts are CSV files plus generated gnuplot scripts, never rendered
 images.  Every command writes a manifest.json recording the resolved
 configuration, the seeds, any calibrated values, the tool version, the
-produced files, and the wall time.  CSV output is a pure function of
-(config, seed, version): rerunning a command reproduces the data files
-byte for byte.  All numeric CSV fields use %.17g.
+produced files, and the wall time; simulate and reproduce fig3/fig4 also
+record the seconds spent per stage (calibrate_s, simulate_s, write_s).
+CSV output is a pure function of (config, seed, version): rerunning a
+command reproduces the data files byte for byte.  All numeric CSV fields
+use %.17g.
 
 Exit codes: 0 ok/feasible, 1 infeasible, 2 usage or config error,
 3 simulation divergence, 4 training failure.
@@ -14,6 +16,7 @@ Exit codes: 0 ok/feasible, 1 infeasible, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -27,7 +30,7 @@ from . import morris_lecar as ml
 from .certify import CertProblem, SolverOptions, certify, save_certificate, sigma_sweep
 from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
 from .lure import LureSystem, load_system, validate
-from .sde import SimConfig, lowpass, simulate
+from .sde import SdePath, SimConfig, lowpass, simulate
 from .shallow import load_embedding, save_embedding, save_net
 
 CHANNEL_NAMES = ("leak", "ca", "k")
@@ -109,7 +112,9 @@ def write_sweep_csv(path, results) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
-                   calibrated: dict | None, outputs: list[str], t0: float) -> None:
+                   calibrated: dict | None, outputs: list[str], t0: float,
+                   stages: dict | None = None) -> None:
+    """manifest.json; stages, when given, maps a stage name to its seconds."""
     doc = {
         "command": command,
         "config": config,
@@ -119,12 +124,36 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         "outputs": outputs,
         "wall_time_s": time.monotonic() - t0,
     }
+    if stages is not None:
+        doc["stages"] = stages
     missing = [o for o in outputs if not (out_dir / o).is_file()]
     if missing:
         raise RuntimeError(f"manifest lists missing outputs: {missing}")
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the seconds spent in the with-block to stages[name]."""
+    t = time.monotonic()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + (time.monotonic() - t)
+
+
+def _report_divergence(paths: list[SdePath]) -> int:
+    """Exit code 3 if any path diverged, after naming each one on stderr
+    with its last finite sample, where its written trajectory ends; else 0."""
+    diverged = [path for path in paths if path.diverged]
+    for path in diverged:
+        where = (f"after t={path.times[-1]:g}, its last finite sample" if path.times.size
+                 else "at its initial state")
+        print(f"path {path.path_index} (sigma={path.sigma:g}) diverged: the state went "
+              f"non-finite {where}; the written trajectory ends there", file=sys.stderr)
+    return 3 if diverged else 0
 
 
 def _literal(s: str) -> str:
@@ -263,6 +292,7 @@ def cmd_simulate(args) -> int:
                     record_stride=_config_number(config, "record_stride", 10, int))
     model = config.get("model", "ml")
     calibrated = None
+    stages = {"calibrate_s": 0.0, "simulate_s": 0.0, "write_s": 0.0}
 
     if model == "ml":
         sigma = _config_number(config, "sigma", 0.0)
@@ -270,16 +300,19 @@ def cmd_simulate(args) -> int:
         if noise_mode not in ("state", "current"):
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")
         p = _ml_params(config)
-        p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
+        with _stage(stages, "calibrate_s"):
+            p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
         calibrated = {"i_app": i_app, "v2": p.v2}
         x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
-        path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
+        with _stage(stages, "simulate_s"):
+            path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
         header = ["t", "V", "N"]
         cols = [path.times, path.states[:, 0], path.states[:, 1]]
         if sigma > 0.0:
             window = _odd_window(args.filter_window if args.filter_window is not None
                                  else _config_number(config, "filter_window", 101, int))
-            filt = lowpass(path.states, window)
+            with _stage(stages, "simulate_s"):
+                filt = lowpass(path.states, window)
             header += ["V_filt", "N_filt"]
             cols += [filt[:, 0], filt[:, 1]]
         title = f"membrane trajectory, sigma={sigma:g}, mode={noise_mode}"
@@ -288,23 +321,23 @@ def cmd_simulate(args) -> int:
             raise CliError("lure model config needs a 'system' file path")
         system = _load_cert_target(config["system"], config.get("sigma"))[0]
         x0 = np.asarray(config.get("x0", np.zeros(system.n)), dtype=float)
-        path = simulate(system, x0, sim)
+        with _stage(stages, "simulate_s"):
+            path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
         cols = [path.times] + [path.states[:, i] for i in range(system.n)]
         title = f"state trajectory, sigma={system.sigma:g}"
     else:
         raise CliError(f"unknown model {model!r} (want ml or lure)")
 
-    write_csv(out_dir / "traj.csv", header, cols)
-    with open(out_dir / "traj.plt", "w") as fh:
-        fh.write(traj_plot_script("traj.csv", header[1:], title))
+    with _stage(stages, "write_s"):
+        write_csv(out_dir / "traj.csv", header, cols)
+        with open(out_dir / "traj.plt", "w") as fh:
+            fh.write(traj_plot_script("traj.csv", header[1:], title))
     resolved = dict(config)
     resolved["seed"] = seed
     write_manifest(out_dir, "simulate", resolved, {"simulation": seed},
-                   calibrated, ["traj.csv", "traj.plt"], t0)
-    if path.diverged:
-        print(f"divergence at t={path.times[-1] if path.times.size else 0.0:g}; "
-              "partial trajectory written", file=sys.stderr)
+                   calibrated, ["traj.csv", "traj.plt"], t0, stages)
+    if _report_divergence([path]):
         return 3
     print(f"wrote {out_dir / 'traj.csv'} ({path.times.size} samples)")
     return 0
@@ -433,50 +466,58 @@ FIG_SEEDS = {"fig3": 0, "fig4": 11, "fig5": 7}
 
 def _fig3(out_dir: Path, seed: int, jobs: int) -> int:
     t0 = time.monotonic()
-    p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
+    stages = {}
+    with _stage(stages, "calibrate_s"):
+        p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
     sim = SimConfig(t_end=500.0, dt=5e-3, seed=seed, record_stride=10)
-    path = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
-    write_csv(out_dir / "traj.csv", ["t", "V", "N"],
-              [path.times, path.states[:, 0], path.states[:, 1]])
-    with open(out_dir / "traj.plt", "w") as fh:
-        fh.write(traj_plot_script("traj.csv", ["V", "N"],
-                                  f"unforced spiking, i_app={i_app:g}"))
+    with _stage(stages, "simulate_s"):
+        path = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
+    with _stage(stages, "write_s"):
+        write_csv(out_dir / "traj.csv", ["t", "V", "N"],
+                  [path.times, path.states[:, 0], path.states[:, 1]])
+        with open(out_dir / "traj.plt", "w") as fh:
+            fh.write(traj_plot_script("traj.csv", ["V", "N"],
+                                      f"unforced spiking, i_app={i_app:g}"))
     write_manifest(out_dir, "reproduce fig3",
                    {"t_end": 500.0, "dt": 5e-3, "record_stride": 10, "sigma": 0.0},
                    {"simulation": seed}, {"i_app": i_app, "v2": p.v2},
-                   ["traj.csv", "traj.plt"], t0)
-    return 3 if path.diverged else 0
+                   ["traj.csv", "traj.plt"], t0, stages)
+    return _report_divergence([path])
 
 
 def _fig4(out_dir: Path, seed: int, jobs: int, window: int) -> int:
     t0 = time.monotonic()
-    p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
+    stages = {}
+    with _stage(stages, "calibrate_s"):
+        p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
     sim = SimConfig(t_end=500.0, dt=5e-3, seed=seed, record_stride=10)
-    base = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
-    noisy = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.85, noise_mode="state")
-    write_csv(out_dir / "traj_sigma0.csv", ["t", "V", "N"],
-              [base.times, base.states[:, 0], base.states[:, 1]])
-    filt = lowpass(noisy.states, window)
-    write_csv(out_dir / "traj_sigma085.csv", ["t", "V", "N", "V_filt", "N_filt"],
-              [noisy.times, noisy.states[:, 0], noisy.states[:, 1],
-               filt[:, 0], filt[:, 1]])
-    script = (
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
-        "set xlabel 't'\nset ylabel 'V (mV)'\n"
-        "set title 'noise injection at sigma=0.85 vs sigma=0'\n"
-        "plot 'traj_sigma0.csv' using 1:2 with lines, \\\n"
-        "  'traj_sigma085.csv' using 1:2 with lines, \\\n"
-        "  'traj_sigma085.csv' using 1:4 with lines lw 2\n")
-    with open(out_dir / "traj.plt", "w") as fh:
-        fh.write(script)
+    with _stage(stages, "simulate_s"):
+        base = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
+        noisy = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.85, noise_mode="state")
+        filt = lowpass(noisy.states, window)
+    with _stage(stages, "write_s"):
+        write_csv(out_dir / "traj_sigma0.csv", ["t", "V", "N"],
+                  [base.times, base.states[:, 0], base.states[:, 1]])
+        write_csv(out_dir / "traj_sigma085.csv", ["t", "V", "N", "V_filt", "N_filt"],
+                  [noisy.times, noisy.states[:, 0], noisy.states[:, 1],
+                   filt[:, 0], filt[:, 1]])
+        script = (
+            "set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            "set xlabel 't'\nset ylabel 'V (mV)'\n"
+            "set title 'noise injection at sigma=0.85 vs sigma=0'\n"
+            "plot 'traj_sigma0.csv' using 1:2 with lines, \\\n"
+            "  'traj_sigma085.csv' using 1:2 with lines, \\\n"
+            "  'traj_sigma085.csv' using 1:4 with lines lw 2\n")
+        with open(out_dir / "traj.plt", "w") as fh:
+            fh.write(script)
     write_manifest(out_dir, "reproduce fig4",
                    {"t_end": 500.0, "dt": 5e-3, "record_stride": 10,
                     "sigmas": [0.0, 0.85], "noise_mode": "state",
                     "filter_window": window},
                    {"simulation": seed}, {"i_app": i_app, "v2": p.v2},
-                   ["traj_sigma0.csv", "traj_sigma085.csv", "traj.plt"], t0)
-    return 3 if (base.diverged or noisy.diverged) else 0
+                   ["traj_sigma0.csv", "traj_sigma085.csv", "traj.plt"], t0, stages)
+    return _report_divergence([base, noisy])
 
 
 def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:

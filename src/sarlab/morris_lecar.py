@@ -8,9 +8,10 @@ with leak L = -g_l (V - v_l), calcium Ca = -g_ca m_ss(V) (V - v_ca),
 potassium K = -g_k N (V - v_k); the recovery variable relaxes as
 dN/dt = (n_ss(V) - N) / tau_n(V).  Noise enters the voltage equation
 either as state-multiplicative (sigma * V dW / cap) or as a fluctuating
-applied current (sigma * i_app dW / cap).  Single paths and the current
-calibration grid (one batch row per current) are stepped by the shared
-Euler-Maruyama kernel of :mod:`sarlab.sde`.
+applied current (sigma * i_app dW / cap).  Single paths (as a pair of
+scalars) and the current calibration grid (one batch row per current) are
+stepped by the shared Euler-Maruyama kernel of :mod:`sarlab.sde`; the
+vector field is written once, in _field.
 """
 
 from __future__ import annotations
@@ -121,13 +122,16 @@ def recovery_jacobian(v, n, p: MorrisLecarParams) -> np.ndarray:
     return np.array([dh_dv, dh_dn])
 
 
+def _field(v, n, p: MorrisLecarParams):
+    """The vector field (dV/dt, dN/dt) at (V, N), as scalars or arrays."""
+    dv = (p.i_app + leak_current(v, p) + ca_current(v, p) + k_current(v, n, p)) / p.cap
+    return dv, recovery_rate(v, n, p)
+
+
 def rhs(state, p: MorrisLecarParams) -> np.ndarray:
     """Deterministic vector field; state is (2,) or (..., 2)."""
     state = np.asarray(state, dtype=float)
-    v, n = state[..., 0], state[..., 1]
-    dv = (p.i_app + leak_current(v, p) + ca_current(v, p) + k_current(v, n, p)) / p.cap
-    dn = recovery_rate(v, n, p)
-    return np.stack((dv, dn), axis=-1)
+    return np.stack(_field(state[..., 0], state[..., 1], p), axis=-1)
 
 
 def equilibria(p: MorrisLecarParams, v_window=(-80.0, 120.0), scan_points: int = 2001) -> list[np.ndarray]:
@@ -163,13 +167,26 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be (V, N)")
-    diffusion = None
-    if sigma != 0.0:
-        def diffusion(x, dw):
-            amp = sigma * (x[0] if noise_mode == "state" else p.i_app) / p.cap
-            return np.array([amp * dw, 0.0])
-    times, rec = _euler_maruyama(lambda x: rhs(x, p), diffusion, x0, cfg,
-                                 [path_stream(cfg.seed, path_index)])
+    # one path steps as a pair of scalars: on (2,) arrays every operation
+    # of the field would be a separate small-array ufunc call
+    dt = cfg.dt
+    state_noise = noise_mode == "state"
+    streams = []
+    if sigma == 0.0:
+        def step(x, dw):
+            v, n = x
+            dv, dn = _field(v, n, p)
+            return v + dv * dt, n + dn * dt
+    else:
+        streams = [path_stream(cfg.seed, path_index)]
+
+        def step(x, dw):
+            v, n = x
+            dv, dn = _field(v, n, p)
+            amp = sigma * (v if state_noise else p.i_app) / p.cap
+            # + 0.0 is the recovery row's zero noise term (it turns -0.0 into 0.0)
+            return v + dv * dt + amp * dw, n + dn * dt + 0.0
+    times, rec = _euler_maruyama(step, (float(x0[0]), float(x0[1])), cfg, streams)
     path = _recorded_paths(times, rec, cfg.seed, float(sigma), [path_index])[0]
     # recovery variable is nominally a gating fraction; flag excursions
     n = path.states[:, 1]
@@ -206,7 +223,7 @@ def calibrate_iapp(p: MorrisLecarParams, grid=None, t_end: float = 600.0,
     drive = replace(p, i_app=grid)
     # record only the last third, which the spike test reads; a row that blew
     # up earlier is NaN there, since NaN persists through rhs
-    times, rec = _euler_maruyama(lambda x: rhs(x, drive), None,
+    times, rec = _euler_maruyama(lambda x, dw: x + rhs(x, drive) * dt,
                                  np.tile(DEFAULT_INIT, (grid.size, 1)), cfg, [],
                                  record_from=(2.0 / 3.0) * t_end)
     for i, i_app in enumerate(grid):

@@ -2,8 +2,13 @@
 
 One kernel, _euler_maruyama, steps every model in the package: Lur'e
 paths and ensembles here, and the Morris-Lecar neuron's paths and its
-calibration grid in :mod:`sarlab.morris_lecar`.  For a Lur'e system the
-Ito discretization uses a single scalar Wiener increment shared by all
+calibration grid in :mod:`sarlab.morris_lecar`.  The kernel owns the time
+grid, the Wiener increments and the record; each model supplies one
+function step(x, dw) -> next x that applies its own Euler-Maruyama update
+for one increment dw (None in a noise-free run).  So a batch steps as
+arrays, and a single neuron path steps as a pair of scalars, without the
+per-call cost of small-array ufuncs.  For a Lur'e system the Ito
+discretization uses a single scalar Wiener increment shared by all
 states of a path:
 
     x_{k+1} = x_k + (A x_k + F f(C x_k)) dt + sigma * x_k * dW_k,
@@ -16,6 +21,7 @@ of scheduling order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +90,18 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _euler_maruyama(drift, diffusion, x0, cfg: SimConfig, streams,
-                    record_from: float = 0.0):
-    """The one Euler-Maruyama loop: x <- x + drift(x) dt + diffusion(x, dW).
+def _euler_maruyama(step, x0, cfg: SimConfig, streams, record_from: float = 0.0):
+    """The one Euler-Maruyama loop: x <- step(x, dW), once per time step.
 
-    x0 has shape batch + (n,); streams holds one generator per batch entry
-    (in row-major order) and each entry draws one scalar dW per step.
-    diffusion(x, dw) returns the noise increment for dw of shape batch; pass
-    None for a noise-free run, which draws nothing.  Every record_stride-th
-    state from time record_from on is recorded.  Returns the times and the
-    (rows,) + batch + (n,) record.
+    x0 has shape batch + (n,): an array for a batch, or a plain sequence
+    of n scalars for one path, whichever step takes and returns.  streams
+    holds one generator per batch entry (in row-major order); each entry
+    draws one scalar dW ~ Normal(0, dt) per step, and step receives them as
+    dw of shape batch.  With no streams nothing is drawn and step gets
+    dw=None.  Every record_stride-th state from time record_from on is
+    recorded.  Returns the times and the (rows,) + batch + (n,) record.
     """
-    x = np.array(x0, dtype=float)
-    batch = x.shape[:-1]
+    batch = np.shape(x0)[:-1]
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     dt = cfg.dt
@@ -105,28 +110,29 @@ def _euler_maruyama(drift, diffusion, x0, cfg: SimConfig, streams,
     times = np.arange(0, n_steps + 1, stride) * dt
     first_row = int(np.searchsorted(times, record_from))  # first stamp >= record_from
     times = times[first_row:]
-    rec = np.empty((times.size,) + x.shape)
+    rec = np.empty((times.size,) + np.shape(x0))
     if first_row == 0:
-        rec[0] = x
+        rec[0] = x0
 
     # a non-finite state propagates through the arithmetic on its own, so
-    # divergence needs no masking here; _recorded_paths truncates it
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps:
-            todo = min(_CHUNK, n_steps - step)
-            if diffusion is not None:
+    # divergence needs no masking here and raises no warning; the
+    # diverged flag of _recorded_paths reports it
+    x = x0
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while done < n_steps:
+            todo = min(_CHUNK, n_steps - done)
+            if streams:
                 # Philox normals do not depend on the chunking, so neither do paths
-                dw = np.stack([g.standard_normal(todo) for g in streams], axis=-1)
-                dw = dw.reshape((todo,) + batch) * sqdt
-            for k in range(todo):
-                if diffusion is None:
-                    x = x + drift(x) * dt
-                else:
-                    x = x + drift(x) * dt + diffusion(x, dw[k])
-                step += 1
-                if step % stride == 0 and step // stride >= first_row:
-                    rec[step // stride - first_row] = x
+                dws = np.stack([g.standard_normal(todo) for g in streams], axis=-1)
+                dws = dws.reshape((todo,) + batch) * sqdt
+            else:
+                dws = itertools.repeat(None, todo)
+            for dw in dws:
+                x = step(x, dw)
+                done += 1
+                if done % stride == 0 and done // stride >= first_row:
+                    rec[done // stride - first_row] = x
     return times, rec
 
 
@@ -146,13 +152,17 @@ def _recorded_paths(times, rec, seed: int, sigma: float, path_indices) -> list[S
 
 def _lure_paths(sys: LureSystem, x0, cfg: SimConfig, path_indices: list[int]) -> list[SdePath]:
     x0 = np.tile(np.asarray(x0, dtype=float).reshape(1, sys.n), (len(path_indices), 1))
-    sigma = sys.sigma
-    diffusion = None
-    if sigma != 0.0:
-        def diffusion(x, dw):
-            return (sigma * dw)[..., None] * x
-    streams = [path_stream(cfg.seed, i) for i in path_indices]
-    times, rec = _euler_maruyama(sys.drift, diffusion, x0, cfg, streams)
+    sigma, drift, dt = sys.sigma, sys.drift, cfg.dt
+    streams = []
+    if sigma == 0.0:
+        def step(x, dw):
+            return x + drift(x) * dt
+    else:
+        streams = [path_stream(cfg.seed, i) for i in path_indices]
+
+        def step(x, dw):
+            return x + drift(x) * dt + (sigma * dw)[..., None] * x
+    times, rec = _euler_maruyama(step, x0, cfg, streams)
     return _recorded_paths(times, rec, cfg.seed, sigma, path_indices)
 
 

@@ -160,6 +160,34 @@ def test_simulate_noisy_ml_adds_filtered_columns(tmp_path):
     assert manifest["wall_time_s"] >= 0.0
 
 
+@pytest.mark.parametrize("model", ["ml", "lure"])
+def test_simulate_manifest_records_stage_timings(model, scalar_files, tmp_path):
+    cfg = ({"model": "ml", "i_app": 40.0, "t_end": 1.0, "dt": 1e-3} if model == "ml" else
+           {"model": "lure", "system": str(scalar_files[0]), "x0": [1.0], "t_end": 1.0})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"calibrate_s", "simulate_s", "write_s"}
+    assert all(seconds >= 0.0 for seconds in stages.values())
+
+
+def test_simulate_divergence_names_the_path(tmp_path, capsys):
+    # this path goes non-finite after t = 37.65 (the sampled times step by 0.05)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "ml", "i_app": 40.0, "sigma": 40.0,
+                                    "t_end": 50.0, "filter_window": 1}))
+    with pytest.warns(RuntimeWarning, match="recovery"):
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--seed", "3",
+                       "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("path 0 (sigma=40) diverged: the state went non-finite after "
+                   "t=37.65, its last finite sample; the written trajectory ends there\n")
+    rows = (tmp_path / "traj.csv").read_text().strip().splitlines()
+    assert float(rows[-1].split(",")[0]) == 37.65
+
+
 def test_simulate_noiseless_ml_has_no_filtered_columns(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -360,6 +388,43 @@ def test_reproduce_calibrates_once_per_process(monkeypatch, tmp_path, fresh_cali
     # other parameters are another calibration
     cli._resolve_iapp(ml.MorrisLecarParams(g_ca=4.4), "calibrate")
     assert len(calls) == 2
+
+
+def _stub_simulation(monkeypatch, diverging_sigma=None):
+    """Calibration returns 40; simulate_ml returns three samples, cut after
+    t = 0.05 on the path whose sigma is diverging_sigma."""
+    def stub_path(p, x0, cfg, sigma=0.0, noise_mode="state", path_index=0):
+        rows = 2 if sigma == diverging_sigma else 3
+        return SdePath(times=np.arange(rows) * 0.05, states=np.zeros((rows, 2)),
+                       seed=cfg.seed, sigma=sigma, path_index=path_index,
+                       diverged=sigma == diverging_sigma)
+
+    monkeypatch.setattr(ml, "calibrate_iapp", lambda p, *args, **kwargs: 40.0)
+    monkeypatch.setattr(ml, "simulate_ml", stub_path)
+
+
+@pytest.mark.parametrize("figure, sigma", [("fig3", 0.0), ("fig4", 0.0), ("fig4", 0.85)])
+def test_reproduce_divergence_names_the_path(figure, sigma, monkeypatch, tmp_path, capsys,
+                                             fresh_calibration_cache):
+    _stub_simulation(monkeypatch, diverging_sigma=sigma)
+    assert cli.main(["reproduce", figure, "--out", str(tmp_path),
+                     "--filter-window", "1"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"path 0 (sigma={sigma:g}) diverged: the state went non-finite "
+                   "after t=0.05, its last finite sample; the written trajectory ends there"]
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+def test_reproduce_manifest_records_stage_timings(figure, monkeypatch, tmp_path, capsys,
+                                                  fresh_calibration_cache):
+    _stub_simulation(monkeypatch)
+    assert cli.main(["reproduce", figure, "--out", str(tmp_path),
+                     "--filter-window", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / figure / "manifest.json").read_text())
+    assert list(manifest["stages"]) == ["calibrate_s", "simulate_s", "write_s"]
+    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+    assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
 
 
 def test_usage_errors_return_two():

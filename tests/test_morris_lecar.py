@@ -2,6 +2,7 @@
 simulation invariants, calibration, training sets, parameter JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,16 +179,52 @@ def reference_simulate_ml(p, x0, cfg, sigma, noise_mode, path_index=0):
     return rec_idx * dt, rec
 
 
-@pytest.mark.parametrize("noise_mode", ["state", "current"])
-def test_simulate_ml_matches_reference_loop(spiking_params, noise_mode):
-    cfg = SimConfig(t_end=20.0, dt=5e-3, seed=4, record_stride=10)  # 4,000 steps
-    path = ml.simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, sigma=0.85,
-                          noise_mode=noise_mode, path_index=2)
-    times, states = reference_simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, 0.85,
-                                          noise_mode, path_index=2)
-    assert not path.diverged
-    np.testing.assert_array_equal(path.times, times)
-    np.testing.assert_array_equal(path.states, states)
+@pytest.mark.parametrize("sigma, noise_mode, cfg, path_index", [
+    (0.85, "state", SimConfig(t_end=20.0, dt=5e-3, seed=4, record_stride=10), 2),
+    (0.85, "current", SimConfig(t_end=20.0, dt=5e-3, seed=4, record_stride=10), 2),
+    (0.0, "state", SimConfig(t_end=20.0, dt=5e-3, seed=4, record_stride=10), 2),
+    # goes non-finite after t = 37.65
+    (40.0, "state", SimConfig(t_end=50.0, dt=5e-3, seed=3, record_stride=10), 0),
+], ids=["state", "current", "noise-free", "diverging"])
+def test_simulate_ml_matches_reference_loop(spiking_params, sigma, noise_mode, cfg,
+                                            path_index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the recovery-band warning
+        path = ml.simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, sigma=sigma,
+                              noise_mode=noise_mode, path_index=path_index)
+    with np.errstate(all="ignore"):
+        times, states = reference_simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, sigma,
+                                              noise_mode, path_index=path_index)
+    finite = np.isfinite(states).all(axis=1)
+    cut = finite.size if finite.all() else int(np.argmin(finite))
+    assert path.diverged == (cut < finite.size) == (sigma == 40.0)
+    np.testing.assert_array_equal(path.times, times[:cut])
+    np.testing.assert_array_equal(path.states, states[:cut])
+
+
+def test_scalar_field_equals_rhs_bit_for_bit(p):
+    # simulate_ml steps _field on Python floats, calibration steps rhs on
+    # arrays; both must give the same bits (a libm tanh or cosh would not)
+    rng = np.random.default_rng(8)
+    inside = rng.uniform((-80.0, 0.0), (120.0, 1.0), size=(5000, 2))
+    beyond = rng.uniform((-600.0, -3.0), (600.0, 4.0), size=(4000, 2))
+    far = rng.uniform((-4e4, -3.0), (4e4, 4.0), size=(1000, 2))
+    states = np.concatenate([inside, beyond, far])
+    with np.errstate(all="ignore"):
+        expected = ml.rhs(states, p)
+        scalar = np.array([ml._field(float(v), float(n), p) for v, n in states])
+    assert np.isinf(expected).any()  # cosh overflows far outside the box
+    np.testing.assert_array_equal(scalar, expected)
+
+
+def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
+    cfg = SimConfig(t_end=50.0, dt=5e-3, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = ml.simulate_ml(spiking_params, ml.DEFAULT_INIT, cfg, sigma=40.0)
+    assert path.diverged
+    assert [str(w.message) for w in caught] == [
+        "recovery variable left [-0.1, 1.1]; values reported unclamped"]
 
 
 def test_batched_calibration_matches_per_current_runs(p):
