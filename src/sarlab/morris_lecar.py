@@ -8,10 +8,9 @@ with leak L = -g_l (V - v_l), calcium Ca = -g_ca m_ss(V) (V - v_ca),
 potassium K = -g_k N (V - v_k); the recovery variable relaxes as
 dN/dt = (n_ss(V) - N) / tau_n(V).  Noise enters the voltage equation
 either as state-multiplicative (sigma * V dW / cap) or as a fluctuating
-applied current (sigma * i_app dW / cap).  Single paths (as a pair of
-scalars) and the current calibration grid (one batch row per current) are
-stepped by the shared Euler-Maruyama kernel of :mod:`sarlab.sde`; the
-vector field is written once, in _field.
+applied current (sigma * i_app dW / cap).  A path steps as a pair of
+scalars through the shared Euler-Maruyama kernel of :mod:`sarlab.sde`;
+the vector field is written once, in _field.
 """
 
 from __future__ import annotations
@@ -212,23 +211,18 @@ def calibrate_iapp(p: MorrisLecarParams, grid=None, t_end: float = 600.0,
     """Smallest applied current on the grid giving sustained spiking.
 
     Sustained means at least min_spikes upward crossings of 0 mV in the
-    last third of a noise-free run started from DEFAULT_INIT.  The whole
-    grid is integrated as one batch, one row per current.
+    last third of a noise-free run started from DEFAULT_INIT that stays
+    finite.  The grid is scanned in ascending order, one simulate_ml path
+    per current, and the scan stops at the first current that spikes.
     """
     if grid is None:
         grid = np.arange(0.0, 300.0 + 1e-9, 5.0)
-    grid = np.asarray(grid, dtype=float)
     cfg = SimConfig(t_end=t_end, dt=dt, record_stride=5)
-    # each row of the batch sees its own current in V's equation
-    drive = replace(p, i_app=grid)
-    # record only the last third, which the spike test reads; a row that blew
-    # up earlier is NaN there, since NaN persists through rhs
-    times, rec = _euler_maruyama(lambda x, dw: x + rhs(x, drive) * dt,
-                                 np.tile(DEFAULT_INIT, (grid.size, 1)), cfg, [],
-                                 record_from=(2.0 / 3.0) * t_end)
-    for i, i_app in enumerate(grid):
-        row = rec[:, i]  # a view: no per-current copies of the record
-        if np.isfinite(row).all() and spike_times(times, row[:, 0]).size >= min_spikes:
+    for i_app in np.sort(np.asarray(grid, dtype=float)):
+        path = simulate_ml(p.with_iapp(i_app), DEFAULT_INIT, cfg)
+        tail = path.times >= (2.0 / 3.0) * t_end
+        if (not path.diverged
+                and spike_times(path.times[tail], path.states[tail, 0]).size >= min_spikes):
             return float(i_app)
     raise ValueError("no sustained oscillation found on the grid")
 

@@ -1,13 +1,13 @@
 """Euler-Maruyama simulation of SDEs dx = f(x) dt + g(x) dbeta.
 
 One kernel, _euler_maruyama, steps every model in the package: Lur'e
-paths and ensembles here, and the Morris-Lecar neuron's paths and its
-calibration grid in :mod:`sarlab.morris_lecar`.  The kernel owns the time
-grid, the Wiener increments and the record; each model supplies one
-function step(x, dw) -> next x that applies its own Euler-Maruyama update
-for one increment dw (None in a noise-free run).  So a batch steps as
-arrays, and a single neuron path steps as a pair of scalars, without the
-per-call cost of small-array ufuncs.  For a Lur'e system the Ito
+paths and ensembles here, and the Morris-Lecar neuron's paths in
+:mod:`sarlab.morris_lecar`.  The kernel owns the time grid, the Wiener
+increments and the record; each model supplies one function
+step(x, dw) -> next x that applies its own Euler-Maruyama update for one
+increment dw (None in a noise-free run).  So a batch steps as arrays, and
+a single neuron path steps as a pair of scalars, without the per-call
+cost of small-array ufuncs.  For a Lur'e system the Ito
 discretization uses a single scalar Wiener increment shared by all
 states of a path:
 
@@ -90,7 +90,7 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _euler_maruyama(step, x0, cfg: SimConfig, streams, record_from: float = 0.0):
+def _euler_maruyama(step, x0, cfg: SimConfig, streams):
     """The one Euler-Maruyama loop: x <- step(x, dW), once per time step.
 
     x0 has shape batch + (n,): an array for a batch, or a plain sequence
@@ -98,8 +98,12 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams, record_from: float = 0.0)
     holds one generator per batch entry (in row-major order); each entry
     draws one scalar dW ~ Normal(0, dt) per step, and step receives them as
     dw of shape batch.  With no streams nothing is drawn and step gets
-    dw=None.  Every record_stride-th state from time record_from on is
-    recorded.  Returns the times and the (rows,) + batch + (n,) record.
+    dw=None.  step must be a pure function of (x, dw): it reads no clock,
+    counter or other state.  So in a noise-free run a state that step maps
+    onto itself bit for bit stays there, and the run ends at such a fixed
+    point (probed once per chunk) with the rest of the record filled by it.
+    Every record_stride-th state is recorded.  Returns the times and the
+    (rows,) + batch + (n,) record.
     """
     batch = np.shape(x0)[:-1]
     n_steps = cfg.n_steps
@@ -108,11 +112,8 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams, record_from: float = 0.0)
     sqdt = np.sqrt(dt)
     # the time stamp of row k is (k * stride) * dt, rounded once
     times = np.arange(0, n_steps + 1, stride) * dt
-    first_row = int(np.searchsorted(times, record_from))  # first stamp >= record_from
-    times = times[first_row:]
     rec = np.empty((times.size,) + np.shape(x0))
-    if first_row == 0:
-        rec[0] = x0
+    rec[0] = x0
 
     # a non-finite state propagates through the arithmetic on its own, so
     # divergence needs no masking here and raises no warning; the
@@ -131,8 +132,12 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams, record_from: float = 0.0)
             for dw in dws:
                 x = step(x, dw)
                 done += 1
-                if done % stride == 0 and done // stride >= first_row:
-                    rec[done // stride - first_row] = x
+                if done % stride == 0:
+                    rec[done // stride] = x
+            # bytes, not ==: -0.0 == 0.0, yet the two can step differently
+            if not streams and np.asarray(step(x, None)).tobytes() == np.asarray(x).tobytes():
+                rec[done // stride + 1:] = x
+                break
     return times, rec
 
 

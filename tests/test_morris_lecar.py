@@ -203,8 +203,8 @@ def test_simulate_ml_matches_reference_loop(spiking_params, sigma, noise_mode, c
 
 
 def test_scalar_field_equals_rhs_bit_for_bit(p):
-    # simulate_ml steps _field on Python floats, calibration steps rhs on
-    # arrays; both must give the same bits (a libm tanh or cosh would not)
+    # simulate_ml steps _field on Python floats, the reference loop steps
+    # rhs on arrays; both must give the same bits (a libm tanh or cosh would not)
     rng = np.random.default_rng(8)
     inside = rng.uniform((-80.0, 0.0), (120.0, 1.0), size=(5000, 2))
     beyond = rng.uniform((-600.0, -3.0), (600.0, 4.0), size=(4000, 2))
@@ -227,7 +227,49 @@ def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
         "recovery variable left [-0.1, 1.1]; values reported unclamped"]
 
 
-def test_batched_calibration_matches_per_current_runs(p):
+def _count_field_calls(monkeypatch):
+    """Count the vector-field evaluations of simulate_ml's step."""
+    calls = []
+    field = ml._field
+
+    def counted(v, n, p):
+        calls.append(None)
+        return field(v, n, p)
+
+    monkeypatch.setattr(ml, "_field", counted)
+    return calls
+
+
+def test_noise_free_path_ends_at_an_exact_fixed_point(p, monkeypatch):
+    # at i_app = 0 the neuron settles onto a state that its Euler step maps
+    # onto itself bit for bit; the kernel ends the run there, and the record
+    # must still equal the loop that steps all the way to t_end
+    q = p.with_iapp(0.0)
+    cfg = SimConfig(t_end=300.0, dt=0.01, record_stride=5)
+    calls = _count_field_calls(monkeypatch)
+    path = ml.simulate_ml(q, ml.DEFAULT_INIT, cfg)
+    assert len(calls) < cfg.n_steps // 2
+    times, states = reference_simulate_ml(q, ml.DEFAULT_INIT, cfg, 0.0, "state")
+    assert path.times.tobytes() == times.tobytes()
+    assert path.states.tobytes() == states.tobytes()
+
+
+def test_noisy_path_never_takes_the_fixed_point_exit(p, monkeypatch):
+    # start on the noise-free fixed point: noise moves the path off it, and
+    # the kernel probes nothing (a probe would be a step without noise)
+    q = p.with_iapp(0.0)
+    rest = ml.simulate_ml(q, ml.DEFAULT_INIT, SimConfig(t_end=300.0, dt=0.01)).states[-1]
+    cfg = SimConfig(t_end=50.0, dt=0.01, seed=6, record_stride=5)
+    calls = _count_field_calls(monkeypatch)
+    path = ml.simulate_ml(q, rest, cfg, sigma=0.85)
+    assert len(calls) == cfg.n_steps
+    times, states = reference_simulate_ml(q, rest, cfg, 0.85, "state")
+    np.testing.assert_array_equal(path.times, times)
+    np.testing.assert_array_equal(path.states, states)
+    assert np.ptp(path.states[:, 0]) > 0.0
+
+
+def test_calibration_matches_per_current_runs(p):
     # the first spiking current is not the first grid entry
     grid = [0.0, 30.0, 35.0, 40.0, 45.0, 50.0]
     kw = dict(t_end=300.0, dt=0.02, min_spikes=2)
@@ -241,6 +283,23 @@ def test_batched_calibration_matches_per_current_runs(p):
             break
     assert expected not in (None, grid[0])
     assert ml.calibrate_iapp(p, grid=grid, **kw) == expected
+    # the grid is scanned in ascending order whatever order it comes in
+    assert ml.calibrate_iapp(p, grid=grid[::-1], **kw) == expected
+
+
+def test_calibration_scan_stops_at_the_first_spiking_current(p, monkeypatch):
+    simulated = []
+    simulate = ml.simulate_ml
+
+    def counted(q, *args, **kwargs):
+        simulated.append(q.i_app)
+        return simulate(q, *args, **kwargs)
+
+    monkeypatch.setattr(ml, "simulate_ml", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ml.calibrate_iapp(ml.MorrisLecarParams()) == 40.0
+    assert simulated == [5.0 * k for k in range(9)]
 
 
 def test_calibration_rejects_silent_grid(p):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scalar
 from sarlab.cli import write_csv
+from sarlab.lure import LureSystem
 from sarlab.sde import (SimConfig, ensemble_moments, lowpass, path_stream, simulate,
                         simulate_ensemble)
 
@@ -69,6 +70,33 @@ def test_ensemble_matches_per_path_simulate():
         solo = simulate(sys, np.array([1.0]), cfg, path_index=i)
         np.testing.assert_array_equal(p.states, solo.states)
         assert p.path_index == i
+
+
+def test_noise_free_path_ends_at_an_exact_fixed_point(monkeypatch):
+    # x decays into the subnormals, where x + drift(x) dt rounds back to x;
+    # the kernel ends the run there, and the record must still equal the
+    # loop that steps all the way to t_end
+    sys = make_scalar(-0.5, 0.0, f=0.3)
+    cfg = SimConfig(t_end=10_000.0, dt=0.5, record_stride=7)
+    calls = []
+    drift = LureSystem.drift
+
+    def counted(self, x):
+        calls.append(None)
+        return drift(self, x)
+
+    monkeypatch.setattr(LureSystem, "drift", counted)
+    path = simulate(sys, np.array([0.7]), cfg)
+    assert len(calls) < cfg.n_steps // 2
+    x = np.array([[0.7]])
+    states = [x[0]]
+    for k in range(1, cfg.n_steps + 1):
+        x = x + drift(sys, x) * cfg.dt
+        if k % cfg.record_stride == 0:
+            states.append(x[0])
+    times = np.arange(0, cfg.n_steps + 1, cfg.record_stride) * cfg.dt
+    assert path.times.tobytes() == times.tobytes()
+    assert path.states.tobytes() == np.array(states).tobytes()
 
 
 def test_path_stream_keying():
