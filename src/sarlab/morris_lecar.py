@@ -9,8 +9,8 @@ potassium K = -g_k N (V - v_k); the recovery variable relaxes as
 dN/dt = (n_ss(V) - N) / tau_n(V).  Noise enters the voltage equation
 either as state-multiplicative (sigma * V dW / cap) or as a fluctuating
 applied current (sigma * i_app dW / cap).  A path steps as a pair of
-scalars through the shared Euler-Maruyama kernel of :mod:`sarlab.sde`;
-the vector field is written once, in _field.
+Python floats through the shared Euler-Maruyama kernel of
+:mod:`sarlab.sde`; the vector field is written once, in _field.
 """
 
 from __future__ import annotations
@@ -76,16 +76,25 @@ class MorrisLecarParams:
         return replace(self, i_app=float(i_app))
 
 
+# On a scalar, np.tanh and np.cosh return NumPy float64 scalars.  The
+# gating curves turn those into Python floats: the arithmetic of a step on
+# floats costs about half that on NumPy scalars and gives the same IEEE
+# bits.  np.tanh and np.cosh themselves stay, since libm's math.tanh and
+# math.cosh differ from them in the last bit.  Arrays pass through.
+
 def m_ss(v, p: MorrisLecarParams):
-    return 0.5 * (1.0 + np.tanh((v - p.v1) / p.v2))
+    t = np.tanh((v - p.v1) / p.v2)
+    return 0.5 * (1.0 + (float(t) if type(t) is np.float64 else t))
 
 
 def n_ss(v, p: MorrisLecarParams):
-    return 0.5 * (1.0 + np.tanh((v - p.v3) / p.v4))
+    t = np.tanh((v - p.v3) / p.v4)
+    return 0.5 * (1.0 + (float(t) if type(t) is np.float64 else t))
 
 
 def tau_n(v, p: MorrisLecarParams):
-    return 1.0 / (p.phi * np.cosh((v - p.v3) / (2.0 * p.v4)))
+    c = np.cosh((v - p.v3) / (2.0 * p.v4))
+    return 1.0 / (p.phi * (float(c) if type(c) is np.float64 else c))
 
 
 def leak_current(v, p: MorrisLecarParams):
@@ -109,7 +118,14 @@ def channel_currents(v, n, p: MorrisLecarParams) -> np.ndarray:
 
 
 def recovery_rate(v, n, p: MorrisLecarParams):
-    return (n_ss(v, p) - n) / tau_n(v, p)
+    gap = n_ss(v, p) - n
+    tau = tau_n(v, p)
+    try:
+        return gap / tau
+    except ZeroDivisionError:
+        # cosh overflowed (|V - v3| beyond ~710 * 2 v4), so tau is 0.0: a
+        # Python float raises where NumPy gives the same +-inf or nan as rhs
+        return float(np.float64(gap) / tau)
 
 
 def recovery_jacobian(v, n, p: MorrisLecarParams) -> np.ndarray:
@@ -166,8 +182,9 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError("x0 must be (V, N)")
-    # one path steps as a pair of scalars: on (2,) arrays every operation
-    # of the field would be a separate small-array ufunc call
+    # one path steps as a pair of Python floats: on (2,) arrays every
+    # operation of the field would be a small-array ufunc call, and on NumPy
+    # scalars each one costs about twice what it costs on a float
     dt = cfg.dt
     state_noise = noise_mode == "state"
     streams = []

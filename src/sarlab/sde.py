@@ -6,10 +6,10 @@ paths and ensembles here, and the Morris-Lecar neuron's paths in
 increments and the record; each model supplies one function
 step(x, dw) -> next x that applies its own Euler-Maruyama update for one
 increment dw (None in a noise-free run).  So a batch steps as arrays, and
-a single neuron path steps as a pair of scalars, without the per-call
-cost of small-array ufuncs.  For a Lur'e system the Ito
-discretization uses a single scalar Wiener increment shared by all
-states of a path:
+a single neuron path steps as a pair of Python floats, without the
+per-call cost of small-array ufuncs or of NumPy scalar arithmetic.  For a
+Lur'e system the Ito discretization uses a single scalar Wiener increment
+shared by all states of a path:
 
     x_{k+1} = x_k + (A x_k + F f(C x_k)) dt + sigma * x_k * dW_k,
     dW_k ~ Normal(0, dt).
@@ -103,7 +103,8 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams):
     onto itself bit for bit stays there, and the run ends at such a fixed
     point (probed once per chunk) with the rest of the record filled by it.
     Every record_stride-th state is recorded.  Returns the times and the
-    (rows,) + batch + (n,) record.
+    (rows,) + batch + (n,) record.  In a one-path run (batch ()) each dw is
+    a Python float.
     """
     batch = np.shape(x0)[:-1]
     n_steps = cfg.n_steps
@@ -127,6 +128,8 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams):
                 # Philox normals do not depend on the chunking, so neither do paths
                 dws = np.stack([g.standard_normal(todo) for g in streams], axis=-1)
                 dws = dws.reshape((todo,) + batch) * sqdt
+                if not batch:
+                    dws = dws.tolist()  # one path steps on Python floats
             else:
                 dws = itertools.repeat(None, todo)
             for dw in dws:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarlab import morris_lecar as ml
-from sarlab.sde import SimConfig, path_stream
+from sarlab.sde import _CHUNK, SimConfig, path_stream
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +202,15 @@ def test_simulate_ml_matches_reference_loop(spiking_params, sigma, noise_mode, c
     np.testing.assert_array_equal(path.states, states[:cut])
 
 
-def test_scalar_field_equals_rhs_bit_for_bit(p):
+def test_scalar_field_equals_rhs_bit_for_bit(p, monkeypatch):
     # simulate_ml steps _field on Python floats, the reference loop steps
-    # rhs on arrays; both must give the same bits (a libm tanh or cosh would not)
+    # rhs on arrays; both must give the same bits (a libm tanh or cosh would
+    # not, nor a Python division by the 0.0 that tau_n gives once cosh
+    # overflows)
+    calls = _count_field_calls(monkeypatch)
+    ml.simulate_ml(p, ml.DEFAULT_INIT, SimConfig(t_end=0.05, dt=0.01), sigma=0.85)
+    assert calls == [(float, float)] * 5  # the function the step calls, on floats
+    monkeypatch.undo()
     rng = np.random.default_rng(8)
     inside = rng.uniform((-80.0, 0.0), (120.0, 1.0), size=(5000, 2))
     beyond = rng.uniform((-600.0, -3.0), (600.0, 4.0), size=(4000, 2))
@@ -212,9 +218,10 @@ def test_scalar_field_equals_rhs_bit_for_bit(p):
     states = np.concatenate([inside, beyond, far])
     with np.errstate(all="ignore"):
         expected = ml.rhs(states, p)
-        scalar = np.array([ml._field(float(v), float(n), p) for v, n in states])
+        fields = [ml._field(float(v), float(n), p) for v, n in states]
+    assert {type(x) for field in fields for x in field} == {float}
     assert np.isinf(expected).any()  # cosh overflows far outside the box
-    np.testing.assert_array_equal(scalar, expected)
+    np.testing.assert_array_equal(np.array(fields), expected)
 
 
 def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
@@ -228,12 +235,13 @@ def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
 
 
 def _count_field_calls(monkeypatch):
-    """Count the vector-field evaluations of simulate_ml's step."""
+    """Record the argument types of every vector-field evaluation that
+    simulate_ml's step makes."""
     calls = []
     field = ml._field
 
     def counted(v, n, p):
-        calls.append(None)
+        calls.append((type(v), type(n)))
         return field(v, n, p)
 
     monkeypatch.setattr(ml, "_field", counted)
@@ -248,7 +256,10 @@ def test_noise_free_path_ends_at_an_exact_fixed_point(p, monkeypatch):
     cfg = SimConfig(t_end=300.0, dt=0.01, record_stride=5)
     calls = _count_field_calls(monkeypatch)
     path = ml.simulate_ml(q, ml.DEFAULT_INIT, cfg)
-    assert len(calls) < cfg.n_steps // 2
+    # a run ends only at a chunk boundary: fewer calls than a chunk would
+    # mean the counter missed the field the step calls
+    assert _CHUNK < len(calls) < cfg.n_steps // 2
+    assert set(calls) == {(float, float)}
     times, states = reference_simulate_ml(q, ml.DEFAULT_INIT, cfg, 0.0, "state")
     assert path.times.tobytes() == times.tobytes()
     assert path.states.tobytes() == states.tobytes()
@@ -262,7 +273,7 @@ def test_noisy_path_never_takes_the_fixed_point_exit(p, monkeypatch):
     cfg = SimConfig(t_end=50.0, dt=0.01, seed=6, record_stride=5)
     calls = _count_field_calls(monkeypatch)
     path = ml.simulate_ml(q, rest, cfg, sigma=0.85)
-    assert len(calls) == cfg.n_steps
+    assert calls == [(float, float)] * cfg.n_steps
     times, states = reference_simulate_ml(q, rest, cfg, 0.85, "state")
     np.testing.assert_array_equal(path.times, times)
     np.testing.assert_array_equal(path.states, states)
