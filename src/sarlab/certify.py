@@ -10,10 +10,11 @@ almost-sure asymptotic stability of the origin, where
 with Lambda = diag(lambda) >= 0 and T = diag(tau) >= 0 free multipliers,
 S = diag(sector_slopes), Delta = diag(deriv_bounds), and nu in (0, 1) a
 scalar exponent searched on a grid.  For fixed nu the largest eigenvalue of
-N is convex in (lambda, tau); the solver runs a projected subgradient
-descent on it with backtracking steps, diminishing-step fallback, random
-restarts, and a deterministic set of warm-start probes.  It stops early
-once its incumbent meets a dual lower bound (see `_dual_lower_bound`).
+N is convex in (lambda, tau); the solver tries a fixed set of probes,
+then minimizes a log-sum-exp smoothing of it by L-BFGS-B under the bounds
+lambda, tau >= 0, with the smoothing shrunk over four levels.  The search
+draws no random numbers.  It stops early once its incumbent meets a dual
+lower bound (see `_dual_lower_bound`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
+from scipy.optimize import minimize
 
 from .lure import C_DEFECT_TOL, LureSystem, c_defect
 
@@ -45,10 +48,7 @@ def default_nu_grid() -> np.ndarray:
     return np.linspace(0.05, 0.95, 19)
 
 
-_MAX_ITERS = 5000            # subgradient iterations per restart
-_RESTARTS = 5
-_STALL_WINDOW = 25           # stop a restart after this many non-improving iters
-_INIT_STEP = 1.0
+_MAX_ITERS = 5000            # L-BFGS-B iterations per smoothing level
 _FEASIBLE_EXIT_FACTOR = 10.0  # a search exits once its margin drops below -factor * tol
 _ASYM_TOL = 1e-8             # relative asymmetry max_eigenvalue accepts
 _NECESSITY_CORNERS = 200     # random theta corners linear_necessity_bound tries
@@ -56,7 +56,8 @@ _NECESSITY_CORNERS = 200     # random theta corners linear_necessity_bound tries
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the projected-subgradient feasibility search."""
+    """Knobs for the feasibility search.  The search is deterministic:
+    `seed` is accepted for compatibility and ignored."""
 
     tol: float = 1e-8           # feasible iff margin < -tol (absolute)
     seed: int = 0
@@ -152,24 +153,12 @@ def _affine_parts(sys: LureSystem, nu: float):
     return n0, basis
 
 
-def _top_eig(mat: np.ndarray):
+def _top_eig(mat: np.ndarray) -> float:
     if mat.shape[0] == 2:
         # closed form keeps scalar demos cheap
         a, b, d = mat[0, 0], mat[0, 1], mat[1, 1]
-        disc = np.hypot(a - d, 2.0 * b)
-        top = 0.5 * ((a + d) + disc)
-        if disc == 0.0:
-            return float(top), np.array([1.0, 0.0])
-        if abs(top - a) >= abs(top - d):
-            v = np.array([b, top - a])
-        else:
-            v = np.array([top - d, b])
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return float(top), np.array([1.0, 0.0])
-        return float(top), v / nrm
-    w, v = np.linalg.eigh(mat)
-    return float(w[-1]), v[:, -1]
+        return float(0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
+    return float(np.linalg.eigh(mat)[0][-1])
 
 
 def _dual_lower_bound(sys: LureSystem, nu: float, top_sym_a: float) -> float:
@@ -189,11 +178,12 @@ def _dual_lower_bound(sys: LureSystem, nu: float, top_sym_a: float) -> float:
 
 
 def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
-                    rng: np.random.Generator, lower_bound: float = -np.inf):
+                    lower_bound: float = -np.inf):
     """min over theta >= 0 of lambda_max(N0 + theta . B), best-effort.
 
-    Returns (best value, best theta, hit_cap).  Parameters are rescaled so a
-    unit step in each scaled coordinate moves N by about ||N0||.  The search
+    Returns (best value, best theta, hit_cap); hit_cap is set when some
+    smoothing level ran into _MAX_ITERS.  Parameters are rescaled so a unit
+    step in each scaled coordinate moves N by about ||N0||.  The search
     returns as soon as the incumbent is feasible or lies within 1e-12 ||N0||
     of lower_bound, a proven lower bound on the minimum.
     """
@@ -210,7 +200,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
 
     best_phi = np.zeros(nparams)
-    best_g, _ = value(best_phi)
+    best_g = value(best_phi)
     if best_g < exit_level:
         return best_g, best_phi * scale, False
 
@@ -220,70 +210,41 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
         for mask in ((slice(half, None),), (slice(None),), (slice(0, half),)):
             phi = np.zeros(nparams)
             phi[mask[0]] = eps
-            g, _ = value(phi)
+            g = value(phi)
             if g < best_g:
                 best_g, best_phi = g, phi
             if best_g < exit_level:
                 return best_g, best_phi * scale, False
 
+    # continuation on the log-sum-exp smoothing of lambda_max (Nesterov 2007):
+    # f_mu = lambda_1 + mu log sum_k exp((lambda_k - lambda_1) / mu) is smooth,
+    # convex and within mu log(2n) of lambda_max; it is divided by ||N0|| so
+    # that L-BFGS-B's absolute tolerances act relative to the problem's scale
+    flat = sbasis.reshape(nparams, -1)
+
+    def smoothed(phi, mu):
+        # SciPy's LAPACK shares L-BFGS-B's BLAS threads; np.linalg.eigh, on
+        # NumPy's own BLAS, made this loop about 8x slower at 60 x 60 on 2 cores
+        w, v, info = dsyevd(n0 + np.tensordot(phi, sbasis, axes=1))
+        if info:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        weights = np.exp((w - w[-1]) / mu)
+        total = weights.sum()
+        grad = flat @ ((v * (weights / total)) @ v.T).ravel()
+        return (w[-1] + mu * np.log(total)) / ref, grad / ref
+
     hit_cap = False
-    flat_restarts = 0
-    for restart in range(_RESTARTS):
-        best_before = best_g
-        if restart == 0:
-            phi = best_phi.copy()
-        else:
-            phi = 10.0 ** rng.uniform(-4.0, 0.5, size=nparams)
-        g, vec = value(phi)
+    phi = best_phi
+    for mu in (1e-1, 1e-2, 1e-3, 1e-4):
+        res = minimize(smoothed, phi, args=(mu * ref,), method="L-BFGS-B", jac=True,
+                       bounds=[(0.0, None)] * nparams, options={"maxiter": _MAX_ITERS})
+        hit_cap = hit_cap or res.nit >= _MAX_ITERS
+        phi = res.x
+        g = value(phi)
         if g < best_g:
-            best_g, best_phi = g, phi.copy()
-        alpha = _INIT_STEP
-        since_improve = 0
-        it = 0
-        while it < _MAX_ITERS:
-            it += 1
-            grad = np.einsum("pij,i,j->p", sbasis, vec, vec)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-18 * ref:
-                break
-            stepped = False
-            a = alpha
-            for _ in range(25):
-                cand = np.maximum(phi - (a / ref) * grad, 0.0)
-                gc, vc = value(cand)
-                if gc < g - 1e-15 * ref:
-                    phi, g, vec = cand, gc, vc
-                    alpha = min(a * 1.6, 1e6)
-                    stepped = True
-                    break
-                a *= 0.5
-                if a < 1e-12:
-                    break
-            if not stepped:
-                # diminishing subgradient fallback keeps nonsmooth cases moving
-                a = _INIT_STEP / (1.0 + it) ** 0.6
-                phi = np.maximum(phi - a * grad / gnorm, 0.0)
-                g, vec = value(phi)
-                alpha = max(alpha * 0.5, 1e-9)
-            if g < best_g - 1e-12 * max(1.0, abs(best_g)):
-                best_g = g
-                best_phi = phi.copy()
-                since_improve = 0
-            else:
-                since_improve += 1
-            if best_g < exit_level:
-                return best_g, best_phi * scale, False
-            if since_improve > _STALL_WINDOW:
-                break
-        else:
-            hit_cap = True
-        # restarts that stopped improving the incumbent are diminishing returns
-        if best_g > best_before - max(1e-12, 1e-6 * abs(best_before)):
-            flat_restarts += 1
-            if flat_restarts >= 2 and restart >= 1:
-                break
-        else:
-            flat_restarts = 0
+            best_g, best_phi = g, phi
+        if best_g < exit_level:
+            break
     return best_g, best_phi * scale, hit_cap
 
 
@@ -321,13 +282,12 @@ def certify(problem: CertProblem) -> Certificate:
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
                            margin=margins[best], feasible=False, witness="necessity")
 
-    rng = np.random.Generator(np.random.Philox(key=opts.seed & ((1 << 64) - 1)))
     best = None  # (margin, nu, theta)
     capped = False
     for nu in nu_grid:
         n0, basis = _affine_parts(sys, float(nu))
         bound = _dual_lower_bound(sys, float(nu), top_sym_a)
-        margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts, rng, bound)
+        margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts, bound)
         capped = capped or hit_cap
         if best is None or margin < best[0]:
             best = (margin, float(nu), theta)

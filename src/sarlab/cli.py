@@ -394,11 +394,6 @@ def cmd_approximate(args) -> int:
     return 0
 
 
-def _certify_options(args, embedded: bool) -> SolverOptions:
-    return SolverOptions(seed=args.seed if args.seed is not None else 0,
-                         allow_nonorthonormal_c=embedded)
-
-
 def cmd_certify(args) -> int:
     if args.sigma is not None and ":" in args.sigma:
         raise CliError("certify wants a single --sigma value")
@@ -410,17 +405,16 @@ def cmd_certify(args) -> int:
     t0 = time.monotonic()
 
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
+    options = SolverOptions(allow_nonorthonormal_c=embedded)
     try:
-        cert = certify(CertProblem(system, options=_certify_options(args, embedded),
-                                   **kwargs))
+        cert = certify(CertProblem(system, options=options, **kwargs))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     save_certificate(cert, out_dir / "certificate.json")
     write_manifest(out_dir, "certify",
                    {"system": str(args.system), "sigma": system.sigma,
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
-                   {"solver": args.seed if args.seed is not None else 0},
-                   None, ["certificate.json"], t0)
+                   {}, None, ["certificate.json"], t0)
     verdict = "feasible" if cert.feasible else "infeasible"
     print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
     return 0 if cert.feasible else 1
@@ -440,7 +434,7 @@ def cmd_sweep(args) -> int:
     t0 = time.monotonic()
 
     results = sigma_sweep(system, sigmas, nu_grid=nu_grid,
-                          options=_certify_options(args, embedded), jobs=args.jobs)
+                          options=SolverOptions(allow_nonorthonormal_c=embedded), jobs=args.jobs)
     write_sweep_csv(out_dir / "sweep.csv", results)
     feasible = [s for s, cert in results if cert.feasible]
     boundary = feasible[0] if feasible else None
@@ -449,8 +443,7 @@ def cmd_sweep(args) -> int:
     write_manifest(out_dir, "sweep",
                    {"system": str(args.system), "sigmas": sigmas.tolist(),
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
-                   {"solver": args.seed if args.seed is not None else 0},
-                   None, ["sweep.csv", "sweep.plt"], t0)
+                   {}, None, ["sweep.csv", "sweep.plt"], t0)
     if boundary is None:
         print(f"no feasible sigma among {sigmas.size} grid points "
               f"(best margin {min(c.margin for _, c in results):.6g})")
@@ -532,7 +525,7 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
     outputs = _save_fit(out_dir, report)
 
     sigmas = parse_range(sigma_text, "sigma") if sigma_text else np.arange(0.2, 2.0001, 0.2)
-    opts = SolverOptions(seed=seed, allow_nonorthonormal_c=True)
+    opts = SolverOptions(allow_nonorthonormal_c=True)
     results = sigma_sweep(report.embedding.system, sigmas, options=opts, jobs=jobs)
     write_sweep_csv(out_dir / "sweep.csv", results)
     feasible = [s for s, cert in results if cert.feasible]
@@ -546,7 +539,7 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
 
     write_manifest(out_dir, "reproduce fig5",
                    {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
-                   {"training": seed, "solver": seed},
+                   {"training": seed},
                    {"i_app": i_app, "v2": p.v2}, outputs, t0)
     print(f"sweep: {len(feasible)}/{sigmas.size} feasible; "
           f"sigma=0.85 margin {cert.margin:.6g} "
@@ -579,10 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=False):
+    def common(sp, config_required=False, seed_help="master seed"):
         if config_required:
             sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="master seed")
+        sp.add_argument("--seed", type=int, default=None, help=seed_help)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--jobs", type=int, default=1, help="max parallel workers")
 
@@ -597,15 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, config_required=True)
     sp.set_defaults(func=cmd_approximate)
 
+    ignored_seed = "accepted and ignored: the certificate search is deterministic"
     sp = sub.add_parser("certify", help="run the stability certificate search")
-    common(sp)
+    common(sp, seed_help=ignored_seed)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", default=None, help="override the noise level")
     sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("sweep", help="certify across a noise-level grid")
-    common(sp)
+    common(sp, seed_help=ignored_seed)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", default=None, help="a:b:step noise grid", required=False)
     sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")

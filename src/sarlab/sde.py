@@ -229,11 +229,8 @@ def lowpass(x, window: int) -> np.ndarray:
     if half > npts - 1:
         raise ValueError(f"window {window} too long to reflect a series of {npts} samples")
     kernel = np.full(window, 1.0 / window)
-    if x.ndim == 1:
-        padded = np.pad(x, half, mode="reflect")
-        return np.convolve(padded, kernel, mode="valid")
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        padded = np.pad(x[:, j], half, mode="reflect")
-        out[:, j] = np.convolve(padded, kernel, mode="valid")
-    return out
+    cols = x.reshape(npts, -1)
+    out = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        out[:, j] = np.convolve(np.pad(cols[:, j], half, mode="reflect"), kernel, mode="valid")
+    return out.reshape(x.shape)

@@ -220,8 +220,7 @@ def test_necessity_exit_is_sound_when_c_is_orthonormal():
         top = float(np.linalg.eigvalsh(at.a + at.a.T)[-1])
         for nu in nu_grid:
             n0, basis = _affine_parts(at, float(nu))
-            margin, _, _ = _solve_fixed_nu(n0, basis, opts, np.random.default_rng(k),
-                                           _dual_lower_bound(at, float(nu), top))
+            margin, _, _ = _solve_fixed_nu(n0, basis, opts, _dual_lower_bound(at, float(nu), top))
             assert margin >= -opts.tol, (k, at.sigma, floor, nu, margin)
         settled += 1
     assert settled >= 150, settled
@@ -244,6 +243,46 @@ def test_embedding_certificate_below_the_floor_has_a_necessity_witness(embedding
 def test_feasible_certificate_has_a_search_witness():
     cert = certify(CertProblem(make_scalar(0.1, 0.7)))
     assert cert.feasible and cert.witness == "search"
+
+
+def search_system(sigma=0.81):
+    # two states, C an exact reflection; at sigma = 0.81 no probe point is
+    # feasible at any grid nu, so only the smoothed search can certify it
+    s, delta = 1.38, 1.78
+    return LureSystem(a=np.array([[-2.05, 1.72], [0.6, -0.7]]),
+                      f_gain=np.array([[0.45, -0.33], [-0.03, -0.39]]),
+                      c=np.array([[-0.936, -0.352], [-0.352, 0.936]]), sigma=sigma,
+                      nonlinearity=TanhBank(np.full(2, s)), sector_slopes=np.full(2, s),
+                      deriv_bounds=np.full(2, delta))
+
+
+def test_search_certifies_a_system_no_probe_settles(monkeypatch):
+    sys = search_system()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search reached")
+
+    with monkeypatch.context() as m:
+        m.setattr("sarlab.certify.minimize", no_search)
+        with pytest.raises(AssertionError, match="search reached"):
+            certify(CertProblem(sys))
+    cert = certify(CertProblem(sys))
+    assert cert.feasible and cert.witness == "search" and not cert.capped
+    assert recompute_margin(sys, cert) == cert.margin
+
+
+def test_search_is_deterministic():
+    sys = search_system()
+    a = certify(CertProblem(sys, options=SolverOptions(seed=0)))
+    b = certify(CertProblem(sys, options=SolverOptions(seed=12345)))
+    assert (a.nu, a.margin) == (b.nu, b.margin)
+    np.testing.assert_array_equal(a.lam, b.lam)
+    np.testing.assert_array_equal(a.tau, b.tau)
+    sigmas = [0.2, 0.6, 0.81]
+    seq = sigma_sweep(sys, sigmas, jobs=1)
+    par = sigma_sweep(sys, sigmas, jobs=2)
+    assert [c.margin for _, c in seq] == [c.margin for _, c in par]
+    assert all(c.feasible and c.witness == "search" for _, c in seq)
 
 
 def test_sigma_sweep_requires_ascending():

@@ -168,9 +168,11 @@ def test_lowpass_rejects_even_window():
 
 
 def test_lowpass_2d_along_time_axis():
-    x = np.column_stack([np.zeros(30), np.ones(30)])
+    x = np.column_stack([np.zeros(30), np.ones(30), np.sin(np.arange(30.0))])
     y = lowpass(x, 7)
     np.testing.assert_allclose(y[:, 1], 1.0, atol=1e-14)
+    for j in range(x.shape[1]):
+        np.testing.assert_array_equal(y[:, j], lowpass(x[:, j], 7))
 
 
 def test_path_to_csv_roundtrip_precision(tmp_path):
