@@ -89,6 +89,7 @@ class Certificate:
     feasible: bool
     capped: bool = False
     witness: str = "search"
+    c_defect: float | None = None  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
 
 
 def certificate_matrix(sys: LureSystem, nu: float, lam, tau) -> np.ndarray:
@@ -280,7 +281,8 @@ def certify(problem: CertProblem) -> Certificate:
                    for nu in nu_grid]
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
-                           margin=margins[best], feasible=False, witness="necessity")
+                           margin=margins[best], feasible=False, witness="necessity",
+                           c_defect=defect)
 
     best = None  # (margin, nu, theta)
     capped = False
@@ -299,7 +301,8 @@ def certify(problem: CertProblem) -> Certificate:
     # report the margin of the stored point exactly (reconstruction contract)
     margin = max_eigenvalue(certificate_matrix(sys, nu, lam, tau))
     return Certificate(sigma=sys.sigma, nu=nu, lam=lam, tau=tau,
-                       margin=margin, feasible=bool(margin < -opts.tol), capped=capped)
+                       margin=margin, feasible=bool(margin < -opts.tol), capped=capped,
+                       c_defect=defect)
 
 
 def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
@@ -403,6 +406,7 @@ def save_certificate(cert: Certificate, path) -> None:
         "feasible": bool(cert.feasible),
         "capped": bool(cert.capped),
         "witness": cert.witness,
+        "c_defect": cert.c_defect,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -417,4 +421,4 @@ def load_certificate(path) -> Certificate:
                        tau=np.asarray(d["tau"], dtype=float),
                        margin=float(d["margin"]), feasible=bool(d["feasible"]),
                        capped=bool(d.get("capped", False)),
-                       witness=str(d.get("witness", "search")))
+                       witness=str(d.get("witness", "search")), c_defect=d.get("c_defect"))

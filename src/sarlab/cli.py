@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import morris_lecar as ml
-from .certify import CertProblem, SolverOptions, certify, save_certificate, sigma_sweep
+from .certify import CertProblem, certify, save_certificate, sigma_sweep
 from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
 from .lure import LureSystem, load_system, validate
 from .sde import SdePath, SimConfig, lowpass, simulate
@@ -104,13 +104,6 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_sweep_csv(path, results) -> None:
-    """`sigma,margin,feasible` rows of a sigma_sweep (feasible as 0/1)."""
-    write_csv(path, ["sigma", "margin", "feasible"],
-              [[s for s, _ in results], [c.margin for _, c in results],
-               [c.feasible for _, c in results]])
-
-
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
                    calibrated: dict | None, outputs: list[str], t0: float,
                    stages: dict | None = None) -> None:
@@ -173,7 +166,13 @@ def traj_plot_script(csv_name: str, columns: list[str], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_plot_script(csv_name: str, boundary: float | None) -> str:
+def write_sweep(out_dir: Path, results) -> float | None:
+    """Write sweep.csv (`sigma,margin,feasible` rows, feasible as 0/1) and
+    sweep.plt, which marks the first feasible sigma; return it (or None)."""
+    write_csv(out_dir / "sweep.csv", ["sigma", "margin", "feasible"],
+              [[s for s, _ in results], [c.margin for _, c in results],
+               [c.feasible for _, c in results]])
+    boundary = next((s for s, cert in results if cert.feasible), None)
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
@@ -189,8 +188,10 @@ def sweep_plot_script(csv_name: str, boundary: float | None) -> str:
         ]
     else:
         lines.append("# no feasible sigma on the sweep grid; no boundary to mark")
-    lines.append(f"plot '{_literal(csv_name)}' using 1:2 with linespoints, zero(x) with lines dashtype 3 title ''")
-    return "\n".join(lines) + "\n"
+    lines.append("plot 'sweep.csv' using 1:2 with linespoints, zero(x) with lines dashtype 3 title ''")
+    with open(out_dir / "sweep.plt", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return boundary
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,16 +240,14 @@ def _box(value) -> tuple:
     return tuple(map(float, box[0])), tuple(map(float, box[1]))
 
 
-def _load_cert_target(path, sigma=None) -> tuple[LureSystem, bool]:
+def _load_cert_target(path, sigma=None) -> LureSystem:
     """A certification target is a bare system JSON or an embedding JSON
-    (detected by the n_phys field, whose C block is rank-deficient by
-    construction), with its noise level replaced by sigma when one is
-    given.  Systems that fail validation are rejected; warnings (such as
-    the embeddings' C^T C != I) pass."""
+    (detected by the n_phys field), with its noise level replaced by sigma
+    when one is given.  Systems that fail validation are rejected; warnings
+    (such as a user system's C^T C != I) pass, and certify then refuses it."""
     doc = _load_json(path)
-    embedded = "n_phys" in doc
     try:
-        system = load_embedding(path).system if embedded else load_system(path)
+        system = load_embedding(path).system if "n_phys" in doc else load_system(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad system file {path}: {exc}") from exc
     if sigma is not None:
@@ -259,7 +258,7 @@ def _load_cert_target(path, sigma=None) -> tuple[LureSystem, bool]:
     errors = [v.code for v in validate(system) if v.severity == "error"]
     if errors:
         raise CliError(f"invalid system in {path}: {', '.join(errors)}")
-    return system, embedded
+    return system
 
 
 def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
@@ -319,7 +318,7 @@ def cmd_simulate(args) -> int:
     elif model == "lure":
         if "system" not in config:
             raise CliError("lure model config needs a 'system' file path")
-        system = _load_cert_target(config["system"], config.get("sigma"))[0]
+        system = _load_cert_target(config["system"], config.get("sigma"))
         x0 = np.asarray(config.get("x0", np.zeros(system.n)), dtype=float)
         with _stage(stages, "simulate_s"):
             path = simulate(system, x0, sim)
@@ -397,7 +396,7 @@ def cmd_approximate(args) -> int:
 def cmd_certify(args) -> int:
     if args.sigma is not None and ":" in args.sigma:
         raise CliError("certify wants a single --sigma value")
-    system, embedded = _load_cert_target(args.system, args.sigma)
+    system = _load_cert_target(args.system, args.sigma)
     nu_grid = (parse_range(args.nu_grid, "nu-grid")
                if args.nu_grid is not None else None)
     out_dir = Path(args.out)
@@ -405,9 +404,8 @@ def cmd_certify(args) -> int:
     t0 = time.monotonic()
 
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
-    options = SolverOptions(allow_nonorthonormal_c=embedded)
     try:
-        cert = certify(CertProblem(system, options=options, **kwargs))
+        cert = certify(CertProblem(system, **kwargs))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     save_certificate(cert, out_dir / "certificate.json")
@@ -426,20 +424,15 @@ def cmd_sweep(args) -> int:
     sigmas = parse_range(args.sigma, "sigma")
     if np.any(sigmas < 0):
         raise CliError("--sigma: noise levels must be >= 0")
-    system, embedded = _load_cert_target(args.system)
+    system = _load_cert_target(args.system)
     nu_grid = (parse_range(args.nu_grid, "nu-grid")
                if args.nu_grid is not None else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    results = sigma_sweep(system, sigmas, nu_grid=nu_grid,
-                          options=SolverOptions(allow_nonorthonormal_c=embedded), jobs=args.jobs)
-    write_sweep_csv(out_dir / "sweep.csv", results)
-    feasible = [s for s, cert in results if cert.feasible]
-    boundary = feasible[0] if feasible else None
-    with open(out_dir / "sweep.plt", "w") as fh:
-        fh.write(sweep_plot_script("sweep.csv", boundary))
+    results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=args.jobs)
+    boundary = write_sweep(out_dir, results)
     write_manifest(out_dir, "sweep",
                    {"system": str(args.system), "sigmas": sigmas.tolist(),
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
@@ -457,7 +450,7 @@ def cmd_sweep(args) -> int:
 FIG_SEEDS = {"fig3": 0, "fig4": 11, "fig5": 7}
 
 
-def _fig3(out_dir: Path, seed: int, jobs: int) -> int:
+def _fig3(out_dir: Path, seed: int) -> int:
     t0 = time.monotonic()
     stages = {}
     with _stage(stages, "calibrate_s"):
@@ -478,7 +471,7 @@ def _fig3(out_dir: Path, seed: int, jobs: int) -> int:
     return _report_divergence([path])
 
 
-def _fig4(out_dir: Path, seed: int, jobs: int, window: int) -> int:
+def _fig4(out_dir: Path, seed: int, window: int) -> int:
     t0 = time.monotonic()
     stages = {}
     with _stage(stages, "calibrate_s"):
@@ -525,15 +518,11 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
     outputs = _save_fit(out_dir, report)
 
     sigmas = parse_range(sigma_text, "sigma") if sigma_text else np.arange(0.2, 2.0001, 0.2)
-    opts = SolverOptions(allow_nonorthonormal_c=True)
-    results = sigma_sweep(report.embedding.system, sigmas, options=opts, jobs=jobs)
-    write_sweep_csv(out_dir / "sweep.csv", results)
-    feasible = [s for s, cert in results if cert.feasible]
-    with open(out_dir / "sweep.plt", "w") as fh:
-        fh.write(sweep_plot_script("sweep.csv", feasible[0] if feasible else None))
+    results = sigma_sweep(report.embedding.system, sigmas, jobs=jobs)
+    write_sweep(out_dir, results)
     outputs += ["sweep.csv", "sweep.plt"]
 
-    cert = certify(CertProblem(report.embedding.system.with_sigma(0.85), options=opts))
+    cert = certify(CertProblem(report.embedding.system.with_sigma(0.85)))
     save_certificate(cert, out_dir / "certificate.json")
     outputs.append("certificate.json")
 
@@ -541,7 +530,7 @@ def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
                    {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
                    {"training": seed},
                    {"i_app": i_app, "v2": p.v2}, outputs, t0)
-    print(f"sweep: {len(feasible)}/{sigmas.size} feasible; "
+    print(f"sweep: {sum(c.feasible for _, c in results)}/{sigmas.size} feasible; "
           f"sigma=0.85 margin {cert.margin:.6g} "
           f"({'feasible' if cert.feasible else 'infeasible'})")
     return 0
@@ -555,10 +544,10 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out) / fig
     out_dir.mkdir(parents=True, exist_ok=True)
     if fig == "fig3":
-        return _fig3(out_dir, seed, args.jobs)
+        return _fig3(out_dir, seed)
     if fig == "fig4":
         window = _odd_window(args.filter_window if args.filter_window is not None else 101)
-        return _fig4(out_dir, seed, args.jobs, window)
+        return _fig4(out_dir, seed, window)
     return _fig5(out_dir, seed, args.jobs, args.sigma)
 
 
@@ -572,12 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=False, seed_help="master seed"):
+    def common(sp, config_required=False, seed_help="master seed", jobs=False):
         if config_required:
             sp.add_argument("--config", required=True, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help=seed_help)
+        if seed_help:
+            sp.add_argument("--seed", type=int, default=None, help=seed_help)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1, help="max parallel workers")
+        if jobs:
+            sp.add_argument("--jobs", type=int, default=1, help="max parallel workers")
 
     sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
     common(sp, config_required=True)
@@ -590,23 +581,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, config_required=True)
     sp.set_defaults(func=cmd_approximate)
 
-    ignored_seed = "accepted and ignored: the certificate search is deterministic"
     sp = sub.add_parser("certify", help="run the stability certificate search")
-    common(sp, seed_help=ignored_seed)
+    common(sp, seed_help=None)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", default=None, help="override the noise level")
     sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("sweep", help="certify across a noise-level grid")
-    common(sp, seed_help=ignored_seed)
+    common(sp, seed_help="accepted and ignored: the certificate search is deterministic",
+           jobs=True)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", default=None, help="a:b:step noise grid", required=False)
     sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("reproduce", help="regenerate a figure's artifacts")
-    common(sp)
+    common(sp, jobs=True)
     sp.add_argument("figure", help="fig3 | fig4 | fig5")
     sp.add_argument("--sigma", default=None, help="fig5 sweep grid a:b:step")
     sp.add_argument("--filter-window", type=int, default=None)

@@ -136,13 +136,13 @@ def model_rhs(report: EmbeddingReport, x) -> np.ndarray:
 def simulate_embedded(report: EmbeddingReport, x0_raw, cfg: SimConfig,
                       path_index: int = 0) -> SdePath:
     """Integrate the embedded 30-state system from a physical initial
-    condition (fictitious states zero) and return the path mapped back to
-    raw (V, N) coordinates."""
-    sys = report.embedding.system
-    z0 = np.zeros(sys.n)
-    z0[:2] = np.asarray(x0_raw, dtype=float) - report.x_star
-    path = simulate(sys, z0, cfg, path_index=path_index)
-    states = path.states[:, :2] + report.x_star
+    condition, lifted to [R (x0 - x*); 0], and return the path mapped back
+    through R^-1 to raw (V, N) coordinates."""
+    emb = report.embedding
+    z0 = np.zeros(emb.system.n)
+    z0[:emb.n_phys] = emb.lift @ (np.asarray(x0_raw, dtype=float) - report.x_star)
+    path = simulate(emb.system, z0, cfg, path_index=path_index)
+    states = np.linalg.solve(emb.lift, path.states[:, :emb.n_phys].T).T + report.x_star
     return SdePath(times=path.times, states=states, seed=path.seed,
                    sigma=path.sigma, path_index=path.path_index,
                    diverged=path.diverged)

@@ -158,9 +158,8 @@ def c_defect(sys: LureSystem) -> float:
 def validate(sys: LureSystem) -> list[Violation]:
     """Structural checks.  Dimension errors, non-finite data, nonpositive
     bounds and tanh units steeper than their sector slope or derivative
-    bound are errors; a defect ||C^T C - I||_F > C_DEFECT_TOL is a warning
-    (the certificate hypothesis wants C^T C = I, which sector embeddings of
-    low-dimensional physics cannot satisfy)."""
+    bound are errors; a defect ||C^T C - I||_F > C_DEFECT_TOL is a warning:
+    the certificate hypothesis wants C^T C = I, which `embed` meets."""
     out: list[Violation] = []
     n, m = sys.n, sys.m
 

@@ -221,8 +221,6 @@ def lowpass(x, window: int) -> np.ndarray:
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be a positive odd integer")
     npts = x.shape[0]
-    if window > 2 * npts:
-        raise ValueError(f"window {window} longer than twice the series ({npts})")
     if window == 1:
         return x.copy()
     half = (window - 1) // 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -266,6 +266,7 @@ class SectorEmbedding:
     offset: np.ndarray
     kappa: float
     n_phys: int
+    lift: np.ndarray  # R: the system's state is [R (x - x*); 0], see _orthonormal_lift
 
 
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
@@ -284,7 +285,8 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
     drift the assembled model assigns to z = 0, and it must stay below
     offset_tol * max(1, |x_star|_inf) for the origin-equilibrium form to
     apply (pruned constant units are included automatically through the
-    net evaluations).
+    net evaluations).  The system comes in the coordinates of
+    :func:`_orthonormal_lift`, so C^T C = I.
     """
     a_phys = np.atleast_2d(np.asarray(a_phys, dtype=float))
     n_phys = a_phys.shape[0]
@@ -329,10 +331,27 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    system = LureSystem(a=a_bar, f_gain=f_bar, c=c_bar, sigma=sigma,
-                        nonlinearity=TanhBank(slopes, biases), sector_slopes=slopes,
-                        deriv_bounds=slopes)
-    return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys)
+    system, lift = _orthonormal_lift(LureSystem(
+        a=a_bar, f_gain=f_bar, c=c_bar, sigma=sigma, nonlinearity=TanhBank(slopes, biases),
+        sector_slopes=slopes, deriv_bounds=slopes), n_phys)
+    return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys,
+                           lift=lift)
+
+
+def _orthonormal_lift(system: LureSystem, n_phys: int) -> tuple[LureSystem, np.ndarray]:
+    """(system', R) for a system laid out as C = [D 0], A = blockdiag(A_phys,
+    -kappa I), F = [F_phys; 0], in the state [R z; 0] with D = Q[:, :n_phys] R
+    (complete QR): C' = Q, A_phys' = R A_phys R^-1 and F_phys' = R F_phys.
+    Each unit still reads C'[R z; 0] = D z, and the fictitious states stay 0."""
+    d = system.c[:, :n_phys]
+    if np.linalg.matrix_rank(d) < n_phys:
+        raise ValueError(f"the unit directions span fewer than {n_phys} dimensions")
+    q, r = np.linalg.qr(d, mode="complete")
+    r = r[:n_phys]
+    a, f = system.a.copy(), system.f_gain.copy()
+    a[:n_phys, :n_phys] = np.linalg.solve(r.T, (r @ a[:n_phys, :n_phys]).T).T
+    f[:n_phys] = r @ f[:n_phys]
+    return replace(system, a=a, f_gain=f, c=q), r
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +377,7 @@ def embedding_to_dict(e: SectorEmbedding) -> dict:
     doc["offset"] = np.asarray(e.offset).tolist()
     doc["kappa"] = e.kappa
     doc["n_phys"] = e.n_phys
+    doc["lift"] = e.lift.tolist()
     return doc
 
 
@@ -371,6 +391,9 @@ def load_embedding(path) -> SectorEmbedding:
     """Rebuild an embedding from JSON, with the drift it was saved with."""
     with open(path) as fh:
         d = json.load(fh)
-    sys = system_from_dict(d)
+    sys, n_phys = system_from_dict(d), int(d["n_phys"])
+    if "lift" not in d:  # saved with C = [D 0]: convert
+        sys, d["lift"] = _orthonormal_lift(sys, n_phys)
     return SectorEmbedding(system=sys, offset=np.asarray(d["offset"], dtype=float),
-                           kappa=float(d["kappa"]), n_phys=int(d["n_phys"]))
+                           kappa=float(d["kappa"]), n_phys=n_phys,
+                           lift=np.asarray(d["lift"], dtype=float))

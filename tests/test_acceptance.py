@@ -180,7 +180,7 @@ def test_criterion_08_embedded_sweep_certifies_some_noise_level(embedding_report
     sysm = embedding_report.embedding.system
     sigmas = np.round(np.arange(0.2, 2.0001, 0.2), 10)
     results = sigma_sweep(sysm, sigmas,
-                          options=SolverOptions(seed=0, allow_nonorthonormal_c=True),
+                          options=SolverOptions(seed=0),
                           jobs=2)
     feasible = [s for s, cert in results if cert.feasible]
     if feasible:

@@ -16,7 +16,7 @@ from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_low
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, recompute_margin, save_certificate,
                             sigma_sweep)
-from sarlab.cli import write_sweep_csv
+from sarlab.cli import write_sweep
 from sarlab.lure import LureSystem, TanhBank
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
@@ -149,6 +149,20 @@ def test_nonorthonormal_c_needs_flag():
     cert = certify(CertProblem(
         sys, options=SolverOptions(allow_nonorthonormal_c=True)))
     assert isinstance(cert.feasible, bool)
+    assert cert.c_defect == 3.0  # the certificate records that it is outside the theorem
+
+
+def test_certificate_records_c_defect(tmp_path, embedding_report):
+    sys = embedding_report.embedding.system.with_sigma(0.85)
+    cert = certify(CertProblem(sys))
+    assert cert.c_defect <= 1e-12
+    f = tmp_path / "cert.json"
+    save_certificate(cert, f)
+    assert load_certificate(f).c_defect == cert.c_defect
+    doc = json.loads(f.read_text())
+    del doc["c_defect"]  # a file written before certificates recorded it
+    f.write_text(json.dumps(doc))
+    assert load_certificate(f).c_defect is None
 
 
 def test_solver_options_validation():
@@ -228,7 +242,7 @@ def test_necessity_exit_is_sound_when_c_is_orthonormal():
 
 def test_embedding_certificate_below_the_floor_has_a_necessity_witness(embedding_report):
     sys = embedding_report.embedding.system.with_sigma(0.85)
-    cert = certify(CertProblem(sys, options=SolverOptions(allow_nonorthonormal_c=True)))
+    cert = certify(CertProblem(sys))
     assert not cert.feasible and not cert.capped
     assert cert.witness == "necessity"
     assert recompute_margin(sys, cert) == cert.margin
@@ -331,12 +345,12 @@ def test_sarlab_certify_is_the_module():
 def test_sweep_to_csv_format(tmp_path):
     sys = make_scalar(0.1, 0.0)
     res = sigma_sweep(sys, [0.0, 0.7])
-    f = tmp_path / "s.csv"
-    write_sweep_csv(f, res)
-    lines = f.read_text().strip().splitlines()
+    assert write_sweep(tmp_path, res) == 0.7
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "sigma,margin,feasible"
     assert lines[1].startswith("0,") and lines[1].endswith(",0")
     assert lines[2].endswith(",1")
+    assert "set arrow from 0.69999999999999996, graph 0" in (tmp_path / "sweep.plt").read_text()
 
 
 def test_certificate_roundtrip(tmp_path):

@@ -12,7 +12,7 @@ from sarlab.embedding import EmbeddingConfig, build_embedding
 from sarlab.lure import save_system
 from sarlab.sde import SdePath
 
-from conftest import make_scalar
+from conftest import make_scalar, parent_layout_doc
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +342,8 @@ def test_approximate_writes_per_epoch_loss_curves(tmp_path):
 
 
 def test_certify_consumes_embedding_file(tmp_path):
-    # reuse a tiny width-1 embedding; rank-deficient C must not be fatal
+    # a tiny width-1 embedding: embed gives it an orthogonal C, so certify
+    # takes it without any exemption from the hypothesis C^T C = I
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"width": 1, "epochs": 40, "n_samples": 800, "i_app": 40.0}))
@@ -427,7 +428,28 @@ def test_reproduce_manifest_records_stage_timings(figure, monkeypatch, tmp_path,
     assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
 
 
+def test_certify_converts_an_unlifted_embedding_file(embedding_report, tmp_path):
+    # an embedding file written before embed lifted its output basis: C = [D 0]
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps(parent_layout_doc(embedding_report.embedding)))
+    rc = cli.main(["certify", str(path), "--sigma", "0.85", "--out", str(tmp_path / "cert")])
+    assert rc in (0, 1)
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    assert cert["c_defect"] <= 1e-12
+
+
 def test_usage_errors_return_two():
     assert cli.main([]) == 2
     assert cli.main(["certify"]) == 2
     assert cli.main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "system.json", "--seed", "1"],
+    ["certify", "system.json", "--jobs", "2"],
+    ["simulate", "--config", "cfg.json", "--jobs", "2"],
+    ["approximate", "--config", "cfg.json", "--jobs", "2"],
+])
+def test_flags_that_did_nothing_are_gone(argv, capsys):
+    assert cli.main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

@@ -1,21 +1,24 @@
 """Pipeline tests for the neuron embedding: structure, exactness of the
 assembled model, fit quality, and reconstruction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import parent_layout
 from sarlab import morris_lecar as ml
 from sarlab.embedding import EmbeddingConfig, build_embedding, model_rhs, simulate_embedded
-from sarlab.lure import validate
-from sarlab.sde import SimConfig
+from sarlab.lure import c_defect, validate
+from sarlab.sde import SimConfig, simulate
 
 
 def test_report_structure(embedding_report):
     sys = embedding_report.embedding.system
     assert sys.n == 30 and sys.m == 30
     assert embedding_report.embedding.n_phys == 2
-    # every unit reads only the two physical coordinates and feeds only them
-    assert np.all(sys.c[:, 2:] == 0.0)
+    # the output map is orthogonal, and every unit feeds only the physical states
+    np.testing.assert_allclose(sys.c.T @ sys.c, np.eye(30), atol=1e-12)
     assert np.all(sys.f_gain[2:] == 0.0)
     assert not embedding_report.diverged
 
@@ -33,9 +36,9 @@ def test_linear_block_is_recovery_jacobian(embedding_report):
     assert np.all(rep.a_phys[0] == 0.0)  # V-row dynamics all flow through nets
 
 
-def test_embedded_system_passes_validation_except_c(embedding_report):
-    vs = validate(embedding_report.embedding.system)
-    assert [v.code for v in vs] == ["c_not_orthonormal"]
+def test_embedded_system_passes_validation(embedding_report):
+    assert validate(embedding_report.embedding.system) == []
+    assert c_defect(embedding_report.embedding.system) <= 1e-12
 
 
 def test_sector_data_consistency(embedding_report):
@@ -50,15 +53,16 @@ def test_channel_fit_quality(embedding_report):
 
 
 def test_model_rhs_matches_augmented_drift(embedding_report):
-    # the square system evaluated on [z; 0] must equal the reduced model
+    # the square system evaluated on [R z; 0], mapped back through R^-1,
+    # must equal the reduced model
     rep = embedding_report
-    sys = rep.embedding.system
+    sys, lift = rep.embedding.system, rep.embedding.lift
     rng = np.random.default_rng(0)
     for _ in range(5):
         x_raw = np.array([rng.uniform(-60.0, 30.0), rng.uniform(0.0, 0.6)])
         z = np.zeros(sys.n)
-        z[:2] = x_raw - rep.x_star
-        full = sys.drift(z)[:2]
+        z[:2] = lift @ (x_raw - rep.x_star)
+        full = np.linalg.solve(lift, sys.drift(z)[:2])
         reduced = model_rhs(rep, x_raw)
         np.testing.assert_allclose(full, reduced, atol=1e-10)
         assert np.abs(sys.drift(z)[2:]).max() < 1e-12  # fictitious rows stay put
@@ -77,6 +81,26 @@ def test_simulate_embedded_short_horizon_tracks(embedding_report):
     ref = ml.simulate_ml(embedding_report.params, ml.DEFAULT_INIT, cfg)
     err = np.abs(emb_path.states[:, 0] - ref.states[:, 0]).max()
     assert err < 2.0  # mV over a spike-free window
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.85])
+def test_simulate_embedded_matches_the_unlifted_layout(embedding_report, sigma):
+    # the lift changes coordinates only: the (V, N) path equals the one of
+    # the C = [D 0] layout, and the fictitious states stay exactly 0
+    emb = replace(embedding_report.embedding,
+                  system=embedding_report.embedding.system.with_sigma(sigma))
+    rep = replace(embedding_report, embedding=emb)
+    cfg = SimConfig(t_end=100.0, dt=5e-3, seed=3, record_stride=10)
+    path = simulate_embedded(rep, ml.DEFAULT_INIT, cfg)
+    z0 = np.zeros(emb.system.n)
+    z0[:2] = ml.DEFAULT_INIT - rep.x_star
+    unlifted = simulate(parent_layout(emb), z0, cfg)
+    assert not path.diverged and not unlifted.diverged
+    np.testing.assert_allclose(path.states, unlifted.states[:, :2] + rep.x_star,
+                               rtol=0, atol=1e-10)
+    z0[:2] = emb.lift @ z0[:2]
+    lifted = simulate(emb.system, z0, cfg)
+    assert np.all(lifted.states[:, 2:] == 0.0)
 
 
 def test_training_is_seed_deterministic(spiking_params, calibrated_iapp):

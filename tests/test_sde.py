@@ -167,6 +167,15 @@ def test_lowpass_rejects_even_window():
         lowpass(np.zeros(5), 4)
 
 
+def test_lowpass_window_may_reach_the_series_ends():
+    # window 9 reflects 4 samples at each end of a 5-sample series; 11 cannot
+    x = np.arange(5.0)
+    expected = np.convolve(np.pad(x, 4, mode="reflect"), np.full(9, 1.0 / 9), mode="valid")
+    np.testing.assert_allclose(lowpass(x, 9), expected, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="too long"):
+        lowpass(x, 11)
+
+
 def test_lowpass_2d_along_time_axis():
     x = np.column_stack([np.zeros(30), np.ones(30), np.sin(np.arange(30.0))])
     y = lowpass(x, 7)

@@ -1,6 +1,7 @@
 """Network tests: forward pass, backprop gradients, training behavior,
 sector extraction, embedding assembly, serialization."""
 
+import json
 import pickle
 import warnings
 from dataclasses import replace
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parent_layout_doc
+from sarlab.lure import c_defect
 from sarlab.shallow import (ShallowNet, TrainOptions, embed,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
@@ -261,7 +264,37 @@ def test_embed_pads_fictitious_states():
     assert sys.n == 3 and emb.n_phys == 1
     np.testing.assert_allclose(sys.a[1:, 1:], -2.0 * np.eye(2), atol=1e-15)
     assert np.all(sys.f_gain[1:] == 0.0)
-    assert np.all(sys.c[:, 1:] == 0.0)
+    np.testing.assert_allclose(sys.c.T @ sys.c, np.eye(3), atol=1e-15)
+
+
+def random_vanishing_net(rng, n_phys, hidden):
+    """A random net from n_phys inputs to n_phys outputs that vanishes at 0."""
+    net = ShallowNet(rng.standard_normal((hidden, n_phys)), rng.standard_normal(hidden),
+                     rng.standard_normal((n_phys, hidden)), np.zeros(n_phys))
+    return replace(net, b2=-net(np.zeros(n_phys)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_phys=st.sampled_from([1, 2, 3]), extra=st.integers(0, 6),
+       seed=st.integers(0, 2**16))
+def test_embed_output_map_is_orthogonal(n_phys, extra, seed):
+    rng = np.random.default_rng(seed)
+    net = random_vanishing_net(rng, n_phys, n_phys + extra)
+    emb = embed([net], [np.eye(n_phys)], rng.standard_normal((n_phys, n_phys)),
+                kappa=1.0)
+    assert c_defect(emb.system) <= 1e-12
+    # each unit still reads its own direction of the physical deviation
+    bounds = extract_bounds(net)
+    np.testing.assert_allclose(emb.system.c[:, :n_phys] @ emb.lift, bounds.directions,
+                               atol=1e-12)
+
+
+def test_embed_rejects_units_that_miss_a_physical_direction():
+    # every unit reads V + N (or its negative), so nothing sees V - N
+    net = ShallowNet([[1.0, 1.0], [2.0, 2.0], [-0.5, -0.5]], np.zeros(3),
+                     [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [0.0, 0.0])
+    with pytest.raises(ValueError, match="span fewer than 2"):
+        embed([net], [np.eye(2)], -np.eye(2), kappa=1.0)
 
 
 def test_embed_recenter_shifts_unit_biases():
@@ -300,6 +333,7 @@ def test_embedding_roundtrip(tmp_path):
     save_embedding(emb, f)
     back = load_embedding(f)
     assert back.kappa == 1.5 and back.n_phys == 2
+    np.testing.assert_array_equal(back.lift, emb.lift)
     np.testing.assert_array_equal(back.system.a, emb.system.a)
     np.testing.assert_array_equal(back.system.f_gain, emb.system.f_gain)
     np.testing.assert_array_equal(back.system.sector_slopes, emb.system.sector_slopes)
@@ -346,3 +380,17 @@ def test_loss_is_half_mean_squared_error(seed):
     loss, _ = loss_and_grad(net, x, t)
     manual = 0.5 * np.mean(np.sum((net(x) - t) ** 2, axis=1))
     assert loss == pytest.approx(manual, rel=1e-12)
+
+
+def test_unlifted_embedding_file_converts_on_load(tmp_path):
+    # a file written before embed lifted its output basis: C = [D 0], no lift
+    rng = np.random.default_rng(5)
+    emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2), kappa=1.0)
+    f = tmp_path / "old.json"
+    f.write_text(json.dumps(parent_layout_doc(emb)))
+    back = load_embedding(f)
+    assert c_defect(back.system) <= 1e-12
+    np.testing.assert_allclose(back.lift, emb.lift, atol=1e-12)
+    for field in ("a", "f_gain", "c"):
+        np.testing.assert_allclose(getattr(back.system, field), getattr(emb.system, field),
+                                   atol=1e-12)
