@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
-from .lure import C_DEFECT_TOL, LureSystem, c_defect
+from .lure import C_DEFECT_TOL, LureSystem, _one_blas_thread, c_defect
 
 __all__ = [
     "SolverOptions",
@@ -224,8 +224,9 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     flat = sbasis.reshape(nparams, -1)
 
     def smoothed(phi, mu):
-        # SciPy's LAPACK shares L-BFGS-B's BLAS threads; np.linalg.eigh, on
-        # NumPy's own BLAS, made this loop about 8x slower at 60 x 60 on 2 cores
+        # SciPy's dsyevd, not np.linalg.eigh: at one BLAS thread both cost the
+        # same, but NumPy ships another OpenBLAS build whose eigenvectors differ
+        # in the last bits, which moves the search and its margins
         w, v, info = dsyevd(n0 + np.tensordot(phi, sbasis, axes=1))
         if info:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -236,16 +237,19 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
 
     hit_cap = False
     phi = best_phi
-    for mu in (1e-1, 1e-2, 1e-3, 1e-4):
-        res = minimize(smoothed, phi, args=(mu * ref,), method="L-BFGS-B", jac=True,
-                       bounds=[(0.0, None)] * nparams, options={"maxiter": _MAX_ITERS})
-        hit_cap = hit_cap or res.nit >= _MAX_ITERS
-        phi = res.x
-        g = value(phi)
-        if g < best_g:
-            best_g, best_phi = g, phi
-        if best_g < exit_level:
-            break
+    # both OpenBLAS copies at one thread: their idle workers would otherwise
+    # spin against each other between the small BLAS calls of each step
+    with _one_blas_thread():
+        for mu in (1e-1, 1e-2, 1e-3, 1e-4):
+            res = minimize(smoothed, phi, args=(mu * ref,), method="L-BFGS-B", jac=True,
+                           bounds=[(0.0, None)] * nparams, options={"maxiter": _MAX_ITERS})
+            hit_cap = hit_cap or res.nit >= _MAX_ITERS
+            phi = res.x
+            g = value(phi)
+            if g < best_g:
+                best_g, best_phi = g, phi
+            if best_g < exit_level:
+                break
     return best_g, best_phi * scale, hit_cap
 
 

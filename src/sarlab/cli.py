@@ -359,14 +359,15 @@ def cmd_approximate(args) -> int:
            for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
     fit["box"] = _box(config.get("box", defaults.box))
     p = _ml_params(config)
-    p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
+    stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
+    with _stage(stages, "calibrate_s"):
+        p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
     ecfg = EmbeddingConfig(**fit, seed=seed, i_app=i_app)
-    report = build_embedding(p, ecfg)
+    with _stage(stages, "fit_s"):
+        report = build_embedding(p, ecfg)
     if report.diverged:
         print("training diverged (non-finite loss); no embedding written", file=sys.stderr)
         return 4
-
-    outputs = _save_fit(out_dir, report)
 
     rng_pct = 100.0 * report.channel_rms / report.channel_range
     residuals = {
@@ -379,15 +380,17 @@ def cmd_approximate(args) -> int:
         "state_dim": report.embedding.system.n,
         "units": int(report.embedding.system.m),
     }
-    with open(out_dir / "residuals.json", "w") as fh:
-        json.dump(residuals, fh, indent=2)
-        fh.write("\n")
+    with _stage(stages, "write_s"):
+        outputs = _save_fit(out_dir, report)
+        with open(out_dir / "residuals.json", "w") as fh:
+            json.dump(residuals, fh, indent=2)
+            fh.write("\n")
     outputs.append("residuals.json")
 
     resolved = dict(config)
     resolved["seed"] = seed
     write_manifest(out_dir, "approximate", resolved, {"training": seed},
-                   {"i_app": i_app, "v2": p.v2}, outputs, t0)
+                   {"i_app": i_app, "v2": p.v2}, outputs, t0, stages)
     print(f"embedded system: n={report.embedding.system.n}, "
           f"channel RMS % of range: {np.array2string(rng_pct, precision=3)}")
     return 0

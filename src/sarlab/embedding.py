@@ -1,7 +1,8 @@
 """End-to-end Morris-Lecar sector-embedding pipeline.
 
 Three width-10 tanh nets are trained on the training box, one per channel
-current (leak, calcium, potassium), each by full-batch L-BFGS.  Each net
+current (leak, calcium, potassium), each by full-batch L-BFGS; the three
+fits run concurrently (see :func:`sarlab.shallow.train`).  Each net
 has two outputs: output 0 fits its channel current; the three output-1
 heads jointly fit the nonlinear residue of the recovery equation (one
 third each), i.e. h(V,N) - grad h(x*) . (x - x*) with h = (n_ss - N)/tau_n.

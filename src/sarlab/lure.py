@@ -12,11 +12,16 @@ is confined to the sector
 
 and has a bounded slope f_i' < delta_i.  The certificate machinery in
 :mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the bank of
-tanh units is needed for simulation.
+tanh units is needed for simulation.  The module also holds the BLAS
+thread scope that the L-BFGS-B fits of :mod:`sarlab.shallow` and
+:mod:`sarlab.certify` run in.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -288,3 +293,63 @@ def save_system(sys: LureSystem, path) -> None:
 def load_system(path) -> LureSystem:
     with open(path) as fh:
         return system_from_dict(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+_PROC_MAPS = "/proc/self/maps"
+# (get, set) thread-count symbols of the OpenBLAS builds NumPy's (64-bit
+# integer) and SciPy's wheels ship
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process at the first call (shallow and certify import SciPy, and so
+    both copies, before they call it); empty where the memory map cannot be
+    read or names none."""
+    try:
+        with open(_PROC_MAPS) as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS to one thread inside the block, then
+    restore each library's previous count, also when the block raises.
+
+    Between the BLAS calls of an L-BFGS-B iteration, OpenBLAS's idle worker
+    spins on the second core; at one thread it does not, so concurrent fits
+    get that core.  The count is process-wide.  Without an OpenBLAS, or
+    without /proc, this does nothing."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)

@@ -15,14 +15,17 @@ nets plus output combiners so the certificate machinery applies.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lure import LureSystem, TanhBank, augment, system_from_dict, system_to_dict
+from .lure import (LureSystem, TanhBank, _one_blas_thread, augment, system_from_dict,
+                   system_to_dict)
 
 __all__ = [
     "ShallowNet",
@@ -82,6 +85,9 @@ class ShallowNet:
 
 
 _PRUNE_TOL = 1e-12  # units with ||w1 row|| below this (relative) are dropped
+# nets fitted at once: one more than the cores, because each fit holds the
+# GIL for L-BFGS-B's own Python between its GIL-free tanh and matmul kernels
+_FIT_WORKERS = (os.cpu_count() or 1) + 1
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,16 @@ def loss_and_grad(net: ShallowNet, x, targets):
 def train(x, targets, hidden: int, options: TrainOptions | None = None) -> TrainResult:
     """Fit k one-hidden-layer tanh nets on shared inputs by full-batch
     L-BFGS (scipy's L-BFGS-B without bounds), one run per net, at most
-    options.epochs iterations each.
+    options.epochs iterations each.  The runs go concurrently on threads,
+    one per net up to one more than the cores, with OpenBLAS held to one
+    thread; an exception in any run is raised here.
 
     targets is (k, n, q), one target set per net; a 2-D (n, q) target is a
     stack of one.  Net i draws its initial weights from
-    default_rng(options.seed + i), so it ends with the same bits as when
-    trained alone.  Inputs and targets are rescaled internally to the unit
-    box / unit range; the returned nets act on the raw coordinates.
+    default_rng(options.seed + i) and has its own buffers, so it ends with
+    the same bits as when trained alone, whichever run finishes first.
+    Inputs and targets are rescaled internally to the unit box / unit
+    range; the returned nets act on the raw coordinates.
     loss_history row i holds the loss after each of net i's iterations,
     then repeats its final loss if other nets ran longer.  A net whose
     final loss is not finite is flagged as diverged.
@@ -202,24 +211,33 @@ def train(x, targets, hidden: int, options: TrainOptions | None = None) -> Train
     # samples as columns, the layout _loss_grad works in
     xt = np.ascontiguousarray(((x - x_mu) / x_half).T)
     tt = np.ascontiguousarray(((t - t_mu[:, None, :]) / t_half[:, None, :]).transpose(0, 2, 1))
-    work = _workspace(n, h, q)
 
-    def objective(theta, target):
-        grad = np.empty(n_params)
-        loss = _loss_grad(_views(theta, h, d, q), xt, target, _views(grad, h, d, q), work)
-        return loss, grad
+    def fit(i):
+        work = _workspace(n, h, q)
 
-    nets, rms, histories, finals = [], [], [], []
-    for i in range(k):
+        def objective(theta):
+            grad = np.empty(n_params)
+            loss = _loss_grad(_views(theta, h, d, q), xt, tt[i], _views(grad, h, d, q), work)
+            return loss, grad
+
         rng = np.random.default_rng(opts.seed + i)
         theta = np.concatenate([rng.uniform(-1, 1, size=h * d) / np.sqrt(d),
                                 rng.uniform(-1, 1, size=h) / np.sqrt(d),
                                 rng.uniform(-1, 1, size=q * h) / np.sqrt(h), np.zeros(q)])
         history = []
-        res = minimize(objective, theta, args=(tt[i],), jac=True, method="L-BFGS-B",
+        res = minimize(objective, theta, jac=True, method="L-BFGS-B",
                        options={"maxiter": opts.epochs},
                        callback=lambda intermediate_result: history.append(
                            intermediate_result.fun))
+        return res, history
+
+    # with OpenBLAS at one thread, its idle worker stops spinning on a core the
+    # other fits can use; the count changes no bits of any matmul
+    with _one_blas_thread(), ThreadPoolExecutor(min(k, _FIT_WORKERS)) as pool:
+        fits = list(pool.map(fit, range(k)))
+
+    nets, rms, histories, finals = [], [], [], []
+    for i, (res, history) in enumerate(fits):
         histories.append(history)
         finals.append(float(res.fun))
         # fold the scaling back so the net acts on raw coordinates

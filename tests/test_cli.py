@@ -320,6 +320,9 @@ def test_approximate_width_one_gives_three_state_embedding(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "embedding.json" in manifest["outputs"]
     assert manifest["calibrated"] == {"i_app": 40.0, "v2": 18.0}
+    assert list(manifest["stages"]) == ["calibrate_s", "fit_s", "write_s"]
+    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+    assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
 
 
 def test_approximate_writes_per_epoch_loss_curves(tmp_path):

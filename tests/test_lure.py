@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scalar
+from sarlab import lure
 from sarlab.lure import (LureSystem, TanhBank, Violation, augment, get_nonlinearity,
                          load_system, save_system, system_from_dict, system_to_dict,
                          validate)
@@ -268,3 +269,69 @@ def test_centered_tanh_unit_slope_bound(slope, y, bias):
 def test_violation_is_plain_record():
     v = Violation("warning", "x", "msg", 1.0)
     assert (v.severity, v.code, v.value) == ("warning", "x", 1.0)
+
+
+# -- the one-BLAS-thread scope ----------------------------------------------
+
+class _FakeBlas:
+    """A (get, set) pair over one library's thread count."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    lure._openblas_thread_controls.cache_clear()
+    yield
+    lure._openblas_thread_controls.cache_clear()
+
+
+def test_one_blas_thread_restores_every_count_also_on_raise(monkeypatch):
+    libs = [_FakeBlas(3), _FakeBlas(5)]
+    monkeypatch.setattr(lure, "_openblas_thread_controls",
+                        lambda: tuple((lib.get, lib.set) for lib in libs))
+    with lure._one_blas_thread():
+        assert [lib.count for lib in libs] == [1, 1]
+    assert [lib.count for lib in libs] == [3, 5]
+    with pytest.raises(KeyError), lure._one_blas_thread():
+        assert [lib.count for lib in libs] == [1, 1]
+        raise KeyError("inside the block")
+    assert [lib.count for lib in libs] == [3, 5]
+
+
+def test_one_blas_thread_on_the_loaded_openblas():
+    # NumPy and SciPy are imported, so every OpenBLAS they ship is mapped
+    controls = lure._openblas_thread_controls()
+    with open(lure._PROC_MAPS) as fh:
+        assert bool(controls) == ("openblas" in fh.read())
+    before = [get() for get, _ in controls]
+    with pytest.raises(RuntimeError), lure._one_blas_thread():
+        assert [get() for get, _ in controls] == [1] * len(controls)
+        raise RuntimeError("inside the block")
+    assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("maps", [None, "00400000-00452000 r-xp 00000000 08:02 173521 "
+                                        "/usr/bin/python3\n"])
+def test_one_blas_thread_without_openblas_does_nothing(maps, monkeypatch, tmp_path,
+                                                       fresh_blas_lookup):
+    real = lure._openblas_thread_controls()
+    before = [get() for get, _ in real]
+    path = tmp_path / "maps"
+    if maps is not None:  # else the file is missing, as without /proc
+        path.write_text(maps)
+    monkeypatch.setattr(lure, "_PROC_MAPS", str(path))
+    lure._openblas_thread_controls.cache_clear()
+    assert lure._openblas_thread_controls() == ()
+    ran = False
+    with lure._one_blas_thread():
+        assert [get() for get, _ in real] == before
+        ran = True
+    assert ran and [get() for get, _ in real] == before

@@ -2,9 +2,14 @@
 sector extraction, embedding assembly, serialization."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parent_layout_doc
+from sarlab import shallow
 from sarlab.lure import c_defect
 from sarlab.shallow import (ShallowNet, TrainOptions, embed,
                             extract_bounds, load_embedding, load_net,
@@ -197,6 +203,85 @@ def test_one_diverging_net_leaves_the_others_training():
     assert np.isnan(res.loss_history[0]).all()
     assert np.isfinite(res.loss_history[1:]).all()
     assert (res.final_rms[1:] < 1e-2).all()
+
+
+def test_concurrent_fits_keep_their_own_buffers():
+    # more nets than fit workers, with the interpreter switching threads
+    # often: a buffer shared between two fits would change some net's bits
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-2.0, 2.0, size=(400, 2))
+    targets = np.stack([np.tanh((i + 1) * x[:, :1] - x[:, 1:]) + i for i in range(8)])
+    opts = TrainOptions(epochs=30, seed=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = train(x, targets, 4, opts)
+    finally:
+        sys.setswitchinterval(interval)
+    for i, target in enumerate(targets):
+        one = train(x, target, 4, replace(opts, seed=opts.seed + i))
+        np.testing.assert_array_equal(res.nets[i].w1, one.nets[0].w1)
+        np.testing.assert_array_equal(res.loss_history[i, :one.loss_history.shape[1]],
+                                      one.loss_history[0])
+
+
+def test_a_raising_objective_reaches_the_caller(monkeypatch):
+    # net 1's target is constant, so its scaled target is all zeros
+    loss_grad = shallow._loss_grad
+
+    def failing(params, xt, tt, grads, work):
+        if not tt.any():
+            raise FloatingPointError("net 1's objective failed")
+        return loss_grad(params, xt, tt, grads, work)
+
+    monkeypatch.setattr(shallow, "_loss_grad", failing)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, size=(200, 1))
+    targets = np.stack([np.sin(x), np.full_like(x, 3.0), x ** 2])
+    raised = []
+
+    def run():
+        try:
+            train(x, targets, 3, TrainOptions(epochs=200))
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and "net 1" in str(raised[0])
+
+
+_FIT_IN_CHILD = """
+import contextlib, sys
+import numpy as np
+from sarlab import shallow
+shallow._one_blas_thread = contextlib.nullcontext  # the environment sets the threads
+rng = np.random.default_rng(11)
+x = rng.uniform(-3.0, 3.0, size=(10000, 2))
+targets = np.stack([np.column_stack([np.sin(i + x[:, 0]) * x[:, 1], np.tanh(x[:, 0] - i)])
+                    for i in range(3)])
+res = shallow.train(x, targets, 10, shallow.TrainOptions(epochs=40, seed=2))
+parts = [getattr(net, f).ravel() for net in res.nets for f in ("w1", "b1", "w2", "b2")]
+np.save(sys.argv[1], np.concatenate(parts + [res.loss_history.ravel()]))
+"""
+
+
+def test_blas_thread_count_changes_no_training_bits(tmp_path):
+    # train holds OpenBLAS at one thread; that is safe only because a fit
+    # under the default thread count has the same bits
+    src = str(Path(shallow.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, base.get("PYTHONPATH", "")])
+    out = {}
+    for name, env in (("default", base), ("one", {**base, "OPENBLAS_NUM_THREADS": "1"})):
+        out[name] = tmp_path / f"{name}.npy"
+        subprocess.run([sys.executable, "-c", _FIT_IN_CHILD, str(out[name])],
+                       env=env, check=True, timeout=120)
+    default, one = np.load(out["default"]), np.load(out["one"])
+    assert default.shape == one.shape and default.tobytes() == one.tobytes()
 
 
 def test_train_options_are_epochs_and_seed():
