@@ -92,17 +92,22 @@ class Certificate:
     c_defect: float | None = None  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
 
 
-def certificate_matrix(sys: LureSystem, nu: float, lam, tau) -> np.ndarray:
+def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
     """Assemble the 2n x 2n block matrix N(nu, Lambda, T) for a square
-    system (m == n; augment first if needed)."""
+    system (m == n; augment first if needed).
+
+    Broadcasts over leading axes: nu of shape (...) and lam, tau of shape
+    (..., n) (or scalars) give a (..., 2n, 2n) stack, each member equal bit
+    for bit to its own call."""
     n = sys.n
     if sys.m != n:
         raise ValueError(f"certificate needs a square system (m == n), got n={n}, m={sys.m}")
-    if not 0.0 < nu < 1.0:
+    nu = np.asarray(nu, dtype=float)
+    if not np.all((nu > 0.0) & (nu < 1.0)):
         raise ValueError("nu must lie in (0, 1)")
     lam = np.asarray(lam, dtype=float) * np.ones(n)
     tau = np.asarray(tau, dtype=float) * np.ones(n)
-    if lam.shape != (n,) or tau.shape != (n,):
+    if lam.shape[-1:] != (n,) or tau.shape[-1:] != (n,):
         raise ValueError("lambda and tau must have length n")
     if np.any(lam < 0) or np.any(tau < 0):
         raise ValueError("lambda and tau must be >= 0")
@@ -112,14 +117,20 @@ def certificate_matrix(sys: LureSystem, nu: float, lam, tau) -> np.ndarray:
     s = sys.sector_slopes
     delta = sys.deriv_bounds
     eye = np.eye(n)
+    nu = nu[..., None, None]
+    cf = c @ f
 
     # C^T Lambda Delta C with diagonal Lambda, Delta
-    ctld_c = c.T @ ((lam * delta)[:, None] * c)
+    ctld_c = c.T @ ((lam * delta)[..., :, None] * c)
     n11 = nu * (a.T + a - s2 * (1.0 - nu) * eye) + s2 * ctld_c
-    m_shift = a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye
-    n12 = nu * f + m_shift.T @ (c.T * lam[None, :]) + (s[:, None] * c).T * tau[None, :]
-    n22 = -2.0 * np.diag(tau) + (lam[:, None] * (c @ f)) + (c @ f).T * lam[None, :]
-    return np.block([[n11, n12], [n12.T, n22]])
+    shift_t = np.swapaxes(a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye, -1, -2)
+    n12 = nu * f + shift_t @ (c.T * lam[..., None, :]) + (s[:, None] * c).T * tau[..., None, :]
+    diag_tau = np.zeros(tau.shape + (n,))
+    diag_tau[..., np.arange(n), np.arange(n)] = tau
+    n22 = -2.0 * diag_tau + (lam[..., :, None] * cf) + cf.T * lam[..., None, :]
+    n11, n12, n22 = np.broadcast_arrays(n11, n12, n22)
+    return np.concatenate([np.concatenate([n11, n12], axis=-1),
+                           np.concatenate([np.swapaxes(n12, -1, -2), n22], axis=-1)], axis=-2)
 
 
 def max_eigenvalue(mat: np.ndarray) -> float:
@@ -141,14 +152,11 @@ def max_eigenvalue(mat: np.ndarray) -> float:
 def _affine_parts(sys: LureSystem, nu: float):
     """N(theta) = N0 + sum_p theta_p B_p with theta = (lambda, tau)."""
     n = sys.n
-    zeros = np.zeros(n)
-    n0 = certificate_matrix(sys, nu, zeros, zeros)
-    basis = np.empty((2 * n, 2 * n, 2 * n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        basis[i] = certificate_matrix(sys, nu, e, zeros) - n0
-        basis[n + i] = certificate_matrix(sys, nu, zeros, e) - n0
+    # one stack: theta = 0, then each unit lambda_i, then each unit tau_i
+    units = np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)])
+    mats = certificate_matrix(sys, nu, units[:, :n], units[:, n:])
+    n0 = mats[0]
+    basis = mats[1:] - n0
     n0 = 0.5 * (n0 + n0.T)
     basis = 0.5 * (basis + np.transpose(basis, (0, 2, 1)))
     return n0, basis
@@ -193,9 +201,10 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     bnorm = np.linalg.norm(basis.reshape(nparams, -1), axis=1)
     scale = ref / np.maximum(bnorm, 1e-12 * ref)
     sbasis = basis * scale[:, None, None]
+    flat = sbasis.reshape(nparams, -1)
 
     def value(phi):
-        mat = n0 + np.tensordot(phi, sbasis, axes=1)
+        mat = n0 + (phi @ flat).reshape(n0.shape)
         return _top_eig(0.5 * (mat + mat.T))
 
     exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
@@ -221,13 +230,11 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     # f_mu = lambda_1 + mu log sum_k exp((lambda_k - lambda_1) / mu) is smooth,
     # convex and within mu log(2n) of lambda_max; it is divided by ||N0|| so
     # that L-BFGS-B's absolute tolerances act relative to the problem's scale
-    flat = sbasis.reshape(nparams, -1)
-
     def smoothed(phi, mu):
         # SciPy's dsyevd, not np.linalg.eigh: at one BLAS thread both cost the
         # same, but NumPy ships another OpenBLAS build whose eigenvectors differ
         # in the last bits, which moves the search and its margins
-        w, v, info = dsyevd(n0 + np.tensordot(phi, sbasis, axes=1))
+        w, v, info = dsyevd(n0 + (phi @ flat).reshape(n0.shape))
         if info:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         weights = np.exp((w - w[-1]) / mu)
@@ -281,11 +288,11 @@ def certify(problem: CertProblem) -> Certificate:
     half_s2 = sys.sigma ** 2 / 2.0
     if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
         zeros = np.zeros(n)
-        margins = [max_eigenvalue(certificate_matrix(sys, float(nu), zeros, zeros))
-                   for nu in nu_grid]
+        # N(nu, 0, 0) is exactly symmetric, so eigvalsh needs no symmetrizing
+        margins = np.linalg.eigvalsh(certificate_matrix(sys, nu_grid, zeros, zeros))[:, -1]
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
-                           margin=margins[best], feasible=False, witness="necessity",
+                           margin=float(margins[best]), feasible=False, witness="necessity",
                            c_defect=defect)
 
     best = None  # (margin, nu, theta)
@@ -373,6 +380,8 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     """Certify a template system at each noise level of an ascending grid.
 
     Each sigma is solved independently (results do not depend on jobs).
+    The pool starts at most one worker per sigma, and none for one worker:
+    that sigma is solved in this process.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if sigmas.size == 0:
@@ -388,8 +397,9 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
 
     problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options)
                 for s in sigmas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(problems))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(certify, problems))
     else:
         certs = [certify(p) for p in problems]

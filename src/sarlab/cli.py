@@ -407,15 +407,18 @@ def cmd_certify(args) -> int:
     t0 = time.monotonic()
 
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
+    stages = {"certify_s": 0.0, "write_s": 0.0}
     try:
-        cert = certify(CertProblem(system, **kwargs))
+        with _stage(stages, "certify_s"):
+            cert = certify(CertProblem(system, **kwargs))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    save_certificate(cert, out_dir / "certificate.json")
+    with _stage(stages, "write_s"):
+        save_certificate(cert, out_dir / "certificate.json")
     write_manifest(out_dir, "certify",
                    {"system": str(args.system), "sigma": system.sigma,
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
-                   {}, None, ["certificate.json"], t0)
+                   {}, None, ["certificate.json"], t0, stages)
     verdict = "feasible" if cert.feasible else "infeasible"
     print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
     return 0 if cert.feasible else 1
@@ -434,12 +437,15 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=args.jobs)
-    boundary = write_sweep(out_dir, results)
+    stages = {"sweep_s": 0.0, "write_s": 0.0}
+    with _stage(stages, "sweep_s"):
+        results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=args.jobs)
+    with _stage(stages, "write_s"):
+        boundary = write_sweep(out_dir, results)
     write_manifest(out_dir, "sweep",
                    {"system": str(args.system), "sigmas": sigmas.tolist(),
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
-                   {}, None, ["sweep.csv", "sweep.plt"], t0)
+                   {}, None, ["sweep.csv", "sweep.plt"], t0, stages)
     if boundary is None:
         print(f"no feasible sigma among {sigmas.size} grid points "
               f"(best margin {min(c.margin for _, c in results):.6g})")

@@ -60,6 +60,63 @@ def test_certificate_matrix_needs_square_feedback():
         certificate_matrix(wide, 0.5, np.ones(2), np.ones(2))
 
 
+def random_system(rng, n, sigma=None):
+    """A square n-state system with random data (C^T C != I)."""
+    s = rng.uniform(0.1, 3.0, size=n)
+    return LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, n)),
+                      c=rng.normal(size=(n, n)),
+                      sigma=float(rng.uniform(0.0, 2.0)) if sigma is None else sigma,
+                      nonlinearity=TanhBank(s), sector_slopes=s,
+                      deriv_bounds=s * rng.uniform(0.5, 2.0, size=n))
+
+
+def assert_stack_matches_calls(sys, nus, lams, taus):
+    """certificate_matrix on stacks equals the per-member calls byte for byte."""
+    stack = certificate_matrix(sys, nus, lams, taus)
+    nus, lams, taus = np.broadcast_arrays(nus[..., None], lams, taus)
+    assert stack.shape == nus.shape[:-1] + (2 * sys.n, 2 * sys.n)
+    for idx in np.ndindex(stack.shape[:-2]):
+        one = certificate_matrix(sys, float(nus[idx][0]), lams[idx], taus[idx])
+        assert stack[idx].tobytes() == one.tobytes(), idx
+
+
+def test_stacked_certificate_matrix_keeps_every_bit(embedding_report):
+    rng = np.random.default_rng(15)
+    systems = [random_system(rng, n) for n in range(1, 9) for _ in range(3)]
+    systems.append(embedding_report.embedding.system.with_sigma(20.0))
+    for sys in systems:
+        n = sys.n
+        nus = rng.uniform(0.01, 0.99, size=7)
+        theta = rng.exponential(size=(2, n)) * rng.integers(0, 2, size=(2, n))
+        # a nu stack at one theta
+        assert_stack_matches_calls(sys, nus, theta[0], theta[1])
+        # a theta stack at one nu: zero, the unit vectors and random points
+        lams = np.vstack([np.zeros(n), np.eye(n), np.zeros((n, n)), rng.exponential(size=(3, n))])
+        taus = np.vstack([np.zeros(n), np.zeros((n, n)), np.eye(n), rng.exponential(size=(3, n))])
+        assert_stack_matches_calls(sys, np.array(float(nus[0])), lams, taus)
+        # both at once, on two leading axes
+        assert_stack_matches_calls(sys, nus[:3, None], lams[None, :4], taus[None, :4])
+
+
+def test_stacked_certificate_matrix_validates_every_member():
+    sys = random_system(np.random.default_rng(16), 3)
+    ones = np.ones(3)
+    for bad in (0.0, 1.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match=r"nu must lie in \(0, 1\)"):
+            certificate_matrix(sys, bad, ones, ones)
+        with pytest.raises(ValueError, match=r"nu must lie in \(0, 1\)"):
+            certificate_matrix(sys, np.array([0.2, bad, 0.7]), ones, ones)
+    thetas = np.ones((4, 3))
+    thetas[2, 1] = -1e-300
+    for lam, tau in ((thetas, ones), (ones, thetas), (thetas[2], ones)):
+        with pytest.raises(ValueError, match="lambda and tau must be >= 0"):
+            certificate_matrix(sys, 0.5, lam, tau)
+        with pytest.raises(ValueError, match="lambda and tau must be >= 0"):
+            certificate_matrix(sys, np.array([0.3, 0.6]), lam, tau)
+    with pytest.raises(ValueError, match="lambda and tau must have length n"):
+        certificate_matrix(hand_system(), np.array([0.3, 0.6]), np.ones((2, 2)), np.ones((2, 1)))
+
+
 def test_max_eigenvalue_rejects_asymmetric():
     with pytest.raises(ValueError):
         max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -254,6 +311,34 @@ def test_embedding_certificate_below_the_floor_has_a_necessity_witness(embedding
     assert cert.margin == min(margins) and cert.nu == default_nu_grid()[np.argmin(margins)]
 
 
+def test_necessity_exit_scores_each_nu_like_max_eigenvalue():
+    # the stacked eigvalsh over the nu grid picks the same margin and nu, to the
+    # bit, as lambda_max of each N(nu, 0, 0) on its own
+    rng = np.random.default_rng(17)
+    systems = [make_scalar(a, sigma) for a in (0.3, 1.0, 2.5) for sigma in (0.0, 0.4, 0.7)]
+    for n in range(1, 7):
+        for _ in range(4):
+            c, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            s = rng.uniform(0.1, 3.0, size=n)
+            sys = LureSystem(a=rng.normal(size=(n, n)) + np.eye(n), f_gain=rng.normal(size=(n, n)),
+                             c=c, sigma=0.0, nonlinearity=TanhBank(s), sector_slopes=s,
+                             deriv_bounds=s)
+            systems.append(sys.with_sigma(0.9 * linear_necessity_bound(sys)[1]))
+    grids = (default_nu_grid(), np.array([0.5]), np.array([0.9, 0.1, 0.4]))
+    exits = 0
+    for sys in systems:
+        for grid in grids:
+            cert = certify(CertProblem(sys, grid))
+            if cert.witness != "necessity":
+                continue
+            zeros = np.zeros(sys.n)
+            margins = [max_eigenvalue(certificate_matrix(sys, nu, zeros, zeros)) for nu in grid]
+            assert cert.margin == min(margins) and cert.nu == grid[np.argmin(margins)]
+            assert type(cert.margin) is float
+            exits += 1
+    assert exits >= 60, exits
+
+
 def test_feasible_certificate_has_a_search_witness():
     cert = certify(CertProblem(make_scalar(0.1, 0.7)))
     assert cert.feasible and cert.witness == "search"
@@ -317,6 +402,24 @@ def test_sigma_sweep_matches_closed_form_and_jobs_invariant():
     # the known boundary for a = 0.1 sits between 0.4 and 0.5
     feas = [s for s, c in seq if c.feasible]
     assert 0.4 < feas[0] <= 0.5
+
+
+def test_one_sigma_sweep_starts_no_pool(monkeypatch):
+    sys = search_system()
+    seq = sigma_sweep(sys, [0.81], jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr("sarlab.certify.ProcessPoolExecutor", no_pool)
+    par = sigma_sweep(sys, [0.81], jobs=4)
+    (s1, c1), = seq
+    (s2, c2), = par
+    assert s1 == s2 and c1.margin == c2.margin and c1.nu == c2.nu
+    np.testing.assert_array_equal(c1.lam, c2.lam)
+    np.testing.assert_array_equal(c1.tau, c2.tau)
+    with pytest.raises(AssertionError, match="process pool started"):
+        sigma_sweep(sys, [0.6, 0.81], jobs=4)
 
 
 def test_cert_problem_pickles_with_its_drift():

@@ -67,6 +67,10 @@ def test_certify_sigma_override_flips_verdict(scalar_files, tmp_path):
     assert rc == 1
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["sigma"] == pytest.approx(0.3)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["stages"]) == ["certify_s", "write_s"]
+    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+    assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
 
 
 def test_certify_rejects_range_sigma(scalar_files, tmp_path):
@@ -125,6 +129,9 @@ def test_sweep_reports_boundary_and_writes_artifacts(scalar_files, tmp_path, cap
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
     assert set(manifest["outputs"]) >= {"sweep.csv", "sweep.plt"}
+    assert list(manifest["stages"]) == ["sweep_s", "write_s"]
+    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+    assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
 
 
 def test_sweep_requires_sigma_grid(scalar_files, tmp_path):
