@@ -60,12 +60,11 @@ def test_certificate_matrix_needs_square_feedback():
         certificate_matrix(wide, 0.5, np.ones(2), np.ones(2))
 
 
-def random_system(rng, n, sigma=None):
+def random_system(rng, n):
     """A square n-state system with random data (C^T C != I)."""
     s = rng.uniform(0.1, 3.0, size=n)
     return LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, n)),
-                      c=rng.normal(size=(n, n)),
-                      sigma=float(rng.uniform(0.0, 2.0)) if sigma is None else sigma,
+                      c=rng.normal(size=(n, n)), sigma=float(rng.uniform(0.0, 2.0)),
                       nonlinearity=TanhBank(s), sector_slopes=s,
                       deriv_bounds=s * rng.uniform(0.5, 2.0, size=n))
 
