@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
-from .lure import C_DEFECT_TOL, LureSystem, _one_blas_thread, c_defect
+from .lure import C_DEFECT_TOL, LureSystem, _one_blas_thread, c_defect, write_json
 
 __all__ = [
     "SolverOptions",
@@ -422,9 +422,7 @@ def save_certificate(cert: Certificate, path) -> None:
         "witness": cert.witness,
         "c_defect": cert.c_defect,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_certificate(path) -> Certificate:

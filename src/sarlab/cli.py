@@ -3,8 +3,9 @@
 Artifacts are CSV files plus generated gnuplot scripts, never rendered
 images.  Every command writes a manifest.json recording the resolved
 configuration, the seeds, any calibrated values, the tool version, the
-produced files, and the wall time; simulate and reproduce fig3/fig4 also
-record the seconds spent per stage (calibrate_s, simulate_s, write_s).
+produced files, the wall time and the seconds per stage; reproduce runs
+the commands' own cores on fixed inputs (simulate's for fig3 and fig4,
+approximate's, sweep's and certify's for fig5).
 CSV output is a pure function of (config, seed, version): rerunning a
 command reproduces the data files byte for byte.  All numeric CSV fields
 use %.17g.
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from . import morris_lecar as ml
-from .certify import CertProblem, certify, save_certificate, sigma_sweep
+from .certify import CertProblem, Certificate, certify, save_certificate, sigma_sweep
 from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
-from .lure import LureSystem, load_system, validate
+from .lure import LureSystem, load_system, validate, write_json
 from .sde import SdePath, SimConfig, lowpass, simulate
 from .shallow import load_embedding, save_embedding, save_net
 
@@ -78,6 +79,14 @@ def parse_range(text: str, name: str) -> np.ndarray:
     return grid
 
 
+def _sigma_grid(text: str) -> np.ndarray:
+    """The --sigma noise grid a:b:step of sweep and reproduce fig5."""
+    sigmas = parse_range(text, "sigma")
+    if np.any(sigmas < 0):
+        raise CliError("--sigma: noise levels must be >= 0")
+    return sigmas
+
+
 def _config_number(config: dict, key: str, default, kind=float):
     """config[key] (default when absent) as a float, or for kind=int an
     int; anything but a JSON number of that kind is a usage error."""
@@ -122,9 +131,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
     missing = [o for o in outputs if not (out_dir / o).is_file()]
     if missing:
         raise RuntimeError(f"manifest lists missing outputs: {missing}")
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", doc)
 
 
 @contextlib.contextmanager
@@ -189,8 +196,7 @@ def write_sweep(out_dir: Path, results) -> float | None:
     else:
         lines.append("# no feasible sigma on the sweep grid; no boundary to mark")
     lines.append("plot 'sweep.csv' using 1:2 with linespoints, zero(x) with lines dashtype 3 title ''")
-    with open(out_dir / "sweep.plt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    (out_dir / "sweep.plt").write_text("\n".join(lines) + "\n")
     return boundary
 
 
@@ -276,7 +282,96 @@ def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each cmd_* reads its arguments and config, then runs a core that
+# computes its artifacts, writes them into out_dir, adds its seconds to
+# stages and prints its summary line
+
+def _calibrate(stages: dict, config: dict) -> tuple[ml.MorrisLecarParams, dict]:
+    """The config's neuron parameters with its i_app resolved (calibrate_s),
+    and the calibrated values for the manifest."""
+    p = _ml_params(config)
+    with _stage(stages, "calibrate_s"):
+        p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
+    return p, {"i_app": i_app, "v2": p.v2}
+
+
+def _neuron_trajectory(out_dir: Path, stages: dict, name: str, p: ml.MorrisLecarParams,
+                       x0, sim: SimConfig, sigma: float, noise_mode: str,
+                       window: int | None) -> tuple[SdePath, list[str]]:
+    """simulate's neuron core: one path (simulate_s), written to name
+    (write_s) as t,V,N plus, when sigma > 0, V_filt,N_filt, its moving
+    average over window samples.  Returns the path and the CSV header."""
+    with _stage(stages, "simulate_s"):
+        path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
+        header, cols = ["t", "V", "N"], [path.times, *path.states.T]
+        if sigma > 0.0:
+            header += ["V_filt", "N_filt"]
+            cols += [*lowpass(path.states, window).T]
+    with _stage(stages, "write_s"):
+        write_csv(out_dir / name, header, cols)
+    return path, header
+
+
+def _approximate(out_dir: Path, stages: dict, p: ml.MorrisLecarParams,
+                 ecfg: EmbeddingConfig) -> tuple[EmbeddingReport, list[str]]:
+    """approximate's core: fit and embed (fit_s), then write the fit and
+    residuals.json (write_s).  Returns the report and the written file
+    names, none when training diverged."""
+    with _stage(stages, "fit_s"):
+        report = build_embedding(p, ecfg)
+    if report.diverged:
+        print("training diverged (non-finite loss); no embedding written", file=sys.stderr)
+        return report, []
+    rng_pct = 100.0 * report.channel_rms / report.channel_range
+    residuals = {
+        "channel_rms": report.channel_rms.tolist(),
+        "channel_range": report.channel_range.tolist(),
+        "channel_rms_pct_of_range": rng_pct.tolist(),
+        "recovery_rms": report.recovery_rms,
+        "recovery_max": report.recovery_max,
+        "final_losses": [float(h[-1]) for h in report.loss_histories],
+        "state_dim": report.embedding.system.n,
+        "units": int(report.embedding.system.m),
+    }
+    with _stage(stages, "write_s"):
+        outputs = _save_fit(out_dir, report)
+        write_json(out_dir / "residuals.json", residuals)
+    print(f"embedded system: n={report.embedding.system.n}, "
+          f"channel RMS % of range: {np.array2string(rng_pct, precision=3)}")
+    return report, outputs + ["residuals.json"]
+
+
+def _sweep(out_dir: Path, stages: dict, system: LureSystem, sigmas: np.ndarray,
+           nu_grid: np.ndarray | None, jobs: int) -> None:
+    """sweep's core: certify system at each sigma (sweep_s), then write
+    sweep.csv and sweep.plt (write_s)."""
+    with _stage(stages, "sweep_s"):
+        results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=jobs)
+    with _stage(stages, "write_s"):
+        boundary = write_sweep(out_dir, results)
+    if boundary is None:
+        print(f"no feasible sigma among {sigmas.size} grid points "
+              f"(best margin {min(c.margin for _, c in results):.6g})")
+    else:
+        print(f"first feasible sigma: {boundary:g}")
+
+
+def _certify(out_dir: Path, stages: dict, system: LureSystem,
+             nu_grid: np.ndarray | None = None) -> Certificate:
+    """certify's core: the certificate search (certify_s), then
+    certificate.json (write_s)."""
+    kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
+    try:
+        with _stage(stages, "certify_s"):
+            cert = certify(CertProblem(system, **kwargs))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    with _stage(stages, "write_s"):
+        save_certificate(cert, out_dir / "certificate.json")
+    verdict = "feasible" if cert.feasible else "infeasible"
+    print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
+    return cert
+
 
 def cmd_simulate(args) -> int:
     config = _load_json(args.config)
@@ -290,30 +385,24 @@ def cmd_simulate(args) -> int:
                     seed=seed,
                     record_stride=_config_number(config, "record_stride", 10, int))
     model = config.get("model", "ml")
+    resolved = dict(config, seed=seed)
     calibrated = None
     stages = {"calibrate_s": 0.0, "simulate_s": 0.0, "write_s": 0.0}
 
     if model == "ml":
         sigma = _config_number(config, "sigma", 0.0)
-        noise_mode = args.noise_mode or config.get("noise_mode", "state")
+        noise_mode = resolved["noise_mode"] = args.noise_mode or config.get("noise_mode", "state")
         if noise_mode not in ("state", "current"):
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")
-        p = _ml_params(config)
-        with _stage(stages, "calibrate_s"):
-            p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
-        calibrated = {"i_app": i_app, "v2": p.v2}
-        x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
-        with _stage(stages, "simulate_s"):
-            path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
-        header = ["t", "V", "N"]
-        cols = [path.times, path.states[:, 0], path.states[:, 1]]
+        window = None
         if sigma > 0.0:
-            window = _odd_window(args.filter_window if args.filter_window is not None
-                                 else _config_number(config, "filter_window", 101, int))
-            with _stage(stages, "simulate_s"):
-                filt = lowpass(path.states, window)
-            header += ["V_filt", "N_filt"]
-            cols += [filt[:, 0], filt[:, 1]]
+            window = resolved["filter_window"] = _odd_window(
+                args.filter_window if args.filter_window is not None
+                else _config_number(config, "filter_window", 101, int))
+        p, calibrated = _calibrate(stages, config)
+        x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
+        path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
+                                          noise_mode, window)
         title = f"membrane trajectory, sigma={sigma:g}, mode={noise_mode}"
     elif model == "lure":
         if "system" not in config:
@@ -323,17 +412,14 @@ def cmd_simulate(args) -> int:
         with _stage(stages, "simulate_s"):
             path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
-        cols = [path.times] + [path.states[:, i] for i in range(system.n)]
+        with _stage(stages, "write_s"):
+            write_csv(out_dir / "traj.csv", header, [path.times, *path.states.T])
         title = f"state trajectory, sigma={system.sigma:g}"
     else:
         raise CliError(f"unknown model {model!r} (want ml or lure)")
 
     with _stage(stages, "write_s"):
-        write_csv(out_dir / "traj.csv", header, cols)
-        with open(out_dir / "traj.plt", "w") as fh:
-            fh.write(traj_plot_script("traj.csv", header[1:], title))
-    resolved = dict(config)
-    resolved["seed"] = seed
+        (out_dir / "traj.plt").write_text(traj_plot_script("traj.csv", header[1:], title))
     write_manifest(out_dir, "simulate", resolved, {"simulation": seed},
                    calibrated, ["traj.csv", "traj.plt"], t0, stages)
     if _report_divergence([path]):
@@ -358,41 +444,14 @@ def cmd_approximate(args) -> int:
                                  getattr(defaults, field), type(getattr(defaults, field)))
            for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
     fit["box"] = _box(config.get("box", defaults.box))
-    p = _ml_params(config)
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
-    with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
-    ecfg = EmbeddingConfig(**fit, seed=seed, i_app=i_app)
-    with _stage(stages, "fit_s"):
-        report = build_embedding(p, ecfg)
+    p, calibrated = _calibrate(stages, config)
+    report, outputs = _approximate(out_dir, stages, p,
+                                   EmbeddingConfig(**fit, seed=seed, i_app=calibrated["i_app"]))
     if report.diverged:
-        print("training diverged (non-finite loss); no embedding written", file=sys.stderr)
         return 4
-
-    rng_pct = 100.0 * report.channel_rms / report.channel_range
-    residuals = {
-        "channel_rms": report.channel_rms.tolist(),
-        "channel_range": report.channel_range.tolist(),
-        "channel_rms_pct_of_range": rng_pct.tolist(),
-        "recovery_rms": report.recovery_rms,
-        "recovery_max": report.recovery_max,
-        "final_losses": [float(h[-1]) for h in report.loss_histories],
-        "state_dim": report.embedding.system.n,
-        "units": int(report.embedding.system.m),
-    }
-    with _stage(stages, "write_s"):
-        outputs = _save_fit(out_dir, report)
-        with open(out_dir / "residuals.json", "w") as fh:
-            json.dump(residuals, fh, indent=2)
-            fh.write("\n")
-    outputs.append("residuals.json")
-
-    resolved = dict(config)
-    resolved["seed"] = seed
-    write_manifest(out_dir, "approximate", resolved, {"training": seed},
-                   {"i_app": i_app, "v2": p.v2}, outputs, t0, stages)
-    print(f"embedded system: n={report.embedding.system.n}, "
-          f"channel RMS % of range: {np.array2string(rng_pct, precision=3)}")
+    write_manifest(out_dir, "approximate", dict(config, seed=seed), {"training": seed},
+                   calibrated, outputs, t0, stages)
     return 0
 
 
@@ -406,30 +465,19 @@ def cmd_certify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
     stages = {"certify_s": 0.0, "write_s": 0.0}
-    try:
-        with _stage(stages, "certify_s"):
-            cert = certify(CertProblem(system, **kwargs))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    with _stage(stages, "write_s"):
-        save_certificate(cert, out_dir / "certificate.json")
+    cert = _certify(out_dir, stages, system, nu_grid)
     write_manifest(out_dir, "certify",
                    {"system": str(args.system), "sigma": system.sigma,
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
                    {}, None, ["certificate.json"], t0, stages)
-    verdict = "feasible" if cert.feasible else "infeasible"
-    print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
     return 0 if cert.feasible else 1
 
 
 def cmd_sweep(args) -> int:
     if args.sigma is None:
         raise CliError("sweep needs --sigma a:b:step")
-    sigmas = parse_range(args.sigma, "sigma")
-    if np.any(sigmas < 0):
-        raise CliError("--sigma: noise levels must be >= 0")
+    sigmas = _sigma_grid(args.sigma)
     system = _load_cert_target(args.system)
     nu_grid = (parse_range(args.nu_grid, "nu-grid")
                if args.nu_grid is not None else None)
@@ -438,19 +486,11 @@ def cmd_sweep(args) -> int:
     t0 = time.monotonic()
 
     stages = {"sweep_s": 0.0, "write_s": 0.0}
-    with _stage(stages, "sweep_s"):
-        results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=args.jobs)
-    with _stage(stages, "write_s"):
-        boundary = write_sweep(out_dir, results)
+    _sweep(out_dir, stages, system, sigmas, nu_grid, args.jobs)
     write_manifest(out_dir, "sweep",
                    {"system": str(args.system), "sigmas": sigmas.tolist(),
                     "nu_grid": None if nu_grid is None else nu_grid.tolist()},
                    {}, None, ["sweep.csv", "sweep.plt"], t0, stages)
-    if boundary is None:
-        print(f"no feasible sigma among {sigmas.size} grid points "
-              f"(best margin {min(c.margin for _, c in results):.6g})")
-    else:
-        print(f"first feasible sigma: {boundary:g}")
     return 0
 
 
@@ -458,106 +498,64 @@ def cmd_sweep(args) -> int:
 
 FIG_SEEDS = {"fig3": 0, "fig4": 11, "fig5": 7}
 
-
-def _fig3(out_dir: Path, seed: int) -> int:
-    t0 = time.monotonic()
-    stages = {}
-    with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
-    sim = SimConfig(t_end=500.0, dt=5e-3, seed=seed, record_stride=10)
-    with _stage(stages, "simulate_s"):
-        path = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
-    with _stage(stages, "write_s"):
-        write_csv(out_dir / "traj.csv", ["t", "V", "N"],
-                  [path.times, path.states[:, 0], path.states[:, 1]])
-        with open(out_dir / "traj.plt", "w") as fh:
-            fh.write(traj_plot_script("traj.csv", ["V", "N"],
-                                      f"unforced spiking, i_app={i_app:g}"))
-    write_manifest(out_dir, "reproduce fig3",
-                   {"t_end": 500.0, "dt": 5e-3, "record_stride": 10, "sigma": 0.0},
-                   {"simulation": seed}, {"i_app": i_app, "v2": p.v2},
-                   ["traj.csv", "traj.plt"], t0, stages)
-    return _report_divergence([path])
-
-
-def _fig4(out_dir: Path, seed: int, window: int) -> int:
-    t0 = time.monotonic()
-    stages = {}
-    with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
-    sim = SimConfig(t_end=500.0, dt=5e-3, seed=seed, record_stride=10)
-    with _stage(stages, "simulate_s"):
-        base = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.0)
-        noisy = ml.simulate_ml(p, ml.DEFAULT_INIT, sim, sigma=0.85, noise_mode="state")
-        filt = lowpass(noisy.states, window)
-    with _stage(stages, "write_s"):
-        write_csv(out_dir / "traj_sigma0.csv", ["t", "V", "N"],
-                  [base.times, base.states[:, 0], base.states[:, 1]])
-        write_csv(out_dir / "traj_sigma085.csv", ["t", "V", "N", "V_filt", "N_filt"],
-                  [noisy.times, noisy.states[:, 0], noisy.states[:, 1],
-                   filt[:, 0], filt[:, 1]])
-        script = (
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set xlabel 't'\nset ylabel 'V (mV)'\n"
-            "set title 'noise injection at sigma=0.85 vs sigma=0'\n"
-            "plot 'traj_sigma0.csv' using 1:2 with lines, \\\n"
-            "  'traj_sigma085.csv' using 1:2 with lines, \\\n"
-            "  'traj_sigma085.csv' using 1:4 with lines lw 2\n")
-        with open(out_dir / "traj.plt", "w") as fh:
-            fh.write(script)
-    write_manifest(out_dir, "reproduce fig4",
-                   {"t_end": 500.0, "dt": 5e-3, "record_stride": 10,
-                    "sigmas": [0.0, 0.85], "noise_mode": "state",
-                    "filter_window": window},
-                   {"simulation": seed}, {"i_app": i_app, "v2": p.v2},
-                   ["traj_sigma0.csv", "traj_sigma085.csv", "traj.plt"], t0, stages)
-    return _report_divergence([base, noisy])
-
-
-def _fig5(out_dir: Path, seed: int, jobs: int, sigma_text: str | None) -> int:
-    t0 = time.monotonic()
-    p, i_app = _resolve_iapp(ml.MorrisLecarParams(), "calibrate")
-    ecfg = EmbeddingConfig(seed=seed, i_app=i_app)
-    report = build_embedding(p, ecfg)
-    if report.diverged:
-        print("training diverged; fig5 artifacts not written", file=sys.stderr)
-        return 4
-
-    outputs = _save_fit(out_dir, report)
-
-    sigmas = parse_range(sigma_text, "sigma") if sigma_text else np.arange(0.2, 2.0001, 0.2)
-    results = sigma_sweep(report.embedding.system, sigmas, jobs=jobs)
-    write_sweep(out_dir, results)
-    outputs += ["sweep.csv", "sweep.plt"]
-
-    cert = certify(CertProblem(report.embedding.system.with_sigma(0.85)))
-    save_certificate(cert, out_dir / "certificate.json")
-    outputs.append("certificate.json")
-
-    write_manifest(out_dir, "reproduce fig5",
-                   {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
-                   {"training": seed},
-                   {"i_app": i_app, "v2": p.v2}, outputs, t0)
-    print(f"sweep: {sum(c.feasible for _, c in results)}/{sigmas.size} feasible; "
-          f"sigma=0.85 margin {cert.margin:.6g} "
-          f"({'feasible' if cert.feasible else 'infeasible'})")
-    return 0
+FIG4_PLOT = ("set datafile separator ','\n"
+             "set key autotitle columnhead\n"
+             "set xlabel 't'\nset ylabel 'V (mV)'\n"
+             "set title 'noise injection at sigma=0.85 vs sigma=0'\n"
+             "plot 'traj_sigma0.csv' using 1:2 with lines, \\\n"
+             "  'traj_sigma085.csv' using 1:2 with lines, \\\n"
+             "  'traj_sigma085.csv' using 1:4 with lines lw 2\n")
 
 
 def cmd_reproduce(args) -> int:
+    """A figure's recipe: the cores of simulate (fig3, fig4) or of
+    approximate, sweep and certify (fig5) on fixed inputs and seeds."""
     fig = args.figure
     if fig not in FIG_SEEDS:
         raise CliError(f"unknown figure id {fig!r} (want fig3, fig4 or fig5)")
     seed = args.seed if args.seed is not None else FIG_SEEDS[fig]
-    out_dir = Path(args.out) / fig
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fig == "fig3":
-        return _fig3(out_dir, seed)
+    window = sigmas = None
     if fig == "fig4":
         window = _odd_window(args.filter_window if args.filter_window is not None else 101)
-        return _fig4(out_dir, seed, window)
-    return _fig5(out_dir, seed, args.jobs, args.sigma)
+    elif fig == "fig5":
+        sigmas = _sigma_grid(args.sigma) if args.sigma else np.arange(0.2, 2.0001, 0.2)
+    out_dir = Path(args.out) / fig
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.monotonic()
+    stages = {}
+    p, calibrated = _calibrate(stages, {})
+
+    if fig == "fig5":
+        report, outputs = _approximate(out_dir, stages, p,
+                                       EmbeddingConfig(seed=seed, i_app=calibrated["i_app"]))
+        if report.diverged:
+            return 4
+        _sweep(out_dir, stages, report.embedding.system, sigmas, None, args.jobs)
+        _certify(out_dir, stages, report.embedding.system.with_sigma(0.85))
+        write_manifest(out_dir, "reproduce fig5",
+                       {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
+                       {"training": seed}, calibrated,
+                       outputs + ["sweep.csv", "sweep.plt", "certificate.json"], t0, stages)
+        return 0
+
+    config = {"t_end": 500.0, "dt": 5e-3, "record_stride": 10}
+    sim = SimConfig(**config, seed=seed)
+    if fig == "fig3":
+        runs = [("traj.csv", 0.0)]
+        config["sigma"] = 0.0
+        script = traj_plot_script("traj.csv", ["V", "N"],
+                                  f"unforced spiking, i_app={calibrated['i_app']:g}")
+    else:
+        runs, script = [("traj_sigma0.csv", 0.0), ("traj_sigma085.csv", 0.85)], FIG4_PLOT
+        config.update(sigmas=[0.0, 0.85], noise_mode="state", filter_window=window)
+    paths = [_neuron_trajectory(out_dir, stages, name, p, ml.DEFAULT_INIT, sim, sigma,
+                                "state", window)[0]
+             for name, sigma in runs]
+    with _stage(stages, "write_s"):
+        (out_dir / "traj.plt").write_text(script)
+    write_manifest(out_dir, f"reproduce {fig}", config, {"simulation": seed}, calibrated,
+                   [name for name, _ in runs] + ["traj.plt"], t0, stages)
+    return _report_divergence(paths)
 
 
 # ---------------------------------------------------------------------------

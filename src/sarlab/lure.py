@@ -38,6 +38,7 @@ __all__ = [
     "load_system",
     "system_to_dict",
     "system_from_dict",
+    "write_json",
 ]
 
 
@@ -284,10 +285,15 @@ def system_from_dict(d: dict) -> LureSystem:
     )
 
 
-def save_system(sys: LureSystem, path) -> None:
+def write_json(path, doc: dict) -> None:
+    """The package's one JSON writer: doc indented by 2, then a newline."""
     with open(path, "w") as fh:
-        json.dump(system_to_dict(sys), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_system(sys: LureSystem, path) -> None:
+    write_json(path, system_to_dict(sys))
 
 
 def load_system(path) -> LureSystem:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lure import (LureSystem, TanhBank, _one_blas_thread, augment, system_from_dict,
-                   system_to_dict)
+                   system_to_dict, write_json)
 
 __all__ = [
     "ShallowNet",
@@ -379,9 +379,7 @@ def _orthonormal_lift(system: LureSystem, n_phys: int) -> tuple[LureSystem, np.n
 def save_net(net: ShallowNet, path) -> None:
     doc = {"w1": net.w1.tolist(), "b1": net.b1.tolist(),
            "w2": net.w2.tolist(), "b2": net.b2.tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_net(path) -> ShallowNet:
@@ -400,9 +398,7 @@ def embedding_to_dict(e: SectorEmbedding) -> dict:
 
 
 def save_embedding(e: SectorEmbedding, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(embedding_to_dict(e), fh, indent=2)
-        fh.write("\n")
+    write_json(path, embedding_to_dict(e))
 
 
 def load_embedding(path) -> SectorEmbedding:

@@ -247,9 +247,12 @@ def test_criterion_09_backprop_matches_central_differences():
 # -- 10: byte-identical replay ----------------------------------------------------
 
 def test_criterion_10_replay_is_byte_identical(tmp_path):
+    # fig4 is the recipe that draws noise
     for sub in ("r1", "r2"):
-        assert cli.main(["reproduce", "fig3",
-                         "--out", str(tmp_path / sub)]) == 0
-    a = (tmp_path / "r1" / "fig3" / "traj.csv").read_bytes()
-    b = (tmp_path / "r2" / "fig3" / "traj.csv").read_bytes()
-    assert a == b, "two runs of the same recipe produced different CSV bytes"
+        for fig in ("fig3", "fig4"):
+            assert cli.main(["reproduce", fig, "--out", str(tmp_path / sub)]) == 0
+    csvs = sorted(str(f.relative_to(tmp_path / "r1")) for f in (tmp_path / "r1").glob("*/*.csv"))
+    assert csvs == ["fig3/traj.csv", "fig4/traj_sigma0.csv", "fig4/traj_sigma085.csv"]
+    for name in csvs:
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes(), \
+            f"two runs of the same recipe produced different bytes in {name}"

@@ -147,6 +147,15 @@ def test_sweep_rejects_empty_and_negative_grids(scalar_files, tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_reproduce_fig5_rejects_a_negative_grid_before_training(monkeypatch, tmp_path):
+    def no_training(p, cfg):
+        raise AssertionError("trained before rejecting --sigma")
+
+    monkeypatch.setattr(cli, "build_embedding", no_training)
+    assert cli.main(["reproduce", "fig5", "--sigma=-0.5:0.5:0.5", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "fig5").exists()
+
+
 # -- simulate -----------------------------------------------------------------
 
 def test_simulate_noisy_ml_adds_filtered_columns(tmp_path):
@@ -177,6 +186,21 @@ def test_simulate_manifest_records_stage_timings(model, scalar_files, tmp_path):
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     assert set(stages) == {"calibrate_s", "simulate_s", "write_s"}
     assert all(seconds >= 0.0 for seconds in stages.values())
+
+
+def test_simulate_manifest_config_replays_the_run(tmp_path):
+    # the flags override the config file; the manifest records what ran
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "ml", "i_app": 40.0, "sigma": 0.85, "t_end": 1.0,
+                                    "dt": 1e-3, "filter_window": 101}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--noise-mode", "current",
+                     "--filter-window", "5", "--out", str(tmp_path / "flags")]) == 0
+    config = json.loads((tmp_path / "flags" / "manifest.json").read_text())["config"]
+    assert (config["noise_mode"], config["filter_window"]) == ("current", 5)
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "replay")]) == 0
+    assert ((tmp_path / "replay" / "traj.csv").read_bytes()
+            == (tmp_path / "flags" / "traj.csv").read_bytes())
 
 
 def test_simulate_divergence_names_the_path(tmp_path, capsys):
@@ -436,6 +460,46 @@ def test_reproduce_manifest_records_stage_timings(figure, monkeypatch, tmp_path,
     assert list(manifest["stages"]) == ["calibrate_s", "simulate_s", "write_s"]
     assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
     assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
+
+
+@pytest.mark.parametrize("config, reproduced", [
+    ({"sigma": 0.0, "seed": 0}, ["fig3/traj.csv", "fig4/traj_sigma0.csv"]),
+    ({"sigma": 0.85, "noise_mode": "state", "seed": 11, "filter_window": 101},
+     ["fig4/traj_sigma085.csv"]),
+])
+def test_reproduce_trajectories_are_simulate_runs(config, reproduced, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "ml", **config}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+    expected = (tmp_path / "sim" / "traj.csv").read_bytes()
+    for name in reproduced:
+        assert cli.main(["reproduce", name.split("/")[0], "--out", str(tmp_path / "rep")]) == 0
+        assert (tmp_path / "rep" / name).read_bytes() == expected, name
+
+
+def test_reproduce_fig5_artifacts_are_the_commands_artifacts(embedding_report, monkeypatch,
+                                                              tmp_path, capsys):
+    monkeypatch.setattr(cli, "build_embedding", lambda p, cfg: embedding_report)
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text("{}")
+    assert cli.main(["approximate", "--config", str(cfg_path), "--seed", "7",
+                     "--out", str(tmp_path / "fit")]) == 0
+    embedding = str(tmp_path / "fit" / "embedding.json")
+    assert cli.main(["sweep", embedding, "--sigma", "0.2:2:0.2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["certify", embedding, "--sigma", "0.85",
+                     "--out", str(tmp_path / "cert")]) in (0, 1)
+    commands = capsys.readouterr().out
+    assert cli.main(["reproduce", "fig5", "--out", str(tmp_path / "rep")]) == 0
+    assert capsys.readouterr().out == commands
+    rep = tmp_path / "rep" / "fig5"
+    manifest = json.loads((rep / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {"calibrate_s", "fit_s", "write_s", "sweep_s", "certify_s"}
+    assert sorted(manifest["outputs"]) == sorted(
+        f.name for f in rep.iterdir() if f.name != "manifest.json")
+    for name in manifest["outputs"]:
+        command = next(d for d in ("fit", "sweep", "cert") if (tmp_path / d / name).is_file())
+        assert (rep / name).read_bytes() == (tmp_path / command / name).read_bytes(), name
 
 
 def test_certify_converts_an_unlifted_embedding_file(embedding_report, tmp_path):
