@@ -2,8 +2,9 @@
 """Regenerate every figure artifact into out/ (fig3, fig4, fig5).
 
 Equivalent to running `sarlab reproduce figN` three times; exits with the
-first nonzero code encountered.  The fig5 sweep uses one worker per CPU
-this process may run on (results do not depend on the worker count).
+first nonzero code encountered.  The fig5 sweep, the one recipe that takes
+--jobs, uses one worker per CPU this process may run on (results do not
+depend on the worker count).
 """
 
 import os
@@ -17,7 +18,8 @@ def run(out_dir: str = "out", jobs: int | None = None) -> int:
         jobs = len(os.sched_getaffinity(0))
     for fig in ("fig3", "fig4", "fig5"):
         print(f"== {fig} ==", flush=True)
-        code = main(["reproduce", fig, "--out", out_dir, "--jobs", str(jobs)])
+        code = main(["reproduce", fig, "--out", out_dir]
+                    + (["--jobs", str(jobs)] if fig == "fig5" else []))
         if code != 0:
             print(f"{fig} exited {code}", file=sys.stderr)
             return code

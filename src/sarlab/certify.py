@@ -20,14 +20,13 @@ lower bound (see `_dual_lower_bound`).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
-from .lure import C_DEFECT_TOL, LureSystem, _one_blas_thread, c_defect, write_json
+from .lure import C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, c_defect, write_json
 
 __all__ = [
     "SolverOptions",
@@ -380,8 +379,10 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     """Certify a template system at each noise level of an ascending grid.
 
     Each sigma is solved independently (results do not depend on jobs).
-    The pool starts at most one worker per sigma, and none for one worker:
-    that sigma is solved in this process.
+    The sigmas are solved on a forked process pool of at most jobs workers,
+    one per sigma at most (:func:`sarlab.lure._fork_map`); a one-sigma grid,
+    jobs=1 or a single usable core solves them in this process.  An
+    exception in any worker is raised here, and no worker outlives the call.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if sigmas.size == 0:
@@ -397,12 +398,7 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
 
     problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options)
                 for s in sigmas]
-    workers = min(jobs, len(problems))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(certify, problems))
-    else:
-        certs = [certify(p) for p in problems]
+    certs = list(_fork_map(certify, problems, jobs))
     return [(float(s), c) for s, c in zip(sigmas, certs)]
 
 

@@ -497,6 +497,8 @@ def cmd_sweep(args) -> int:
 # -- reproduce ---------------------------------------------------------------
 
 FIG_SEEDS = {"fig3": 0, "fig4": 11, "fig5": 7}
+# the options each figure reads besides --seed and --out; giving another is a usage error
+FIG_OPTIONS = {"fig3": (), "fig4": ("filter_window",), "fig5": ("sigma", "jobs")}
 
 FIG4_PLOT = ("set datafile separator ','\n"
              "set key autotitle columnhead\n"
@@ -513,6 +515,15 @@ def cmd_reproduce(args) -> int:
     fig = args.figure
     if fig not in FIG_SEEDS:
         raise CliError(f"unknown figure id {fig!r} (want fig3, fig4 or fig5)")
+
+    def flag(name: str) -> str:
+        return "--" + name.replace("_", "-")
+
+    unread = [flag(name) for name in ("filter_window", "sigma", "jobs")
+              if getattr(args, name) is not None and name not in FIG_OPTIONS[fig]]
+    if unread:
+        takes = ", ".join(flag(name) for name in ("seed", "out", *FIG_OPTIONS[fig]))
+        raise CliError(f"reproduce {fig} does not read {', '.join(unread)}; it takes {takes}")
     seed = args.seed if args.seed is not None else FIG_SEEDS[fig]
     window = sigmas = None
     if fig == "fig4":
@@ -530,7 +541,7 @@ def cmd_reproduce(args) -> int:
                                        EmbeddingConfig(seed=seed, i_app=calibrated["i_app"]))
         if report.diverged:
             return 4
-        _sweep(out_dir, stages, report.embedding.system, sigmas, None, args.jobs)
+        _sweep(out_dir, stages, report.embedding.system, sigmas, None, args.jobs or 1)
         _certify(out_dir, stages, report.embedding.system.with_sigma(0.85))
         write_manifest(out_dir, "reproduce fig5",
                        {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
@@ -604,10 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("reproduce", help="regenerate a figure's artifacts")
-    common(sp, jobs=True)
+    common(sp)
     sp.add_argument("figure", help="fig3 | fig4 | fig5")
     sp.add_argument("--sigma", default=None, help="fig5 sweep grid a:b:step")
-    sp.add_argument("--filter-window", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help="fig5 sweep: max parallel workers")
+    sp.add_argument("--filter-window", type=int, default=None, help="fig4 filter window")
     sp.set_defaults(func=cmd_reproduce)
     return ap
 

@@ -14,7 +14,8 @@ and has a bounded slope f_i' < delta_i.  The certificate machinery in
 :mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the bank of
 tanh units is needed for simulation.  The module also holds the BLAS
 thread scope that the L-BFGS-B fits of :mod:`sarlab.shallow` and
-:mod:`sarlab.certify` run in.
+:mod:`sarlab.certify` run in, and the package's one process pool,
+:func:`_fork_map`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import contextlib
 import ctypes
 import functools
 import json
+import multiprocessing
+import os
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -359,3 +363,59 @@ def _one_blas_thread():
     finally:
         for (_, put), count in zip(controls, saved):
             put(count)
+
+
+# ---------------------------------------------------------------------------
+# process pool
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; every worker count derives from it."""
+    return len(os.sched_getaffinity(0))
+
+
+_POOL_TASK = None  # (fn, items) of the _fork_map call a pool worker serves
+
+
+def _serve(fn, items) -> None:
+    global _POOL_TASK
+    _POOL_TASK = (fn, items)
+
+
+def _run_task(i: int):
+    """fn(items[i]) in a pool worker, with the warnings it raised that the
+    filters the worker inherited let through."""
+    fn, items = _POOL_TASK
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(items[i])
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _fork_map(fn, items, workers: int | None = None):
+    """Yield fn(item) for each item, in input order.
+
+    The calls run on a fork-context multiprocessing pool of min(workers,
+    len(items)) processes (workers defaults to the usable cores).  The
+    workers inherit fn and items through the fork, so fn may be a closure
+    and only results travel back, pickled; the warnings a call raised are
+    raised again here.  No pool starts for one item, one worker or one
+    usable core, nor in a daemonic process such as a pool worker, which
+    may not have children: the calls then run here, one per item taken.
+    The pool's workers are terminated and joined when the caller stops
+    early (closes or drops this generator) and when a call raises, whose
+    exception is raised here.
+    """
+    items = list(items)
+    workers = min(_usable_cores() if workers is None else workers, len(items))
+    if workers < 2 or _usable_cores() < 2 or multiprocessing.current_process().daemon:
+        yield from map(fn, items)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, _serve, (fn, items))
+    try:
+        for result, caught in pool.imap(_run_task, range(len(items))):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            yield result
+    finally:
+        pool.terminate()
+        pool.join()

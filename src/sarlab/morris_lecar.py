@@ -15,12 +15,14 @@ Python floats through the shared Euler-Maruyama kernel of
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .lure import _fork_map
 from .sde import SimConfig, SdePath, _euler_maruyama, _recorded_paths, path_stream
 
 __all__ = [
@@ -230,17 +232,27 @@ def calibrate_iapp(p: MorrisLecarParams, grid=None, t_end: float = 600.0,
     Sustained means at least min_spikes upward crossings of 0 mV in the
     last third of a noise-free run started from DEFAULT_INIT that stays
     finite.  The grid is scanned in ascending order, one simulate_ml path
-    per current, and the scan stops at the first current that spikes.
+    per current, and the scan stops at the first current that spikes.  The
+    paths run on a forked process pool, one worker per usable core
+    (:func:`sarlab.lure._fork_map`), whose results are read in grid order,
+    so the answer is the serial scan's; the workers still running when it
+    is found are stopped.  A one-current grid runs in this process.
     """
     if grid is None:
         grid = np.arange(0.0, 300.0 + 1e-9, 5.0)
     cfg = SimConfig(t_end=t_end, dt=dt, record_stride=5)
-    for i_app in np.sort(np.asarray(grid, dtype=float)):
+
+    def sustained(i_app) -> bool:
         path = simulate_ml(p.with_iapp(i_app), DEFAULT_INIT, cfg)
         tail = path.times >= (2.0 / 3.0) * t_end
-        if (not path.diverged
-                and spike_times(path.times[tail], path.states[tail, 0]).size >= min_spikes):
-            return float(i_app)
+        return (not path.diverged
+                and spike_times(path.times[tail], path.states[tail, 0]).size >= min_spikes)
+
+    currents = np.sort(np.asarray(grid, dtype=float))
+    with contextlib.closing(_fork_map(sustained, currents)) as spiking:
+        for i_app, spikes in zip(currents, spiking):
+            if spikes:
+                return float(i_app)
     raise ValueError("no sustained oscillation found on the grid")
 
 

@@ -15,17 +15,15 @@ nets plus output combiners so the certificate machinery applies.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lure import (LureSystem, TanhBank, _one_blas_thread, augment, system_from_dict,
-                   system_to_dict, write_json)
+from .lure import (LureSystem, TanhBank, _fork_map, _one_blas_thread, _usable_cores,
+                   augment, system_from_dict, system_to_dict, write_json)
 
 __all__ = [
     "ShallowNet",
@@ -85,9 +83,6 @@ class ShallowNet:
 
 
 _PRUNE_TOL = 1e-12  # units with ||w1 row|| below this (relative) are dropped
-# nets fitted at once: one more than the cores, because each fit holds the
-# GIL for L-BFGS-B's own Python between its GIL-free tanh and matmul kernels
-_FIT_WORKERS = (os.cpu_count() or 1) + 1
 
 
 @dataclass(frozen=True)
@@ -170,9 +165,11 @@ def loss_and_grad(net: ShallowNet, x, targets):
 def train(x, targets, hidden: int, options: TrainOptions | None = None) -> TrainResult:
     """Fit k one-hidden-layer tanh nets on shared inputs by full-batch
     L-BFGS (scipy's L-BFGS-B without bounds), one run per net, at most
-    options.epochs iterations each.  The runs go concurrently on threads,
-    one per net up to one more than the cores, with OpenBLAS held to one
-    thread; an exception in any run is raised here.
+    options.epochs iterations each.  The runs go concurrently on a forked
+    process pool (:func:`sarlab.lure._fork_map`), one worker per net up to
+    one more than the usable cores, forked with OpenBLAS held to one thread;
+    a single net, or a single usable core, fits in this process.  An
+    exception in any run is raised here, and no worker outlives the call.
 
     targets is (k, n, q), one target set per net; a 2-D (n, q) target is a
     stack of one.  Net i draws its initial weights from
@@ -231,10 +228,13 @@ def train(x, targets, hidden: int, options: TrainOptions | None = None) -> Train
                            intermediate_result.fun))
         return res, history
 
-    # with OpenBLAS at one thread, its idle worker stops spinning on a core the
-    # other fits can use; the count changes no bits of any matmul
-    with _one_blas_thread(), ThreadPoolExecutor(min(k, _FIT_WORKERS)) as pool:
-        fits = list(pool.map(fit, range(k)))
+    # One worker more than the cores: the processes time-share the cores, so
+    # three fits on two cores end together instead of the third running alone
+    # on one core.  The workers fork with OpenBLAS at one thread, so no idle
+    # BLAS thread spins on a core another fit can use; the count changes no
+    # bits of any matmul.
+    with _one_blas_thread():
+        fits = list(_fork_map(fit, range(k), _usable_cores() + 1))
 
     nets, rms, histories, finals = [], [], [], []
     for i, (res, history) in enumerate(fits):

@@ -2,6 +2,8 @@
 net training + embedding) run once per session and are reused by the unit
 tests and the acceptance suite."""
 
+import multiprocessing.pool
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,22 @@ def parent_layout_doc(emb) -> dict:
     doc = system_to_dict(parent_layout(emb))
     doc.update(offset=emb.offset.tolist(), kappa=emb.kappa, n_phys=emb.n_phys)
     return doc
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started while the test runs."""
+    started = []
+
+    # a subclass, because the pool module reaches its own statics through the
+    # module's name Pool
+    class Counted(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            started.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    return started
 
 
 @pytest.fixture(scope="session")

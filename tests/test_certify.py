@@ -3,6 +3,7 @@ solver invariants and sweeps."""
 
 import itertools
 import json
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarlab.certify as certify_module
 from conftest import make_scalar
 from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
                             _solve_fixed_nu, certificate_matrix, certify, default_nu_grid,
@@ -17,7 +19,7 @@ from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_low
                             max_eigenvalue, recompute_margin, save_certificate,
                             sigma_sweep)
 from sarlab.cli import write_sweep
-from sarlab.lure import LureSystem, TanhBank
+from sarlab.lure import LureSystem, TanhBank, _usable_cores
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
 # sigma=1, nu=0.5, lambda=tau=1 assembles to [[-0.25,-0.125],[-0.125,-1]]
@@ -403,22 +405,32 @@ def test_sigma_sweep_matches_closed_form_and_jobs_invariant():
     assert 0.4 < feas[0] <= 0.5
 
 
-def test_one_sigma_sweep_starts_no_pool(monkeypatch):
+def test_one_sigma_sweep_starts_no_pool(pools):
     sys = search_system()
     seq = sigma_sweep(sys, [0.81], jobs=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started")
-
-    monkeypatch.setattr("sarlab.certify.ProcessPoolExecutor", no_pool)
     par = sigma_sweep(sys, [0.81], jobs=4)
+    assert pools == []
     (s1, c1), = seq
     (s2, c2), = par
     assert s1 == s2 and c1.margin == c2.margin and c1.nu == c2.nu
     np.testing.assert_array_equal(c1.lam, c2.lam)
     np.testing.assert_array_equal(c1.tau, c2.tau)
-    with pytest.raises(AssertionError, match="process pool started"):
-        sigma_sweep(sys, [0.6, 0.81], jobs=4)
+    sigma_sweep(sys, [0.6, 0.81], jobs=4)  # one worker per sigma
+    assert pools == ([2] if _usable_cores() > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_sweep_worker_reaches_the_caller(monkeypatch, pools):
+    def failing(problem):
+        if problem.sys.sigma == 0.6:
+            raise FloatingPointError("the sigma = 0.6 certificate failed")
+        return certify(problem)
+
+    monkeypatch.setattr(certify_module, "certify", failing)
+    with pytest.raises(FloatingPointError, match="sigma = 0.6"):
+        sigma_sweep(make_scalar(0.1, 0.0), [0.2, 0.6, 1.0], jobs=2)
+    assert pools == ([2] if _usable_cores() > 1 else [])
+    assert multiprocessing.active_children() == []
 
 
 def test_cert_problem_pickles_with_its_drift():

@@ -438,12 +438,16 @@ def _stub_simulation(monkeypatch, diverging_sigma=None):
     monkeypatch.setattr(ml, "simulate_ml", stub_path)
 
 
+# fig4 filters its noisy path; fig3 takes no window
+FIG_WINDOW = {"fig3": [], "fig4": ["--filter-window", "1"]}
+
+
 @pytest.mark.parametrize("figure, sigma", [("fig3", 0.0), ("fig4", 0.0), ("fig4", 0.85)])
 def test_reproduce_divergence_names_the_path(figure, sigma, monkeypatch, tmp_path, capsys,
                                              fresh_calibration_cache):
     _stub_simulation(monkeypatch, diverging_sigma=sigma)
     assert cli.main(["reproduce", figure, "--out", str(tmp_path),
-                     "--filter-window", "1"]) == 3
+                     *FIG_WINDOW[figure]]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"path 0 (sigma={sigma:g}) diverged: the state went non-finite "
                    "after t=0.05, its last finite sample; the written trajectory ends there"]
@@ -454,7 +458,7 @@ def test_reproduce_manifest_records_stage_timings(figure, monkeypatch, tmp_path,
                                                   fresh_calibration_cache):
     _stub_simulation(monkeypatch)
     assert cli.main(["reproduce", figure, "--out", str(tmp_path),
-                     "--filter-window", "1"]) == 0
+                     *FIG_WINDOW[figure]]) == 0
     assert capsys.readouterr().err == ""
     manifest = json.loads((tmp_path / figure / "manifest.json").read_text())
     assert list(manifest["stages"]) == ["calibrate_s", "simulate_s", "write_s"]
@@ -527,3 +531,18 @@ def test_usage_errors_return_two():
 def test_flags_that_did_nothing_are_gone(argv, capsys):
     assert cli.main(argv) == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure, flags, unread, takes", [
+    ("fig3", ["--filter-window", "4", "--sigma", "nonsense", "--jobs", "9"],
+     "--filter-window, --sigma, --jobs", "--seed, --out"),
+    ("fig4", ["--sigma", "0.5:0.5:0.1"], "--sigma", "--seed, --out, --filter-window"),
+    ("fig4", ["--jobs", "1"], "--jobs", "--seed, --out, --filter-window"),
+    ("fig5", ["--filter-window", "101"], "--filter-window", "--seed, --out, --sigma, --jobs"),
+])
+def test_reproduce_rejects_flags_its_figure_does_not_read(figure, flags, unread, takes,
+                                                          tmp_path, capsys):
+    assert cli.main(["reproduce", figure, "--out", str(tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"reproduce {figure} does not read {unread}; it takes {takes}" in err
+    assert not (tmp_path / figure).exists()

@@ -1,7 +1,10 @@
 """Model-layer tests: nonlinearity banks, validation, augmentation,
-serialization."""
+serialization, the BLAS thread scope and the process pool."""
 
+import multiprocessing
 import pickle
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -335,3 +338,35 @@ def test_one_blas_thread_without_openblas_does_nothing(maps, monkeypatch, tmp_pa
         assert [get() for get, _ in real] == before
         ran = True
     assert ran and [get() for get, _ in real] == before
+
+
+# -- the process pool ------------------------------------------------------------
+
+def test_fork_map_yields_in_input_order_with_the_workers_warnings(pools):
+    offset = 10  # the workers inherit the closure through the fork
+
+    def shifted(i):
+        if i == 2:
+            warnings.warn(f"item {i} warned", RuntimeWarning)
+        time.sleep(0.02 * (4 - i))  # the later items finish first
+        return i + offset
+
+    with pytest.warns(RuntimeWarning, match="item 2 warned"):
+        assert list(lure._fork_map(shifted, range(5), 2)) == [10, 11, 12, 13, 14]
+    assert pools == ([2] if lure._usable_cores() > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_stopped_early_leaves_no_worker():
+    results = lure._fork_map(lambda i: time.sleep(0.2 * i) or i, range(4), 2)
+    assert next(results) == 0
+    results.close()  # the other worker is still asleep
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_in_a_pool_worker_runs_in_process():
+    # a daemonic pool worker may not start children of its own
+    def inner(i):
+        return list(lure._fork_map(lambda j: i * j, range(3), 2))
+
+    assert list(lure._fork_map(inner, range(2), 2)) == [[0, 0, 0], [0, 1, 2]]

@@ -2,6 +2,7 @@
 simulation invariants, calibration, training sets, parameter JSON."""
 
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarlab import lure
 from sarlab import morris_lecar as ml
+from sarlab.lure import _usable_cores
 from sarlab.sde import _CHUNK, SimConfig, path_stream
 
 
@@ -299,6 +302,8 @@ def test_calibration_matches_per_current_runs(p):
 
 
 def test_calibration_scan_stops_at_the_first_spiking_current(p, monkeypatch):
+    # the serial scan, in this process: on one usable core no pool starts
+    monkeypatch.setattr(lure, "_usable_cores", lambda: 1)
     simulated = []
     simulate = ml.simulate_ml
 
@@ -313,9 +318,32 @@ def test_calibration_scan_stops_at_the_first_spiking_current(p, monkeypatch):
     assert simulated == [5.0 * k for k in range(9)]
 
 
-def test_calibration_rejects_silent_grid(p):
+# a grid whose first spiking current comes late: 36 silent currents, then 40
+LATE_GRID = [float(i) for i in range(36)] + [40.0]
+
+
+@pytest.mark.parametrize("grid", [None, LATE_GRID], ids=["default", "late"])
+def test_forked_scan_returns_the_serial_current(p, grid, pools, monkeypatch):
+    forked = [ml.calibrate_iapp(p, grid=grid)]
+    if grid is not None:
+        forked.append(ml.calibrate_iapp(p, grid=grid[::-1]))
+    assert pools == ([_usable_cores()] * len(forked) if _usable_cores() > 1 else [])
+    # it returns mid-grid, with the workers still running stopped
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(lure, "_usable_cores", lambda: 1)
+    assert forked == [ml.calibrate_iapp(p, grid=grid)] * len(forked) == [40.0] * len(forked)
+
+
+def test_one_current_grid_starts_no_pool(p, pools):
+    assert ml.calibrate_iapp(p, grid=[40.0]) == 40.0
+    assert pools == []
+
+
+def test_calibration_rejects_silent_grid(p, pools):
     with pytest.raises(ValueError, match="no sustained oscillation"):
         ml.calibrate_iapp(p, grid=[0.0, 5.0], t_end=60.0)
+    assert pools == ([2] if _usable_cores() > 1 else [])
+    assert multiprocessing.active_children() == []
 
 
 def test_spike_times_interpolation():

@@ -2,6 +2,7 @@
 sector extraction, embedding assembly, serialization."""
 
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import parent_layout_doc
 from sarlab import shallow
-from sarlab.lure import c_defect
+from sarlab.lure import _usable_cores, c_defect
 from sarlab.shallow import (ShallowNet, TrainOptions, embed,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
@@ -205,24 +206,29 @@ def test_one_diverging_net_leaves_the_others_training():
     assert (res.final_rms[1:] < 1e-2).all()
 
 
-def test_concurrent_fits_keep_their_own_buffers():
-    # more nets than fit workers, with the interpreter switching threads
-    # often: a buffer shared between two fits would change some net's bits
+def test_pooled_fits_equal_their_solo_fits(pools):
+    # more nets than pool workers, so each worker fits several in turn
     rng = np.random.default_rng(12)
     x = rng.uniform(-2.0, 2.0, size=(400, 2))
     targets = np.stack([np.tanh((i + 1) * x[:, :1] - x[:, 1:]) + i for i in range(8)])
     opts = TrainOptions(epochs=30, seed=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        res = train(x, targets, 4, opts)
-    finally:
-        sys.setswitchinterval(interval)
+    res = train(x, targets, 4, opts)
+    assert pools == ([_usable_cores() + 1] if _usable_cores() > 1 else [])
+    assert multiprocessing.active_children() == []
     for i, target in enumerate(targets):
         one = train(x, target, 4, replace(opts, seed=opts.seed + i))
-        np.testing.assert_array_equal(res.nets[i].w1, one.nets[0].w1)
+        for field in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(res.nets[i], field),
+                                          getattr(one.nets[0], field))
         np.testing.assert_array_equal(res.loss_history[i, :one.loss_history.shape[1]],
                                       one.loss_history[0])
+
+
+def test_one_net_fit_starts_no_pool(pools):
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1, 1, size=(200, 1))
+    train(x, np.sin(2 * x), 3, TrainOptions(epochs=5))
+    assert pools == []
 
 
 def test_a_raising_objective_reaches_the_caller(monkeypatch):
@@ -251,6 +257,7 @@ def test_a_raising_objective_reaches_the_caller(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert len(raised) == 1 and "net 1" in str(raised[0])
+    assert multiprocessing.active_children() == []
 
 
 _FIT_IN_CHILD = """
