@@ -375,6 +375,7 @@ def _usable_cores() -> int:
 
 
 _POOL_TASK = None  # (fn, items) of the _fork_map call a pool worker serves
+_POOL_POLL_S = 1.0  # how often a wait for a result checks that no worker died
 
 
 def _serve(fn, items) -> None:
@@ -391,6 +392,18 @@ def _run_task(i: int):
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
+def _next_result(results, processes):
+    """The next result of a pool's imap.  A worker that died (killed, say)
+    would be replaced and its task waited for forever, so that raises."""
+    while True:
+        try:
+            return results.next(timeout=_POOL_POLL_S)
+        except multiprocessing.TimeoutError:
+            codes = [p.exitcode for p in processes if p.exitcode is not None]
+            if codes:
+                raise RuntimeError(f"a pool worker died with exit code {codes[0]}") from None
+
+
 def _fork_map(fn, items, workers: int | None = None):
     """Yield fn(item) for each item, in input order.
 
@@ -403,7 +416,7 @@ def _fork_map(fn, items, workers: int | None = None):
     may not have children: the calls then run here, one per item taken.
     The pool's workers are terminated and joined when the caller stops
     early (closes or drops this generator) and when a call raises, whose
-    exception is raised here.
+    exception is raised here, or a worker dies, which raises RuntimeError.
     """
     items = list(items)
     workers = min(_usable_cores() if workers is None else workers, len(items))
@@ -411,8 +424,11 @@ def _fork_map(fn, items, workers: int | None = None):
         yield from map(fn, items)
         return
     pool = multiprocessing.get_context("fork").Pool(workers, _serve, (fn, items))
+    processes = list(pool._pool)
     try:
-        for result, caught in pool.imap(_run_task, range(len(items))):
+        results = pool.imap(_run_task, range(len(items)))
+        for _ in items:
+            result, caught = _next_result(results, processes)
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno)
             yield result

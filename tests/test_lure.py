@@ -2,7 +2,9 @@
 serialization, the BLAS thread scope and the process pool."""
 
 import multiprocessing
+import os
 import pickle
+import signal
 import time
 import warnings
 
@@ -370,3 +372,17 @@ def test_fork_map_in_a_pool_worker_runs_in_process():
         return list(lure._fork_map(lambda j: i * j, range(3), 2))
 
     assert list(lure._fork_map(inner, range(2), 2)) == [[0, 0, 0], [0, 1, 2]]
+
+
+def test_fork_map_raises_when_a_worker_dies(monkeypatch):
+    # the pool would start a new worker and wait for the dead one's task forever
+    monkeypatch.setattr(lure, "_POOL_POLL_S", 0.05)
+
+    def killed(i):
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(RuntimeError, match="exit code -9"):
+        list(lure._fork_map(killed, range(3), 2))
+    assert multiprocessing.active_children() == []
