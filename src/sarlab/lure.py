@@ -352,8 +352,9 @@ def _one_blas_thread():
 
     Between the BLAS calls of an L-BFGS-B iteration, OpenBLAS's idle worker
     spins on the second core; at one thread it does not, so concurrent fits
-    get that core.  The count is process-wide.  Without an OpenBLAS, or
-    without /proc, this does nothing."""
+    get that core.  The count is process-wide, and pool workers forked
+    inside the block keep it.  Without an OpenBLAS, or without /proc, this
+    does nothing."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sarlab import lure
 from sarlab import morris_lecar as ml
-from sarlab.lure import _usable_cores
 from sarlab.sde import _CHUNK, SimConfig, path_stream
 
 
@@ -327,7 +326,7 @@ def test_forked_scan_returns_the_serial_current(p, grid, pools, monkeypatch):
     forked = [ml.calibrate_iapp(p, grid=grid)]
     if grid is not None:
         forked.append(ml.calibrate_iapp(p, grid=grid[::-1]))
-    assert pools == ([_usable_cores()] * len(forked) if _usable_cores() > 1 else [])
+    assert pools == ([lure._usable_cores()] * len(forked) if lure._usable_cores() > 1 else [])
     # it returns mid-grid, with the workers still running stopped
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(lure, "_usable_cores", lambda: 1)
@@ -342,7 +341,7 @@ def test_one_current_grid_starts_no_pool(p, pools):
 def test_calibration_rejects_silent_grid(p, pools):
     with pytest.raises(ValueError, match="no sustained oscillation"):
         ml.calibrate_iapp(p, grid=[0.0, 5.0], t_end=60.0)
-    assert pools == ([2] if _usable_cores() > 1 else [])
+    assert pools == ([2] if lure._usable_cores() > 1 else [])
     assert multiprocessing.active_children() == []
 
 
