@@ -26,7 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
-from .lure import C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, c_defect, write_json
+from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, _usable_cores,
+                   c_defect, write_json)
 
 __all__ = [
     "SolverOptions",
@@ -380,8 +381,9 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
 
     Each sigma is solved independently (results do not depend on jobs).
     The sigmas are solved on a forked process pool of at most jobs workers,
-    one per sigma at most (:func:`sarlab.lure._fork_map`); a one-sigma grid,
-    jobs=1 or a single usable core solves them in this process.  An
+    one per sigma and one per usable core at most
+    (:func:`sarlab.lure._fork_map`); a one-sigma grid, jobs=1 or a single
+    usable core solves them in this process.  An
     exception in any worker is raised here, and no worker outlives the call.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
@@ -398,7 +400,7 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
 
     problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options)
                 for s in sigmas]
-    certs = list(_fork_map(certify, problems, jobs))
+    certs = list(_fork_map(certify, problems, min(jobs, _usable_cores())))
     return [(float(s), c) for s, c in zip(sigmas, certs)]
 
 

@@ -10,6 +10,10 @@ CSV output is a pure function of (config, seed, version): rerunning a
 command reproduces the data files byte for byte.  All numeric CSV fields
 use %.17g.
 
+build_parser declares, converts and checks every flag; each figure of
+reproduce is a subcommand with its own flags and defaults (sarlab
+reproduce figN --help), so a flag the figure does not take is a usage error.
+
 Exit codes: 0 ok/feasible, 1 infeasible, 2 usage or config error,
 3 simulation divergence, 4 training failure.
 """
@@ -37,8 +41,10 @@ from .shallow import load_embedding, save_embedding, save_net
 CHANNEL_NAMES = ("leak", "ca", "k")
 
 
-class CliError(Exception):
-    """Usage or configuration problem; maps to exit code 2."""
+class CliError(argparse.ArgumentTypeError):
+    """Usage or configuration problem; maps to exit code 2.  An
+    ArgumentTypeError, so argparse reports a type= converter's CliError
+    with its text."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +104,20 @@ def _config_number(config: dict, key: str, default, kind=float):
     return kind(value)
 
 
-def _odd_window(w: int) -> int:
-    if w < 1 or w % 2 == 0:
-        raise CliError("filter window must be a positive odd integer")
-    return w
+def _odd_window(w) -> int:
+    """A filter window, given as an int or as a flag's text."""
+    with contextlib.suppress(ValueError):
+        if (n := int(w)) > 0 and n % 2 == 1:
+            return n
+    raise CliError(f"filter window must be a positive odd integer, got {w!r}")
+
+
+def _jobs(text: str) -> int:
+    """--jobs: the most pool workers a sweep may fork."""
+    with contextlib.suppress(ValueError):
+        if (n := int(text)) >= 1:
+            return n
+    raise CliError(f"want an integer >= 1, got {text!r}")
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -361,11 +377,8 @@ def _certify(out_dir: Path, stages: dict, system: LureSystem,
     """certify's core: the certificate search (certify_s), then
     certificate.json (write_s)."""
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
-    try:
-        with _stage(stages, "certify_s"):
-            cert = certify(CertProblem(system, **kwargs))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    with _stage(stages, "certify_s"):
+        cert = certify(CertProblem(system, **kwargs))
     with _stage(stages, "write_s"):
         save_certificate(cert, out_dir / "certificate.json")
     verdict = "feasible" if cert.feasible else "infeasible"
@@ -396,9 +409,9 @@ def cmd_simulate(args) -> int:
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")
         window = None
         if sigma > 0.0:
-            window = resolved["filter_window"] = _odd_window(
+            window = resolved["filter_window"] = (
                 args.filter_window if args.filter_window is not None
-                else _config_number(config, "filter_window", 101, int))
+                else _odd_window(_config_number(config, "filter_window", 101, int)))
         p, calibrated = _calibrate(stages, config)
         x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
         path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
@@ -456,49 +469,36 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.sigma is not None and ":" in args.sigma:
-        raise CliError("certify wants a single --sigma value")
     system = _load_cert_target(args.system, args.sigma)
-    nu_grid = (parse_range(args.nu_grid, "nu-grid")
-               if args.nu_grid is not None else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     stages = {"certify_s": 0.0, "write_s": 0.0}
-    cert = _certify(out_dir, stages, system, nu_grid)
+    cert = _certify(out_dir, stages, system, args.nu_grid)
     write_manifest(out_dir, "certify",
                    {"system": str(args.system), "sigma": system.sigma,
-                    "nu_grid": None if nu_grid is None else nu_grid.tolist()},
+                    "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
                    {}, None, ["certificate.json"], t0, stages)
     return 0 if cert.feasible else 1
 
 
 def cmd_sweep(args) -> int:
-    if args.sigma is None:
-        raise CliError("sweep needs --sigma a:b:step")
-    sigmas = _sigma_grid(args.sigma)
     system = _load_cert_target(args.system)
-    nu_grid = (parse_range(args.nu_grid, "nu-grid")
-               if args.nu_grid is not None else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     stages = {"sweep_s": 0.0, "write_s": 0.0}
-    _sweep(out_dir, stages, system, sigmas, nu_grid, args.jobs)
+    _sweep(out_dir, stages, system, args.sigma, args.nu_grid, args.jobs)
     write_manifest(out_dir, "sweep",
-                   {"system": str(args.system), "sigmas": sigmas.tolist(),
-                    "nu_grid": None if nu_grid is None else nu_grid.tolist()},
+                   {"system": str(args.system), "sigmas": args.sigma.tolist(),
+                    "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
                    {}, None, ["sweep.csv", "sweep.plt"], t0, stages)
     return 0
 
 
 # -- reproduce ---------------------------------------------------------------
-
-FIG_SEEDS = {"fig3": 0, "fig4": 11, "fig5": 7}
-# the options each figure reads besides --seed and --out; giving another is a usage error
-FIG_OPTIONS = {"fig3": (), "fig4": ("filter_window",), "fig5": ("sigma", "jobs")}
 
 FIG4_PLOT = ("set datafile separator ','\n"
              "set key autotitle columnhead\n"
@@ -512,24 +512,7 @@ FIG4_PLOT = ("set datafile separator ','\n"
 def cmd_reproduce(args) -> int:
     """A figure's recipe: the cores of simulate (fig3, fig4) or of
     approximate, sweep and certify (fig5) on fixed inputs and seeds."""
-    fig = args.figure
-    if fig not in FIG_SEEDS:
-        raise CliError(f"unknown figure id {fig!r} (want fig3, fig4 or fig5)")
-
-    def flag(name: str) -> str:
-        return "--" + name.replace("_", "-")
-
-    unread = [flag(name) for name in ("filter_window", "sigma", "jobs")
-              if getattr(args, name) is not None and name not in FIG_OPTIONS[fig]]
-    if unread:
-        takes = ", ".join(flag(name) for name in ("seed", "out", *FIG_OPTIONS[fig]))
-        raise CliError(f"reproduce {fig} does not read {', '.join(unread)}; it takes {takes}")
-    seed = args.seed if args.seed is not None else FIG_SEEDS[fig]
-    window = sigmas = None
-    if fig == "fig4":
-        window = _odd_window(args.filter_window if args.filter_window is not None else 101)
-    elif fig == "fig5":
-        sigmas = _sigma_grid(args.sigma) if args.sigma else np.arange(0.2, 2.0001, 0.2)
+    fig, seed = args.figure, args.seed
     out_dir = Path(args.out) / fig
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
@@ -541,10 +524,10 @@ def cmd_reproduce(args) -> int:
                                        EmbeddingConfig(seed=seed, i_app=calibrated["i_app"]))
         if report.diverged:
             return 4
-        _sweep(out_dir, stages, report.embedding.system, sigmas, None, args.jobs or 1)
+        _sweep(out_dir, stages, report.embedding.system, args.sigma, None, args.jobs)
         _certify(out_dir, stages, report.embedding.system.with_sigma(0.85))
         write_manifest(out_dir, "reproduce fig5",
-                       {"sigmas": sigmas.tolist(), "embedding": "embedding.json"},
+                       {"sigmas": args.sigma.tolist(), "embedding": "embedding.json"},
                        {"training": seed}, calibrated,
                        outputs + ["sweep.csv", "sweep.plt", "certificate.json"], t0, stages)
         return 0
@@ -552,12 +535,13 @@ def cmd_reproduce(args) -> int:
     config = {"t_end": 500.0, "dt": 5e-3, "record_stride": 10}
     sim = SimConfig(**config, seed=seed)
     if fig == "fig3":
-        runs = [("traj.csv", 0.0)]
+        runs, window = [("traj.csv", 0.0)], None
         config["sigma"] = 0.0
         script = traj_plot_script("traj.csv", ["V", "N"],
                                   f"unforced spiking, i_app={calibrated['i_app']:g}")
     else:
         runs, script = [("traj_sigma0.csv", 0.0), ("traj_sigma085.csv", 0.85)], FIG4_PLOT
+        window = args.filter_window
         config.update(sigmas=[0.0, 0.85], noise_mode="state", filter_window=window)
     paths = [_neuron_trajectory(out_dir, stages, name, p, ml.DEFAULT_INIT, sim, sigma,
                                 "state", window)[0]
@@ -578,19 +562,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "certify, sweep, reproduce")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    nu_grid = functools.partial(parse_range, name="nu-grid")
 
-    def common(sp, config_required=False, seed_help="master seed", jobs=False):
+    def common(sp, config_required=False, seed_help="master seed", seed=None, jobs=False):
         if config_required:
             sp.add_argument("--config", required=True, help="JSON config file")
         if seed_help:
-            sp.add_argument("--seed", type=int, default=None, help=seed_help)
+            sp.add_argument("--seed", type=int, default=seed, help=seed_help)
         sp.add_argument("--out", default="out", help="output directory")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="max parallel workers")
+            sp.add_argument("--jobs", type=_jobs, default=1,
+                            help="max parallel workers, at most the usable cores (default 1)")
 
     sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
     common(sp, config_required=True)
-    sp.add_argument("--filter-window", type=int, default=None,
+    sp.add_argument("--filter-window", type=_odd_window, default=None,
                     help="odd moving-average window for the filtered columns")
     sp.add_argument("--noise-mode", choices=("state", "current"), default=None)
     sp.set_defaults(func=cmd_simulate)
@@ -602,25 +588,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="run the stability certificate search")
     common(sp, seed_help=None)
     sp.add_argument("system", help="system or embedding JSON")
-    sp.add_argument("--sigma", default=None, help="override the noise level")
-    sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")
+    sp.add_argument("--sigma", type=float, default=None, help="override the noise level")
+    sp.add_argument("--nu-grid", type=nu_grid, default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("sweep", help="certify across a noise-level grid")
     common(sp, seed_help="accepted and ignored: the certificate search is deterministic",
            jobs=True)
     sp.add_argument("system", help="system or embedding JSON")
-    sp.add_argument("--sigma", default=None, help="a:b:step noise grid", required=False)
-    sp.add_argument("--nu-grid", default=None, help="a:b:step grid in (0,1)")
+    sp.add_argument("--sigma", type=_sigma_grid, required=True, help="a:b:step noise grid")
+    sp.add_argument("--nu-grid", type=nu_grid, default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("reproduce", help="regenerate a figure's artifacts")
-    common(sp)
-    sp.add_argument("figure", help="fig3 | fig4 | fig5")
-    sp.add_argument("--sigma", default=None, help="fig5 sweep grid a:b:step")
-    sp.add_argument("--jobs", type=int, default=None, help="fig5 sweep: max parallel workers")
-    sp.add_argument("--filter-window", type=int, default=None, help="fig4 filter window")
     sp.set_defaults(func=cmd_reproduce)
+    figures = sp.add_subparsers(dest="figure", required=True)
+    seed_help = "master seed (default %(default)s)"
+    common(figures.add_parser("fig3", help="calibrated noise-free spiking"),
+           seed_help=seed_help, seed=0)
+    fig = figures.add_parser("fig4", help="sigma=0 vs sigma=0.85 trajectories")
+    common(fig, seed_help=seed_help, seed=11)
+    fig.add_argument("--filter-window", type=_odd_window, default=101,
+                     help="odd moving-average window (default %(default)s)")
+    fig = figures.add_parser("fig5", help="embed, sweep sigma and certify sigma=0.85")
+    common(fig, seed_help=seed_help, seed=7, jobs=True)
+    fig.add_argument("--sigma", type=_sigma_grid, default=np.arange(0.2, 2.0001, 0.2),
+                     help="sweep grid a:b:step (default 0.2:2:0.2)")
     return ap
 
 
@@ -633,10 +626,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -420,6 +420,17 @@ def test_one_sigma_sweep_starts_no_pool(pools):
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_pool_is_capped_at_the_usable_cores(monkeypatch, pools):
+    # 4 sigmas and jobs=8 on (what the sweep takes for) 2 usable cores: 2 workers
+    monkeypatch.setattr(certify_module, "_usable_cores", lambda: 2)
+    sys = make_scalar(0.1, 0.0)
+    par = sigma_sweep(sys, [0.2, 0.4, 0.6, 0.8], jobs=8)
+    assert pools == ([2] if _usable_cores() > 1 else [])
+    assert [c.margin for _, c in par] == [c.margin for _, c in
+                                          sigma_sweep(sys, [0.2, 0.4, 0.6, 0.8], jobs=1)]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_raising_sweep_worker_reaches_the_caller(monkeypatch, pools):
     def failing(problem):
         if problem.sys.sigma == 0.6:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -519,7 +520,41 @@ def test_certify_converts_an_unlifted_embedding_file(embedding_report, tmp_path)
 def test_usage_errors_return_two():
     assert cli.main([]) == 2
     assert cli.main(["certify"]) == 2
+    assert cli.main(["reproduce"]) == 2
+    assert cli.main(["reproduce", "fig9"]) == 2
+    assert cli.main(["sweep", "x.json"]) == 2
     assert cli.main(["--version"]) == 0
+
+
+def test_parser_holds_the_defaults():
+    parse = cli.build_parser().parse_args
+    assert [parse(["reproduce", fig]).seed for fig in ("fig3", "fig4", "fig5")] == [0, 11, 7]
+    assert parse(["reproduce", "fig4"]).filter_window == 101
+    fig5 = parse(["reproduce", "fig5"])
+    assert fig5.jobs == 1
+    assert fig5.sigma.tobytes() == np.arange(0.2, 2.0001, 0.2).tobytes()
+    assert parse(["sweep", "s.json", "--sigma", "0.5:0.5:0.1"]).nu_grid is None
+    assert parse(["certify", "s.json"]).nu_grid is None
+
+
+def test_the_benchmark_sweep_argv_runs(scalar_files, tmp_path):
+    # the argv perfbench's neuron_pipeline passes to cli.main
+    good, _ = scalar_files
+    assert cli.main(["sweep", str(good), "--sigma", "0.85:0.85:0.1", "--nu-grid", "0.45:0.5:0.05",
+                     "--jobs", "2", "--seed", "1341", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["sigma"]), r["feasible"]) for r in rows] == [(0.85, "1")]
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["nu_grid"] == [0.45, 0.5]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "x.json", "--sigma", "0.2:0.6:0.2", "--jobs", "0"],
+                                  ["sweep", "x.json", "--sigma", "0.2:0.6:0.2", "--jobs", "-3"],
+                                  ["reproduce", "fig5", "--jobs", "0"]])
+def test_jobs_below_one_is_a_usage_error(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"argument --jobs: want an integer >= 1, got '{argv[-1]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -543,6 +578,10 @@ def test_flags_that_did_nothing_are_gone(argv, capsys):
 def test_reproduce_rejects_flags_its_figure_does_not_read(figure, flags, unread, takes,
                                                           tmp_path, capsys):
     assert cli.main(["reproduce", figure, "--out", str(tmp_path), *flags]) == 2
-    err = capsys.readouterr().err
-    assert f"reproduce {figure} does not read {unread}; it takes {takes}" in err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / figure).exists()
+    # the figure's --help lists the flags it takes, and no flag it does not read
+    assert cli.main(["reproduce", figure, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert sorted(re.findall(r"\[(--[\w-]+)", usage)) == sorted(takes.split(", "))
+    assert not any(flag in usage for flag in unread.split(", "))
