@@ -385,7 +385,10 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     (:func:`sarlab.lure._fork_map`); a one-sigma grid, jobs=1 or a single
     usable core solves them in this process.  An
     exception in any worker is raised here, and no worker outlives the call.
+    jobs must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if sigmas.size == 0:
         raise ValueError("sigma grid is empty")

@@ -84,7 +84,13 @@ class TanhBank:
     __reduce__ = _reduce_through_init
 
     def __call__(self, y) -> np.ndarray:
-        return np.tanh(self.slopes * np.asarray(y, dtype=float) + self.biases) - self._tanh_biases
+        # one fresh array, updated in place: the bits of
+        # tanh(s * y + b) - tanh(b) without its temporaries
+        u = self.slopes * np.asarray(y, dtype=float)
+        u += self.biases
+        np.tanh(u, out=u)
+        u -= self._tanh_biases
+        return u
 
 
 # "morris_lecar_bank" labels the same units in embeddings saved before banks were data
@@ -144,8 +150,9 @@ class LureSystem:
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """A x + F f(C x) evaluated at one state (or a stack of states)."""
-        y = x @ self.c.T
-        return x @ self.a.T + self.nonlinearity(y) @ self.f_gain.T
+        d = x @ self.a.T  # a fresh array, which the sum reuses
+        d += self.nonlinearity(x @ self.c.T) @ self.f_gain.T
+        return d
 
 
 @dataclass(frozen=True)

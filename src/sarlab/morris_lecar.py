@@ -10,7 +10,8 @@ dN/dt = (n_ss(V) - N) / tau_n(V).  Noise enters the voltage equation
 either as state-multiplicative (sigma * V dW / cap) or as a fluctuating
 applied current (sigma * i_app dW / cap).  A path steps as a pair of
 Python floats through the shared Euler-Maruyama kernel of
-:mod:`sarlab.sde`; the vector field is written once, in _field.
+:mod:`sarlab.sde`; the vector field is written once, in _field_of, which
+binds the parameters' constants once per path.
 """
 
 from __future__ import annotations
@@ -78,25 +79,16 @@ class MorrisLecarParams:
         return replace(self, i_app=float(i_app))
 
 
-# On a scalar, np.tanh and np.cosh return NumPy float64 scalars.  The
-# gating curves turn those into Python floats: the arithmetic of a step on
-# floats costs about half that on NumPy scalars and gives the same IEEE
-# bits.  np.tanh and np.cosh themselves stay, since libm's math.tanh and
-# math.cosh differ from them in the last bit.  Arrays pass through.
-
 def m_ss(v, p: MorrisLecarParams):
-    t = np.tanh((v - p.v1) / p.v2)
-    return 0.5 * (1.0 + (float(t) if type(t) is np.float64 else t))
+    return 0.5 * (1.0 + np.tanh((v - p.v1) / p.v2))
 
 
 def n_ss(v, p: MorrisLecarParams):
-    t = np.tanh((v - p.v3) / p.v4)
-    return 0.5 * (1.0 + (float(t) if type(t) is np.float64 else t))
+    return 0.5 * (1.0 + np.tanh((v - p.v3) / p.v4))
 
 
 def tau_n(v, p: MorrisLecarParams):
-    c = np.cosh((v - p.v3) / (2.0 * p.v4))
-    return 1.0 / (p.phi * (float(c) if type(c) is np.float64 else c))
+    return 1.0 / (p.phi * np.cosh((v - p.v3) / (2.0 * p.v4)))
 
 
 def leak_current(v, p: MorrisLecarParams):
@@ -120,14 +112,7 @@ def channel_currents(v, n, p: MorrisLecarParams) -> np.ndarray:
 
 
 def recovery_rate(v, n, p: MorrisLecarParams):
-    gap = n_ss(v, p) - n
-    tau = tau_n(v, p)
-    try:
-        return gap / tau
-    except ZeroDivisionError:
-        # cosh overflowed (|V - v3| beyond ~710 * 2 v4), so tau is 0.0: a
-        # Python float raises where NumPy gives the same +-inf or nan as rhs
-        return float(np.float64(gap) / tau)
+    return (n_ss(v, p) - n) / tau_n(v, p)
 
 
 def recovery_jacobian(v, n, p: MorrisLecarParams) -> np.ndarray:
@@ -139,16 +124,48 @@ def recovery_jacobian(v, n, p: MorrisLecarParams) -> np.ndarray:
     return np.array([dh_dv, dh_dn])
 
 
-def _field(v, n, p: MorrisLecarParams):
-    """The vector field (dV/dt, dN/dt) at (V, N), as scalars or arrays."""
-    dv = (p.i_app + leak_current(v, p) + ca_current(v, p) + k_current(v, n, p)) / p.cap
-    return dv, recovery_rate(v, n, p)
+def _field_of(p: MorrisLecarParams):
+    """The vector field (dV/dt, dN/dt) of p as a function field(V, N) of
+    scalars or arrays, with p's constants bound once.
+
+    field performs the operations of (i_app + leak + Ca + K) / cap and
+    recovery_rate in their order, so it gives their bits.  On Python floats
+    it returns Python floats: the arithmetic of a step costs about half what
+    it costs on NumPy scalars and gives the same IEEE bits.  np.tanh and
+    np.cosh stay, since libm's math.tanh and math.cosh differ from them in
+    the last bit.
+    """
+    i_app, cap, phi = p.i_app, p.cap, p.phi
+    neg_g_l, v_l = -p.g_l, p.v_l
+    neg_g_ca, v_ca, v1, v2 = -p.g_ca, p.v_ca, p.v1, p.v2
+    neg_g_k, v_k = -p.g_k, p.v_k
+    v3, v4, two_v4 = p.v3, p.v4, 2.0 * p.v4
+    tanh, cosh, float64 = np.tanh, np.cosh, np.float64
+
+    def field(v, n):
+        tm = tanh((v - v1) / v2)
+        tn = tanh((v - v3) / v4)
+        c = cosh((v - v3) / two_v4)
+        if type(c) is float64:  # a scalar state: step on Python floats
+            tm, tn, c = float(tm), float(tn), float(c)
+        dv = (i_app + neg_g_l * (v - v_l) + neg_g_ca * (0.5 * (1.0 + tm)) * (v - v_ca)
+              + neg_g_k * n * (v - v_k)) / cap
+        gap = 0.5 * (1.0 + tn) - n
+        tau = 1.0 / (phi * c)
+        try:
+            return dv, gap / tau
+        except ZeroDivisionError:
+            # cosh overflowed (|V - v3| beyond ~710 * 2 v4), so tau is 0.0: a
+            # Python float raises where NumPy gives the same +-inf or nan
+            return dv, float(float64(gap) / tau)
+
+    return field
 
 
 def rhs(state, p: MorrisLecarParams) -> np.ndarray:
     """Deterministic vector field; state is (2,) or (..., 2)."""
     state = np.asarray(state, dtype=float)
-    return np.stack(_field(state[..., 0], state[..., 1], p), axis=-1)
+    return np.stack(_field_of(p)(state[..., 0], state[..., 1]), axis=-1)
 
 
 def equilibria(p: MorrisLecarParams, v_window=(-80.0, 120.0), scan_points: int = 2001) -> list[np.ndarray]:
@@ -188,20 +205,22 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
     # operation of the field would be a small-array ufunc call, and on NumPy
     # scalars each one costs about twice what it costs on a float
     dt = cfg.dt
-    state_noise = noise_mode == "state"
+    field = _field_of(p)
     streams = []
     if sigma == 0.0:
         def step(x, dw):
             v, n = x
-            dv, dn = _field(v, n, p)
+            dv, dn = field(v, n)
             return v + dv * dt, n + dn * dt
     else:
         streams = [path_stream(cfg.seed, path_index)]
+        state_noise, cap = noise_mode == "state", p.cap
+        current_amp = sigma * p.i_app / cap
 
         def step(x, dw):
             v, n = x
-            dv, dn = _field(v, n, p)
-            amp = sigma * (v if state_noise else p.i_app) / p.cap
+            dv, dn = field(v, n)
+            amp = sigma * v / cap if state_noise else current_amp
             # + 0.0 is the recovery row's zero noise term (it turns -0.0 into 0.0)
             return v + dv * dt + amp * dw, n + dn * dt + 0.0
     times, rec = _euler_maruyama(step, (float(x0[0]), float(x0[1])), cfg, streams)

@@ -162,14 +162,23 @@ def _lure_paths(sys: LureSystem, x0, cfg: SimConfig, path_indices: list[int]) ->
     x0 = np.tile(np.asarray(x0, dtype=float).reshape(1, sys.n), (len(path_indices), 1))
     sigma, drift, dt = sys.sigma, sys.drift, cfg.dt
     streams = []
+    # drift returns a fresh array, and each step finishes x + drift(x) dt
+    # (+ sigma dW x) in it, in that order of operations
     if sigma == 0.0:
         def step(x, dw):
-            return x + drift(x) * dt
+            d = drift(x)
+            d *= dt
+            d += x
+            return d
     else:
         streams = [path_stream(cfg.seed, i) for i in path_indices]
 
         def step(x, dw):
-            return x + drift(x) * dt + (sigma * dw)[..., None] * x
+            d = drift(x)
+            d *= dt
+            d += x
+            d += (sigma * dw)[..., None] * x
+            return d
     times, rec = _euler_maruyama(step, x0, cfg, streams)
     return _recorded_paths(times, rec, cfg.seed, sigma, path_indices)
 

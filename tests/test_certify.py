@@ -420,6 +420,13 @@ def test_one_sigma_sweep_starts_no_pool(pools):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(jobs, pools):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        sigma_sweep(make_scalar(0.1, 0.0), [0.2, 0.6], jobs=jobs)
+    assert pools == []
+
+
 def test_sweep_pool_is_capped_at_the_usable_cores(monkeypatch, pools):
     # 4 sigmas and jobs=8 on (what the sweep takes for) 2 usable cores: 2 workers
     monkeypatch.setattr(certify_module, "_usable_cores", lambda: 2)

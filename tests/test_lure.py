@@ -37,6 +37,47 @@ def test_tanh_bank_bias_centering():
         np.tanh(3.0 * 0.2 - 0.7) - np.tanh(-0.7), abs=1e-15)
 
 
+def _old_bank(bank, y):
+    """The bank's expression before it reused one array in place."""
+    return np.tanh(bank.slopes * np.asarray(y, dtype=float) + bank.biases) - bank._tanh_biases
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_bank_and_drift_keep_the_expression_bits_and_their_argument():
+    # both reuse one fresh array in place; they must give the bits of the
+    # expressions they replaced and never write into what they are given
+    rng = np.random.default_rng(12)
+    n, m = 5, 7
+    slopes = rng.uniform(0.5, 2.0, m)
+    sys = LureSystem(a=rng.standard_normal((n, n)), f_gain=rng.standard_normal((n, m)),
+                     c=rng.standard_normal((m, n)), sigma=0.0,
+                     nonlinearity=TanhBank(slopes, rng.standard_normal(m)),
+                     sector_slopes=slopes, deriv_bounds=slopes)
+    bank = sys.nonlinearity
+    ys = [0.37, _read_only(4.0 * rng.standard_normal(m)),
+          _read_only(4.0 * rng.standard_normal((9, m))), (4.0 * rng.standard_normal(m)).tolist()]
+    for y in ys:
+        before = np.array(y, dtype=float)
+        out = bank(y)
+        assert out.tobytes() == _old_bank(bank, y).tobytes()
+        assert out.shape == np.broadcast_shapes(np.shape(y), (m,))
+        assert np.array(y).tobytes() == before.tobytes()
+    xs = [_read_only(3.0 * rng.standard_normal(n)), _read_only(3.0 * rng.standard_normal((9, n))),
+          (3.0 * rng.standard_normal(n)).tolist()]
+    for x in xs:
+        before = np.array(x, dtype=float)
+        old = x @ sys.a.T + _old_bank(bank, x @ sys.c.T) @ sys.f_gain.T
+        assert sys.drift(x).tobytes() == old.tobytes()
+        assert np.array(x).tobytes() == before.tobytes()
+    with pytest.raises(ValueError):  # a scalar is no state, as before
+        sys.drift(0.37)
+
+
 def test_tanh_bank_bias_shape_mismatch():
     with pytest.raises(ValueError):
         TanhBank(np.ones(2), biases=np.ones(3))

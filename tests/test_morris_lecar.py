@@ -205,25 +205,54 @@ def test_simulate_ml_matches_reference_loop(spiking_params, sigma, noise_mode, c
 
 
 def test_scalar_field_equals_rhs_bit_for_bit(p, monkeypatch):
-    # simulate_ml steps _field on Python floats, the reference loop steps
-    # rhs on arrays; both must give the same bits (a libm tanh or cosh would
-    # not, nor a Python division by the 0.0 that tau_n gives once cosh
+    # simulate_ml steps the bound field on Python floats, the reference loop
+    # steps rhs on arrays; both must give the same bits (a libm tanh or cosh
+    # would not, nor a Python division by the 0.0 that tau_n gives once cosh
     # overflows)
     calls = _count_field_calls(monkeypatch)
     ml.simulate_ml(p, ml.DEFAULT_INIT, SimConfig(t_end=0.05, dt=0.01), sigma=0.85)
     assert calls == [(float, float)] * 5  # the function the step calls, on floats
     monkeypatch.undo()
+    states = _field_states()
+    field = ml._field_of(p)
+    with np.errstate(all="ignore"):
+        expected = ml.rhs(states, p)
+        fields = [field(float(v), float(n)) for v, n in states]
+    assert {type(x) for field in fields for x in field} == {float}
+    assert np.isinf(expected).any()  # cosh overflows far outside the box
+    np.testing.assert_array_equal(np.array(fields), expected)
+
+
+def _field_states():
+    """States inside the training box, beyond it, far enough out that cosh
+    overflows, and overflowing states on the saturated n_ss (0 / 0) or at an
+    infinite voltage."""
     rng = np.random.default_rng(8)
     inside = rng.uniform((-80.0, 0.0), (120.0, 1.0), size=(5000, 2))
     beyond = rng.uniform((-600.0, -3.0), (600.0, 4.0), size=(4000, 2))
     far = rng.uniform((-4e4, -3.0), (4e4, 4.0), size=(1000, 2))
-    states = np.concatenate([inside, beyond, far])
+    edges = [(4e4, 1.0), (-4e4, 0.0), (np.inf, 0.5), (-np.inf, 0.5)]
+    return np.concatenate([inside, beyond, far, edges])
+
+
+@pytest.mark.parametrize("params", ["default", "spiking"])
+def test_bound_field_is_the_named_curves_bit_for_bit(p, spiking_params, params):
+    # _field_of binds p's constants once; its field must still be the
+    # composition of the named currents and recovery_rate, bit for bit
+    q = p if params == "default" else spiking_params
+    field = ml._field_of(q)
+    states = _field_states()
+    v, n = states[:, 0], states[:, 1]
     with np.errstate(all="ignore"):
-        expected = ml.rhs(states, p)
-        fields = [ml._field(float(v), float(n), p) for v, n in states]
-    assert {type(x) for field in fields for x in field} == {float}
-    assert np.isinf(expected).any()  # cosh overflows far outside the box
-    np.testing.assert_array_equal(np.array(fields), expected)
+        expected = np.stack([
+            (q.i_app + ml.leak_current(v, q) + ml.ca_current(v, q) + ml.k_current(v, n, q))
+            / q.cap,
+            ml.recovery_rate(v, n, q)], axis=-1)
+        on_arrays = np.stack(field(v, n), axis=-1)
+        on_floats = np.array([field(float(a), float(b)) for a, b in states])
+    assert np.isinf(expected).any() and np.isnan(expected).any()  # cosh overflows
+    assert on_arrays.tobytes() == expected.tobytes()
+    assert on_floats.tobytes() == expected.tobytes()
 
 
 def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
@@ -237,16 +266,21 @@ def test_diverging_path_warns_only_about_the_recovery_band(spiking_params):
 
 
 def _count_field_calls(monkeypatch):
-    """Record the argument types of every vector-field evaluation that
-    simulate_ml's step makes."""
+    """Record the argument types of every call of the bound vector field
+    that simulate_ml's step makes."""
     calls = []
-    field = ml._field
+    field_of = ml._field_of
 
-    def counted(v, n, p):
-        calls.append((type(v), type(n)))
-        return field(v, n, p)
+    def counted_field_of(p):
+        field = field_of(p)
 
-    monkeypatch.setattr(ml, "_field", counted)
+        def counted(v, n):
+            calls.append((type(v), type(n)))
+            return field(v, n)
+
+        return counted
+
+    monkeypatch.setattr(ml, "_field_of", counted_field_of)
     return calls
 
 
