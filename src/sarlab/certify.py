@@ -19,7 +19,6 @@ lower bound (see `_dual_lower_bound`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
 from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, _usable_cores,
-                   c_defect, write_json)
+                   c_defect, read_json, write_json)
 
 __all__ = [
     "SolverOptions",
@@ -87,9 +86,9 @@ class Certificate:
     tau: np.ndarray
     margin: float
     feasible: bool
-    capped: bool = False
-    witness: str = "search"
-    c_defect: float | None = None  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
+    capped: bool
+    witness: str
+    c_defect: float  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
 
 
 def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
@@ -292,8 +291,8 @@ def certify(problem: CertProblem) -> Certificate:
         margins = np.linalg.eigvalsh(certificate_matrix(sys, nu_grid, zeros, zeros))[:, -1]
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
-                           margin=float(margins[best]), feasible=False, witness="necessity",
-                           c_defect=defect)
+                           margin=float(margins[best]), feasible=False, capped=False,
+                           witness="necessity", c_defect=defect)
 
     best = None  # (margin, nu, theta)
     capped = False
@@ -313,7 +312,7 @@ def certify(problem: CertProblem) -> Certificate:
     margin = max_eigenvalue(certificate_matrix(sys, nu, lam, tau))
     return Certificate(sigma=sys.sigma, nu=nu, lam=lam, tau=tau,
                        margin=margin, feasible=bool(margin < -opts.tol), capped=capped,
-                       c_defect=defect)
+                       witness="search", c_defect=defect)
 
 
 def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
@@ -427,11 +426,12 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path) as fh:
-        d = json.load(fh)
+    """The certificate of a :func:`save_certificate` file; a missing key is
+    a KeyError."""
+    d = read_json(path)
     return Certificate(sigma=float(d["sigma"]), nu=float(d["nu"]),
                        lam=np.asarray(d["lambda"], dtype=float),
                        tau=np.asarray(d["tau"], dtype=float),
                        margin=float(d["margin"]), feasible=bool(d["feasible"]),
-                       capped=bool(d.get("capped", False)),
-                       witness=str(d.get("witness", "search")), c_defect=d.get("c_defect"))
+                       capped=bool(d["capped"]), witness=str(d["witness"]),
+                       c_defect=float(d["c_defect"]))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from . import __version__
 from . import morris_lecar as ml
 from .certify import CertProblem, Certificate, certify, save_certificate, sigma_sweep
 from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
-from .lure import LureSystem, load_system, validate, write_json
+from .lure import LureSystem, load_system, read_json, validate, write_json
 from .sde import SdePath, SimConfig, lowpass, simulate
 from .shallow import load_embedding, save_embedding, save_net
 
@@ -55,41 +54,39 @@ def _fmt(x: float) -> str:
 
 
 def _load_json(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"no such file: {p}")
+    """read_json, with an unreadable or malformed file a usage error."""
     try:
-        with open(p) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"{p}: expected a JSON object")
-    return doc
+        return read_json(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
-def parse_range(text: str, name: str) -> np.ndarray:
+# name is unused: argparse names the flag before a converter's error.  It
+# stays because perfbench/workloads.py calls parse_range(text, "sigma").
+def parse_range(text: str, name: str | None = None) -> np.ndarray:
     """Parse 'a:b:step' into an inclusive ascending grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"--{name} wants a:b:step, got {text!r}")
+        raise CliError(f"want a:b:step, got {text!r}")
     try:
         a, b, step = (float(t) for t in parts)
     except ValueError as exc:
-        raise CliError(f"--{name}: non-numeric bound in {text!r}") from exc
+        raise CliError(f"non-numeric bound in {text!r}") from exc
     if step <= 0:
-        raise CliError(f"--{name}: step must be > 0")
+        raise CliError(f"step must be > 0 in {text!r}")
     grid = np.arange(a, b + step / 2.0, step)
     if grid.size == 0:
-        raise CliError(f"--{name}: empty range {text!r}")
+        raise CliError(f"empty range {text!r}")
     return grid
 
 
 def _sigma_grid(text: str) -> np.ndarray:
     """The --sigma noise grid a:b:step of sweep and reproduce fig5."""
-    sigmas = parse_range(text, "sigma")
+    sigmas = parse_range(text)
     if np.any(sigmas < 0):
-        raise CliError("--sigma: noise levels must be >= 0")
+        raise CliError(f"noise levels must be >= 0, got {text!r}")
     return sigmas
 
 
@@ -562,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "certify, sweep, reproduce")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    nu_grid = functools.partial(parse_range, name="nu-grid")
 
     def common(sp, config_required=False, seed_help="master seed", seed=None, jobs=False):
         if config_required:
@@ -589,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seed_help=None)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", type=float, default=None, help="override the noise level")
-    sp.add_argument("--nu-grid", type=nu_grid, default=None, help="a:b:step grid in (0,1)")
+    sp.add_argument("--nu-grid", type=parse_range, default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("sweep", help="certify across a noise-level grid")
@@ -597,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
            jobs=True)
     sp.add_argument("system", help="system or embedding JSON")
     sp.add_argument("--sigma", type=_sigma_grid, required=True, help="a:b:step noise grid")
-    sp.add_argument("--nu-grid", type=nu_grid, default=None, help="a:b:step grid in (0,1)")
+    sp.add_argument("--nu-grid", type=parse_range, default=None, help="a:b:step grid in (0,1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("reproduce", help="regenerate a figure's artifacts")

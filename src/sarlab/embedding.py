@@ -43,7 +43,7 @@ class EmbeddingConfig:
     epochs: int = 700   # L-BFGS iteration cap per net
     seed: int = 0
     sigma: float = 0.0
-    i_app: float | None = None  # None -> calibrate
+    i_app: float | None = None  # None -> p's own i_app
     offset_tol: float = 1e-3
 
 
@@ -76,8 +76,6 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     cfg = cfg or EmbeddingConfig()
     if cfg.i_app is not None:
         p = p.with_iapp(cfg.i_app)
-    else:
-        p = p.with_iapp(ml.calibrate_iapp(p))
 
     roots = ml.equilibria(p)
     if not roots:

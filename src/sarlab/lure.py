@@ -42,6 +42,7 @@ __all__ = [
     "load_system",
     "system_to_dict",
     "system_from_dict",
+    "read_json",
     "write_json",
 ]
 
@@ -93,15 +94,11 @@ class TanhBank:
         return u
 
 
-# "morris_lecar_bank" labels the same units in embeddings saved before banks were data
-_BANK_NAMES = ("tanh_bank", "morris_lecar_bank")
-
-
 def get_nonlinearity(name: str, slopes=None, biases=None) -> TanhBank:
     """The bank a system JSON names, built from its slopes and (optional)
-    biases."""
-    if name not in _BANK_NAMES:
-        raise KeyError(f"unknown nonlinearity {name!r}; known: {list(_BANK_NAMES)}")
+    biases; "tanh_bank" is the one name."""
+    if name != "tanh_bank":
+        raise KeyError(f"unknown nonlinearity {name!r}; known: ['tanh_bank']")
     return TanhBank(slopes, biases)
 
 
@@ -280,20 +277,31 @@ def system_to_dict(sys: LureSystem) -> dict:
 
 
 def system_from_dict(d: dict) -> LureSystem:
-    """Files without unit_slopes take the units' slopes from sector_slopes,
-    and files without biases get zero biases."""
-    slopes = np.asarray(d["sector_slopes"], dtype=float)
-    bank = get_nonlinearity(d.get("nonlinearity", "tanh_bank"),
-                            slopes=d.get("unit_slopes", slopes), biases=d.get("biases"))
+    """The system of a :func:`system_to_dict` document; a missing key is a
+    KeyError."""
+    bank = get_nonlinearity(d["nonlinearity"], slopes=d["unit_slopes"], biases=d["biases"])
     return LureSystem(
         a=np.asarray(d["a"], dtype=float),
         f_gain=np.asarray(d["f_gain"], dtype=float),
         c=np.asarray(d["c"], dtype=float),
         sigma=float(d["sigma"]),
         nonlinearity=bank,
-        sector_slopes=slopes,
+        sector_slopes=np.asarray(d["sector_slopes"], dtype=float),
         deriv_bounds=np.asarray(d["deriv_bounds"], dtype=float),
     )
+
+
+def read_json(path) -> dict:
+    """The package's one JSON reader: the object a file holds.  Malformed
+    JSON, or a document that is not an object, raises ValueError."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def write_json(path, doc: dict) -> None:
@@ -308,8 +316,7 @@ def save_system(sys: LureSystem, path) -> None:
 
 
 def load_system(path) -> LureSystem:
-    with open(path) as fh:
-        return system_from_dict(json.load(fh))
+    return system_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

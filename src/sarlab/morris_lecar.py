@@ -305,6 +305,11 @@ def params_to_dict(p: MorrisLecarParams) -> dict:
 
 
 def params_from_dict(d: dict) -> MorrisLecarParams:
+    """The parameters a JSON block names, the defaults for those it omits;
+    a key that is not one of the conventional names raises ValueError."""
+    unknown = [key for key in d if key not in _JSON_KEYS]
+    if unknown:
+        raise ValueError(f"unknown parameter keys {unknown}; known: {list(_JSON_KEYS)}")
     base = MorrisLecarParams()
     kwargs = {attr: float(d.get(key, getattr(base, attr)))
               for key, attr in _JSON_KEYS.items()}

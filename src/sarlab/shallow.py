@@ -14,7 +14,6 @@ nets plus output combiners so the certificate machinery applies.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lure import (LureSystem, TanhBank, _fork_map, _one_blas_thread, _usable_cores,
-                   augment, system_from_dict, system_to_dict, write_json)
+                   augment, read_json, system_from_dict, system_to_dict, write_json)
 
 __all__ = [
     "ShallowNet",
@@ -383,8 +382,7 @@ def save_net(net: ShallowNet, path) -> None:
 
 
 def load_net(path) -> ShallowNet:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = read_json(path)
     return ShallowNet(d["w1"], d["b1"], d["w2"], d["b2"])
 
 
@@ -403,11 +401,7 @@ def save_embedding(e: SectorEmbedding, path) -> None:
 
 def load_embedding(path) -> SectorEmbedding:
     """Rebuild an embedding from JSON, with the drift it was saved with."""
-    with open(path) as fh:
-        d = json.load(fh)
-    sys, n_phys = system_from_dict(d), int(d["n_phys"])
-    if "lift" not in d:  # saved with C = [D 0]: convert
-        sys, d["lift"] = _orthonormal_lift(sys, n_phys)
-    return SectorEmbedding(system=sys, offset=np.asarray(d["offset"], dtype=float),
-                           kappa=float(d["kappa"]), n_phys=n_phys,
+    d = read_json(path)
+    return SectorEmbedding(system=system_from_dict(d), offset=np.asarray(d["offset"], dtype=float),
+                           kappa=float(d["kappa"]), n_phys=int(d["n_phys"]),
                            lift=np.asarray(d["lift"], dtype=float))

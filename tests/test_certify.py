@@ -60,6 +60,8 @@ def test_certificate_matrix_needs_square_feedback():
                       sector_slopes=np.ones(2), deriv_bounds=np.ones(2))
     with pytest.raises(ValueError):
         certificate_matrix(wide, 0.5, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="certify needs a square system"):
+        certify(CertProblem(wide))
 
 
 def random_system(rng, n):
@@ -220,7 +222,8 @@ def test_certificate_records_c_defect(tmp_path, embedding_report):
     doc = json.loads(f.read_text())
     del doc["c_defect"]  # a file written before certificates recorded it
     f.write_text(json.dumps(doc))
-    assert load_certificate(f).c_defect is None
+    with pytest.raises(KeyError, match="c_defect"):
+        load_certificate(f)
 
 
 def test_solver_options_validation():
@@ -388,6 +391,10 @@ def test_search_is_deterministic():
 def test_sigma_sweep_requires_ascending():
     with pytest.raises(ValueError):
         sigma_sweep(make_scalar(0.1, 0.0), [0.5, 0.4])
+    with pytest.raises(ValueError, match="sigma grid is empty"):
+        sigma_sweep(make_scalar(0.1, 0.0), [])
+    with pytest.raises(ValueError, match="sigma values must be >= 0"):
+        sigma_sweep(make_scalar(0.1, 0.0), [-0.1, 0.4])
 
 
 def test_sigma_sweep_matches_closed_form_and_jobs_invariant():
@@ -503,9 +510,12 @@ def test_certificate_witness_roundtrip(tmp_path):
     doc = json.loads(f.read_text())
     assert doc["witness"] == "necessity"
     assert load_certificate(f).witness == "necessity"
-    del doc["witness"]  # a file written before witnesses existed
-    f.write_text(json.dumps(doc))
-    assert load_certificate(f).witness == "search"
+    for key in ("witness", "capped"):  # a file written before the field existed
+        old = dict(doc)
+        del old[key]
+        f.write_text(json.dumps(old))
+        with pytest.raises(KeyError, match=key):
+            load_certificate(f)
 
 
 @settings(max_examples=30, deadline=None)

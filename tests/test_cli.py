@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ def test_certify_rejects_system_outside_the_hypotheses(tmp_path, capsys):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("text, message", [("{not json", "malformed JSON in"),
+                                           ("[1, 2]", "expected a JSON object")])
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_a_file_that_is_no_json_object_is_a_usage_error(command, text, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {"simulate": ["simulate", "--config", str(path)],
+            "certify": ["certify", str(path)],
+            "sweep": ["sweep", str(path), "--sigma", "0.5:0.5:0.1"]}[command]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_certify_missing_system_file(tmp_path):
     assert cli.main(["certify", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
@@ -138,6 +154,33 @@ def test_sweep_reports_boundary_and_writes_artifacts(scalar_files, tmp_path, cap
 def test_sweep_requires_sigma_grid(scalar_files, tmp_path):
     good, _ = scalar_files
     assert cli.main(["sweep", str(good), "--out", str(tmp_path)]) == 2
+
+
+GRID_ERRORS = {
+    "--sigma": [("1:0:0.1", "empty range '1:0:0.1'"),
+                ("0:1", "want a:b:step, got '0:1'"),
+                ("0:x:0.1", "non-numeric bound in '0:x:0.1'"),
+                ("0:1:0", "step must be > 0 in '0:1:0'"),
+                ("-0.5:0.5:0.5", "noise levels must be >= 0, got '-0.5:0.5:0.5'")],
+    "--nu-grid": [("0.9:0.1:0.1", "empty range '0.9:0.1:0.1'"),
+                  ("::", "non-numeric bound in '::'"),
+                  ("0.1:0.9:-0.1", "step must be > 0 in '0.1:0.9:-0.1'")],
+}
+GRID_FLAGS = [(["sweep", "x.json"], "--sigma"),
+              (["sweep", "x.json", "--sigma", "0.5:0.5:0.1"], "--nu-grid"),
+              (["certify", "x.json"], "--nu-grid"),
+              (["reproduce", "fig5"], "--sigma")]
+
+
+@pytest.mark.parametrize("argv, flag, text, message", [
+    pytest.param(argv, flag, text, message, id=f"{argv[0]} {flag}={text}")
+    for argv, flag in GRID_FLAGS for text, message in GRID_ERRORS[flag]])
+def test_a_bad_grid_names_its_flag_once(argv, flag, text, message, tmp_path, capsys):
+    assert cli.main([*argv, f"{flag}={text}", "--out", str(tmp_path)]) == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.endswith(f"error: argument {flag}: {message}")
+    assert error.count(flag) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_empty_and_negative_grids(scalar_files, tmp_path):
@@ -249,6 +292,9 @@ def test_simulate_bad_model_and_missing_config(tmp_path):
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path)]) == 2
+    cfg_path.write_text(json.dumps({"model": "lure", "t_end": 1.0}))
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
 
 
 def test_simulate_bad_noise_mode_is_usage_error(tmp_path):
@@ -275,6 +321,31 @@ def test_params_block_that_is_not_an_object_is_a_usage_error(command, tmp_path, 
     cfg_path.write_text(json.dumps({"params": [1, 2], "i_app": 40.0, "t_end": 1.0}))
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "error: params must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "approximate"])
+def test_params_block_with_a_key_it_does_not_read_is_a_usage_error(command, tmp_path, capsys):
+    # "g_l" is the attribute's name; the block takes the conventional "gL"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"params": {"g_l": 3.0}, "i_app": 40.0, "t_end": 1.0}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: bad params block: unknown parameter keys ['g_l']" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "approximate"])
+@pytest.mark.parametrize("i_app, message", [
+    ("calibrated", "i_app must be a number or 'calibrate', got 'calibrated'"),
+    ([40.0], "bad i_app: [40.0]")])
+def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, i_app, message,
+                                                                      tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": i_app, "t_end": 1.0}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, field", [
@@ -325,12 +396,25 @@ def test_approximate_defaults_are_the_embedding_config(monkeypatch, tmp_path):
     assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert seen == [EmbeddingConfig(seed=0, i_app=40.0)]
 
-@pytest.mark.parametrize("box", [[[-80, 0]], 5])
+@pytest.mark.parametrize("box", [[[-80, 0]], 5, [["low", "N"], ["high", "N"]]])
 def test_approximate_malformed_box_is_a_usage_error(box, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"box": box, "i_app": 40.0}))
     assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "error: box must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["approximate", "--config", "cfg.json"], ["reproduce", "fig5"]])
+def test_diverged_training_exits_four(argv, embedding_report, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "build_embedding",
+                        lambda p, cfg: replace(embedding_report, diverged=True))
+    monkeypatch.setattr(cli, "_calibrated_iapp", lambda p: 40.0)
+    (tmp_path / "cfg.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", "out"]) == 4
+    assert "training diverged (non-finite loss); no embedding written" in capsys.readouterr().err
+    written = [f.name for f in (tmp_path / "out").rglob("*") if f.is_file()]
+    assert written == []
 
 
 def test_approximate_width_one_gives_three_state_embedding(tmp_path):
@@ -507,14 +591,14 @@ def test_reproduce_fig5_artifacts_are_the_commands_artifacts(embedding_report, m
         assert (rep / name).read_bytes() == (tmp_path / command / name).read_bytes(), name
 
 
-def test_certify_converts_an_unlifted_embedding_file(embedding_report, tmp_path):
+def test_certify_rejects_an_unlifted_embedding_file(embedding_report, tmp_path, capsys):
     # an embedding file written before embed lifted its output basis: C = [D 0]
     path = tmp_path / "embedding.json"
     path.write_text(json.dumps(parent_layout_doc(embedding_report.embedding)))
     rc = cli.main(["certify", str(path), "--sigma", "0.85", "--out", str(tmp_path / "cert")])
-    assert rc in (0, 1)
-    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
-    assert cert["c_defect"] <= 1e-12
+    assert rc == 2
+    assert f"bad system file {path}: 'lift'" in capsys.readouterr().err
+    assert not (tmp_path / "cert" / "certificate.json").exists()
 
 
 def test_usage_errors_return_two():

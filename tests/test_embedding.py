@@ -122,3 +122,15 @@ def test_small_width_embedding_is_square(spiking_params, calibrated_iapp):
     sys = rep.embedding.system
     assert sys.n == sys.m == 3
     assert sys.n - rep.embedding.n_phys == 1  # one fictitious state
+
+
+def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, monkeypatch):
+    # i_app=None fits at p.i_app; the pipeline never calibrates behind the caller
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("build_embedding calibrated the current")
+
+    monkeypatch.setattr(ml, "calibrate_iapp", no_calibration)
+    p = base_params.with_iapp(30.0)
+    report = build_embedding(p, EmbeddingConfig(hidden=3, n_samples=400, epochs=20))
+    assert report.params == p
+    np.testing.assert_array_equal(report.x_star, ml.equilibria(p)[-1])

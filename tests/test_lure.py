@@ -7,6 +7,7 @@ import pickle
 import signal
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import make_scalar
 from sarlab import lure
 from sarlab.lure import (LureSystem, TanhBank, Violation, augment, get_nonlinearity,
-                         load_system, save_system, system_from_dict, system_to_dict,
-                         validate)
+                         load_system, read_json, save_system, system_from_dict,
+                         system_to_dict, validate, write_json)
 
 TANH1 = 0.7615941559557649  # tanh(1) to double precision
 
@@ -84,15 +85,16 @@ def test_tanh_bank_bias_shape_mismatch():
 
 
 def test_registry_roundtrip_and_unknown():
-    # both names found in saved files build the same bank; anything else is unknown
-    for name in ("tanh_bank", "morris_lecar_bank"):
-        bank = get_nonlinearity(name, slopes=np.ones(1), biases=np.array([0.5]))
-        np.testing.assert_array_equal(bank.slopes, [1.0])
-        np.testing.assert_array_equal(bank.biases, [0.5])
+    # "tanh_bank" is the one name a system file holds; the name of older
+    # embedding files is unknown like any other
+    bank = get_nonlinearity("tanh_bank", slopes=np.ones(1), biases=np.array([0.5]))
+    np.testing.assert_array_equal(bank.slopes, [1.0])
+    np.testing.assert_array_equal(bank.biases, [0.5])
     np.testing.assert_array_equal(get_nonlinearity("tanh_bank", slopes=np.ones(2)).biases,
                                   np.zeros(2))
-    with pytest.raises(KeyError):
-        get_nonlinearity("nope")
+    for name in ("morris_lecar_bank", "nope"):
+        with pytest.raises(KeyError):
+            get_nonlinearity(name, slopes=np.ones(1), biases=np.array([0.5]))
 
 
 def test_validate_clean_scalar():
@@ -101,10 +103,13 @@ def test_validate_clean_scalar():
 
 def test_validate_dimension_errors():
     sys = make_scalar(-1.0, 0.5)
-    bad = LureSystem(sys.a, np.zeros((1, 2)), sys.c, 0.5, sys.nonlinearity,
-                     sys.sector_slopes, sys.deriv_bounds)
-    codes = {v.code for v in validate(bad)}
-    assert "dim_f_gain" in codes
+    for code, change in (("dim_f_gain", {"f_gain": np.zeros((1, 2))}),
+                         ("dim_a", {"a": np.zeros((1, 2))}),
+                         ("dim_c", {"c": np.ones((1, 2))}),
+                         ("dim_sector_slopes", {"sector_slopes": np.ones(2)}),
+                         ("dim_deriv_bounds", {"deriv_bounds": np.ones(2)})):
+        codes = {v.code for v in validate(replace(sys, **change))}
+        assert code in codes
 
 
 def test_validate_sign_errors():
@@ -171,6 +176,10 @@ def test_augment_rejects_narrow_and_bad_kappa():
         augment(np.eye(3), np.zeros((3, 2)), 1.0)  # m < n
     with pytest.raises(ValueError):
         augment(np.eye(1), np.zeros((1, 1)), 0.0)
+    with pytest.raises(ValueError, match="square"):
+        augment(np.ones((2, 3)), np.zeros((2, 3)), 1.0)
+    with pytest.raises(ValueError, match="one row per physical state"):
+        augment(np.eye(2), np.zeros((3, 3)), 1.0)
 
 
 def test_drift_on_stacked_states():
@@ -270,9 +279,10 @@ def test_saving_a_plain_callable_nonlinearity_says_why_it_fails():
                    nonlinearity=np.tanh, sector_slopes=np.ones(1), deriv_bounds=np.ones(1))
 
 
-def test_old_format_dict_loads_with_the_saved_drift():
-    # files written before unit_slopes existed: the units' slopes are the
-    # sector slopes, under the bank name the Morris-Lecar pipeline used
+def test_old_format_dict_is_rejected():
+    # files written before unit_slopes existed, under the bank name the
+    # Morris-Lecar pipeline used, are refused instead of loading with the
+    # sector slopes as the units'; so is a document without any bank key
     rng = np.random.default_rng(5)
     slopes = rng.uniform(0.5, 2.0, 3)
     sys = LureSystem(a=-np.eye(3), f_gain=rng.standard_normal((3, 3)),
@@ -280,11 +290,28 @@ def test_old_format_dict_loads_with_the_saved_drift():
                      nonlinearity=TanhBank(slopes, rng.standard_normal(3)),
                      sector_slopes=slopes, deriv_bounds=slopes)
     doc = system_to_dict(sys)
+    x = rng.standard_normal((5, 3))
+    np.testing.assert_array_equal(system_from_dict(doc).drift(x), sys.drift(x))
+    for key in ("nonlinearity", "unit_slopes", "biases"):
+        with pytest.raises(KeyError, match=key):
+            system_from_dict({k: v for k, v in doc.items() if k != key})
     del doc["unit_slopes"]
     doc["nonlinearity"] = "morris_lecar_bank"
-    back = system_from_dict(doc)
-    x = rng.standard_normal((5, 3))
-    np.testing.assert_array_equal(back.drift(x), sys.drift(x))
+    with pytest.raises(KeyError):
+        system_from_dict(doc)
+
+
+def test_read_json_accepts_only_an_object(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": [1.0, 2.5], "b": None})
+    assert read_json(path) == {"a": [1.0, 2.5], "b": None}
+    for text, message in (("{not json", "malformed JSON in"),
+                          ("[1, 2]", "expected a JSON object")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_json(path)
+    with pytest.raises(OSError):
+        read_json(tmp_path / "missing.json")
 
 
 def test_matrices_are_frozen():

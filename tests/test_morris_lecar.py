@@ -137,6 +137,12 @@ def test_noise_mode_rejected(p):
         ml.simulate_ml(p, ml.DEFAULT_INIT, SimConfig(t_end=1.0), noise_mode="bogus")
 
 
+@pytest.mark.parametrize("x0", [[-52.14], [-52.14, 0.02, 0.0], -52.14])
+def test_simulate_ml_rejects_a_start_state_that_is_not_v_n(p, x0):
+    with pytest.raises(ValueError, match=r"x0 must be \(V, N\)"):
+        ml.simulate_ml(p, x0, SimConfig(t_end=1.0))
+
+
 def test_dt_refinement_first_order(p):
     q = p.with_iapp(0.0)
     coarse = ml.simulate_ml(q, ml.DEFAULT_INIT,
@@ -423,6 +429,9 @@ def test_params_json_keys(p):
     assert doc["vK"] == -80.0 and doc["gCa"] == 4.0
     back = ml.params_from_dict(doc)
     assert back == p.with_iapp(40.0)
+    # a key the parameters do not read is refused, not ignored
+    with pytest.raises(ValueError, match=r"unknown parameter keys \['g_l'\]"):
+        ml.params_from_dict({"gL": 3.0, "g_l": 3.0})
 
 
 @settings(max_examples=50, deadline=None)

@@ -19,6 +19,11 @@ def test_sim_config_validation():
         SimConfig(t_end=1.0, dt=2.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=1.0, record_stride=0)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            SimConfig(t_end=1.0, dt=dt)
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        SimConfig(t_end=1.0, n_paths=0)
     assert SimConfig(t_end=1.0, dt=1e-3).n_steps == 1000
 
 

@@ -106,6 +106,11 @@ def test_train_zero_samples_errors():
         train(np.zeros((0, 2)), np.zeros((0, 1)), hidden=2)
 
 
+def test_train_needs_a_hidden_unit():
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
+        train(np.zeros((5, 2)), np.zeros((5, 1)), hidden=0)
+
+
 def test_train_row_mismatch_errors():
     with pytest.raises(ValueError):
         train(np.zeros((5, 2)), np.zeros((4, 1)), hidden=2)
@@ -414,8 +419,17 @@ def test_embed_offset_gate():
 
 def test_embed_validates_combiner_shape():
     net = two_unit_net()
+    comb = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError):
         embed([net], [np.eye(3)], -np.eye(2), kappa=1.0)
+    with pytest.raises(ValueError, match="a_phys must be square"):
+        embed([net], [comb], -np.ones((2, 3)), kappa=1.0)
+    with pytest.raises(ValueError, match="x_star must have one entry per physical state"):
+        embed([net], [comb], -np.eye(2), kappa=1.0, x_star=np.zeros(3))
+    with pytest.raises(ValueError, match="need one combiner per net"):
+        embed([net, net], [comb], -np.eye(2), kappa=1.0)
+    with pytest.raises(ValueError, match="net input dimension"):
+        embed([net], [np.ones((3, 1))], -np.eye(3), kappa=1.0)
 
 
 def test_embedding_roundtrip(tmp_path):
@@ -474,15 +488,11 @@ def test_loss_is_half_mean_squared_error(seed):
     assert loss == pytest.approx(manual, rel=1e-12)
 
 
-def test_unlifted_embedding_file_converts_on_load(tmp_path):
+def test_unlifted_embedding_file_is_rejected(tmp_path):
     # a file written before embed lifted its output basis: C = [D 0], no lift
     rng = np.random.default_rng(5)
     emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2), kappa=1.0)
     f = tmp_path / "old.json"
     f.write_text(json.dumps(parent_layout_doc(emb)))
-    back = load_embedding(f)
-    assert c_defect(back.system) <= 1e-12
-    np.testing.assert_allclose(back.lift, emb.lift, atol=1e-12)
-    for field in ("a", "f_gain", "c"):
-        np.testing.assert_allclose(getattr(back.system, field), getattr(emb.system, field),
-                                   atol=1e-12)
+    with pytest.raises(KeyError, match="lift"):
+        load_embedding(f)
