@@ -10,15 +10,22 @@ almost-sure asymptotic stability of the origin, where
 with Lambda = diag(lambda) >= 0 and T = diag(tau) >= 0 free multipliers,
 S = diag(sector_slopes), Delta = diag(deriv_bounds), and nu in (0, 1) a
 scalar exponent searched on a grid.  For fixed nu the largest eigenvalue of
-N is convex in (lambda, tau); the solver tries a fixed set of probes,
-then minimizes a log-sum-exp smoothing of it by L-BFGS-B under the bounds
-lambda, tau >= 0, with the smoothing shrunk over four levels.  The search
-draws no random numbers.  It stops early once its incumbent meets a dual
-lower bound (see `_dual_lower_bound`).
+N is convex in (lambda, tau); the solver scores theta = 0 and a fixed set
+of probes as one stack of matrices, then minimizes a log-sum-exp smoothing
+of it by L-BFGS-B under the bounds lambda, tau >= 0, with the smoothing
+shrunk over four levels.  The search draws no random numbers.  It stops
+early once its incumbent meets a dual lower bound (see `_dual_lower_bound`).
+
+N is written once, in `_pencil`, which binds a system's constants and
+builds N without checking its arguments; `certificate_matrix` is its
+checks plus the pencil.  `certify` checks its inputs once, at the
+boundary, and then builds every N through one pencil per call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +50,11 @@ __all__ = [
 ]
 
 
+_DEFAULT_NU_GRID = np.linspace(0.05, 0.95, 19)
+
+
 def default_nu_grid() -> np.ndarray:
-    return np.linspace(0.05, 0.95, 19)
+    return _DEFAULT_NU_GRID.copy()
 
 
 _MAX_ITERS = 5000            # L-BFGS-B iterations per smoothing level
@@ -97,7 +107,8 @@ def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
 
     Broadcasts over leading axes: nu of shape (...) and lam, tau of shape
     (..., n) (or scalars) give a (..., 2n, 2n) stack, each member equal bit
-    for bit to its own call."""
+    for bit to its own call.  This is the checked entry point: it checks its
+    inputs, then builds N with :func:`_pencil`."""
     n = sys.n
     if sys.m != n:
         raise ValueError(f"certificate needs a square system (m == n), got n={n}, m={sys.m}")
@@ -110,26 +121,47 @@ def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
         raise ValueError("lambda and tau must have length n")
     if np.any(lam < 0) or np.any(tau < 0):
         raise ValueError("lambda and tau must be >= 0")
+    return _pencil(sys)(nu, lam, tau)
 
+
+def _pencil(sys: LureSystem):
+    """N(nu, Lambda, T) of a square system as a function matrix(nu, lam,
+    tau), with the system's constants bound once.
+
+    matrix takes nu as a float or an array of shape (...) and lam, tau as
+    float arrays of shape (..., n), and checks none of them (see
+    certificate_matrix).  It performs the operations of the module
+    docstring's formulas in their order and writes the four blocks into one
+    (..., 2n, 2n) array.
+    """
+    n = sys.n
     a, f, c = sys.a, sys.f_gain, sys.c
+    sym_a, cf, ct = a.T + a, c @ f, c.T
+    cft = cf.T
+    sct = (sys.sector_slopes[:, None] * c).T
+    eye, diag = np.eye(n), np.arange(n)
     s2 = sys.sigma ** 2
-    s = sys.sector_slopes
     delta = sys.deriv_bounds
-    eye = np.eye(n)
-    nu = nu[..., None, None]
-    cf = c @ f
 
-    # C^T Lambda Delta C with diagonal Lambda, Delta
-    ctld_c = c.T @ ((lam * delta)[..., :, None] * c)
-    n11 = nu * (a.T + a - s2 * (1.0 - nu) * eye) + s2 * ctld_c
-    shift_t = np.swapaxes(a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye, -1, -2)
-    n12 = nu * f + shift_t @ (c.T * lam[..., None, :]) + (s[:, None] * c).T * tau[..., None, :]
-    diag_tau = np.zeros(tau.shape + (n,))
-    diag_tau[..., np.arange(n), np.arange(n)] = tau
-    n22 = -2.0 * diag_tau + (lam[..., :, None] * cf) + cf.T * lam[..., None, :]
-    n11, n12, n22 = np.broadcast_arrays(n11, n12, n22)
-    return np.concatenate([np.concatenate([n11, n12], axis=-1),
-                           np.concatenate([np.swapaxes(n12, -1, -2), n22], axis=-1)], axis=-2)
+    def matrix(nu, lam, tau) -> np.ndarray:
+        if not isinstance(nu, float):  # a float's arithmetic gives the same bits, cheaper
+            nu = np.asarray(nu)[..., None, None]
+        # C^T Lambda Delta C with diagonal Lambda, Delta
+        ctld_c = ct @ ((lam * delta)[..., :, None] * c)
+        n11 = nu * (sym_a - s2 * (1.0 - nu) * eye) + s2 * ctld_c
+        shift_t = np.swapaxes(a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye, -1, -2)
+        # n12 carries every leading axis of nu, lam and tau
+        n12 = nu * f + shift_t @ (ct * lam[..., None, :]) + sct * tau[..., None, :]
+        diag_tau = np.zeros(tau.shape + (n,))
+        diag_tau[..., diag, diag] = tau
+        out = np.empty(n12.shape[:-2] + (2 * n, 2 * n))
+        out[..., :n, :n] = n11
+        out[..., :n, n:] = n12
+        out[..., n:, :n] = np.swapaxes(n12, -1, -2)
+        out[..., n:, n:] = -2.0 * diag_tau + (lam[..., :, None] * cf) + cft * lam[..., None, :]
+        return out
+
+    return matrix
 
 
 def max_eigenvalue(mat: np.ndarray) -> float:
@@ -148,12 +180,12 @@ def max_eigenvalue(mat: np.ndarray) -> float:
 # solver
 
 
-def _affine_parts(sys: LureSystem, nu: float):
-    """N(theta) = N0 + sum_p theta_p B_p with theta = (lambda, tau)."""
-    n = sys.n
-    # one stack: theta = 0, then each unit lambda_i, then each unit tau_i
-    units = np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)])
-    mats = certificate_matrix(sys, nu, units[:, :n], units[:, n:])
+def _affine_parts(matrix, units: np.ndarray, nu: float):
+    """N(theta) = N0 + sum_p theta_p B_p with theta = (lambda, tau), from a
+    system's :func:`_pencil` and its unit stack: theta = 0, then each unit
+    lambda_i, then each unit tau_i (rows of a (2n + 1, 2n) array)."""
+    n = units.shape[1] // 2
+    mats = matrix(nu, units[:, :n], units[:, n:])
     n0 = mats[0]
     basis = mats[1:] - n0
     n0 = 0.5 * (n0 + n0.T)
@@ -161,16 +193,18 @@ def _affine_parts(sys: LureSystem, nu: float):
     return n0, basis
 
 
-def _top_eig(mat: np.ndarray) -> float:
-    if mat.shape[0] == 2:
+def _top_eigs(mats: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix of a (k, d, d) stack."""
+    if mats.shape[-1] == 2:
         # closed form keeps scalar demos cheap
-        a, b, d = mat[0, 0], mat[0, 1], mat[1, 1]
-        return float(0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
-    return float(np.linalg.eigh(mat)[0][-1])
+        a, b, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        return 0.5 * ((a + d) + np.hypot(a - d, 2.0 * b))
+    return np.linalg.eigh(mats)[0][:, -1]
 
 
-def _dual_lower_bound(sys: LureSystem, nu: float, top_sym_a: float) -> float:
-    """Lower bound on min over lambda, tau >= 0 of lambda_max(N(nu, .)).
+def _dual_lower_bound(sys: LureSystem, nu, top_sym_a: float):
+    """Lower bound on min over lambda, tau >= 0 of lambda_max(N(nu, .)), at
+    a nu or at each nu of a grid.
 
     Z = [v v^T 0; 0 0], with v the top eigenvector of A + A^T, is PSD with
     unit trace, so lambda_max(N) >= <Z, N> = nu (v^T (A + A^T) v
@@ -181,8 +215,23 @@ def _dual_lower_bound(sys: LureSystem, nu: float, top_sym_a: float) -> float:
     deriv_bound is negative.
     """
     if np.any(sys.deriv_bounds < 0):
-        return -np.inf
+        return np.full(np.shape(nu), -np.inf)
     return nu * (top_sym_a - sys.sigma ** 2 * (1.0 - nu))
+
+
+@functools.lru_cache(maxsize=8)
+def _probes(nparams: int) -> np.ndarray:
+    """theta = 0, then the deterministic probes in the order they are
+    scanned: for each eps, eps on the tau family, on both, on the lambda
+    family (scaled coordinates; read-only)."""
+    half = nparams // 2
+    families = np.zeros((3, nparams))
+    families[0, half:] = families[1] = families[2, :half] = 1.0
+    eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    probes = np.vstack([np.zeros((1, nparams)),
+                        (eps[:, None, None] * families).reshape(-1, nparams)])
+    probes.flags.writeable = False
+    return probes
 
 
 def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
@@ -191,9 +240,11 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
 
     Returns (best value, best theta, hit_cap); hit_cap is set when some
     smoothing level ran into _MAX_ITERS.  Parameters are rescaled so a unit
-    step in each scaled coordinate moves N by about ||N0||.  The search
-    returns as soon as the incumbent is feasible or lies within 1e-12 ||N0||
-    of lower_bound, a proven lower bound on the minimum.
+    step in each scaled coordinate moves N by about ||N0||.  theta = 0 and
+    the probes of _probes are scored as one stack, then scanned in order;
+    the search returns at the first point whose incumbent is feasible or
+    lies within 1e-12 ||N0|| of lower_bound, a proven lower bound on the
+    minimum.
     """
     nparams = basis.shape[0]
     ref = float(np.linalg.norm(n0)) + 1e-12
@@ -202,28 +253,22 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     sbasis = basis * scale[:, None, None]
     flat = sbasis.reshape(nparams, -1)
 
-    def value(phi):
-        mat = n0 + (phi @ flat).reshape(n0.shape)
-        return _top_eig(0.5 * (mat + mat.T))
+    def values(phis):
+        # one (1, p) @ (p, d*d) product per row, as for a single phi
+        mats = n0 + (phis[:, None, :] @ flat).reshape((-1,) + n0.shape)
+        return _top_eigs(0.5 * (mats + np.swapaxes(mats, -1, -2))).tolist()
 
     exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
 
-    best_phi = np.zeros(nparams)
-    best_g = value(best_phi)
-    if best_g < exit_level:
-        return best_g, best_phi * scale, False
-
-    # deterministic probes: small multipliers of either family
-    half = nparams // 2
-    for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
-        for mask in ((slice(half, None),), (slice(None),), (slice(0, half),)):
-            phi = np.zeros(nparams)
-            phi[mask[0]] = eps
-            g = value(phi)
-            if g < best_g:
-                best_g, best_phi = g, phi
-            if best_g < exit_level:
-                return best_g, best_phi * scale, False
+    probes = _probes(nparams)
+    scores = values(probes)
+    best = 0
+    for k, g in enumerate(scores):
+        if g < scores[best]:
+            best = k
+        if scores[best] < exit_level:
+            return scores[best], probes[best] * scale, False
+    best_g, best_phi = scores[best], probes[best]
 
     # continuation on the log-sum-exp smoothing of lambda_max (Nesterov 2007):
     # f_mu = lambda_1 + mu log sum_k exp((lambda_k - lambda_1) / mu) is smooth,
@@ -251,7 +296,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
                            bounds=[(0.0, None)] * nparams, options={"maxiter": _MAX_ITERS})
             hit_cap = hit_cap or res.nit >= _MAX_ITERS
             phi = res.x
-            g = value(phi)
+            g = values(phi[None])[0]
             if g < best_g:
                 best_g, best_phi = g, phi
             if best_g < exit_level:
@@ -270,6 +315,8 @@ def certify(problem: CertProblem) -> Certificate:
     n = sys.n
     if sys.m != n:
         raise ValueError("certify needs a square system; use augment/embed first")
+    if not math.isfinite(sys.sigma):
+        raise ValueError(f"sigma must be finite, got {sys.sigma}")
     nu_grid = np.atleast_1d(np.asarray(problem.nu_grid, dtype=float))
     if nu_grid.size == 0 or np.any(nu_grid <= 0.0) or np.any(nu_grid >= 1.0):
         raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
@@ -281,6 +328,8 @@ def certify(problem: CertProblem) -> Certificate:
             "hypothesis does not hold. Pass SolverOptions(allow_nonorthonormal_c=True) "
             "to proceed anyway.")
 
+    # the inputs are checked: from here on N is built through the unchecked pencil
+    matrix = _pencil(sys)
     top_sym_a = float(np.linalg.eigvalsh(sys.a + sys.a.T)[-1])
     # no linear member grows faster than this ceiling; above it the bound cannot settle sigma
     ceiling = top_sym_a / 2.0 + float(np.linalg.norm(_linear_gain(sys)) * np.linalg.norm(sys.c))
@@ -288,28 +337,32 @@ def certify(problem: CertProblem) -> Certificate:
     if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
         zeros = np.zeros(n)
         # N(nu, 0, 0) is exactly symmetric, so eigvalsh needs no symmetrizing
-        margins = np.linalg.eigvalsh(certificate_matrix(sys, nu_grid, zeros, zeros))[:, -1]
+        margins = np.linalg.eigvalsh(matrix(nu_grid, zeros, zeros))[:, -1]
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
                            margin=float(margins[best]), feasible=False, capped=False,
                            witness="necessity", c_defect=defect)
 
+    units = np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)])
+    bounds = _dual_lower_bound(sys, nu_grid, top_sym_a).tolist()
     best = None  # (margin, nu, theta)
     capped = False
-    for nu in nu_grid:
-        n0, basis = _affine_parts(sys, float(nu))
-        bound = _dual_lower_bound(sys, float(nu), top_sym_a)
+    for nu, bound in zip(nu_grid.tolist(), bounds):
+        n0, basis = _affine_parts(matrix, units, nu)
         margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts, bound)
         capped = capped or hit_cap
         if best is None or margin < best[0]:
-            best = (margin, float(nu), theta)
+            best = (margin, nu, theta)
         if margin < -opts.tol:
             break
 
     margin, nu, theta = best
+    # the one check of the point whose matrix the certificate reports
+    if theta.shape != (2 * n,) or np.any(theta < 0):
+        raise ValueError(f"the search returned a point outside the multiplier cone: {theta}")
     lam, tau = theta[:n].copy(), theta[n:].copy()
     # report the margin of the stored point exactly (reconstruction contract)
-    margin = max_eigenvalue(certificate_matrix(sys, nu, lam, tau))
+    margin = max_eigenvalue(matrix(nu, lam, tau))
     return Certificate(sigma=sys.sigma, nu=nu, lam=lam, tau=tau,
                        margin=margin, feasible=bool(margin < -opts.tol), capped=capped,
                        witness="search", c_defect=defect)
@@ -391,6 +444,8 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if sigmas.size == 0:
         raise ValueError("sigma grid is empty")
+    if not np.all(np.isfinite(sigmas)):
+        raise ValueError("sigma values must be finite")
     if np.any(sigmas < 0):
         raise ValueError("sigma values must be >= 0")
     if np.any(np.diff(sigmas) <= 0) and sigmas.size > 1:

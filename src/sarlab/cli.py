@@ -221,18 +221,23 @@ def _calibrated_iapp(p: ml.MorrisLecarParams) -> float:
     return ml.calibrate_iapp(p)
 
 
-def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, float]:
-    """spec is a number, or the string 'calibrate' (scan for the smallest
-    current giving sustained spiking)."""
+def _iapp_spec(spec):
+    """A config's i_app: a number, or the string 'calibrate' (scan for the
+    smallest current giving sustained spiking)."""
     if isinstance(spec, str):
         if spec != "calibrate":
             raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
-        value = _calibrated_iapp(p)
-    else:
-        try:
-            value = float(spec)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad i_app: {spec!r}") from exc
+        return spec
+    try:
+        return float(spec)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad i_app: {spec!r}") from exc
+
+
+def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, float]:
+    """p with the current that a checked i_app spec (see _iapp_spec) names,
+    and that current."""
+    value = _calibrated_iapp(p) if spec == "calibrate" else spec
     return p.with_iapp(value), value
 
 
@@ -246,6 +251,23 @@ def _ml_params(config: dict) -> ml.MorrisLecarParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad params block: {exc}") from exc
     return ml.MorrisLecarParams()
+
+
+# the config keys each command reads; any other key is a usage error
+_NEURON_KEYS = frozenset({"params", "i_app"})
+_PATH_KEYS = frozenset({"model", "seed", "t_end", "dt", "record_stride", "sigma", "x0"})
+SIMULATE_KEYS = {"ml": _PATH_KEYS | _NEURON_KEYS | {"noise_mode", "filter_window"},
+                 "lure": _PATH_KEYS | {"system"}}
+APPROXIMATE_KEYS = _NEURON_KEYS | {"seed", "width", "kappa", "n_samples", "epochs", "sigma",
+                                   "offset_tol", "box"}
+
+
+def _reject_unknown_keys(config: dict, known: frozenset, reader: str) -> None:
+    """A usage error naming every key of config that reader does not read."""
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise CliError(f"unknown config keys {unknown}: {reader} reads "
+                       f"{', '.join(sorted(known))}")
 
 
 def _box(value) -> tuple:
@@ -299,12 +321,17 @@ def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
 # computes its artifacts, writes them into out_dir, adds its seconds to
 # stages and prints its summary line
 
-def _calibrate(stages: dict, config: dict) -> tuple[ml.MorrisLecarParams, dict]:
-    """The config's neuron parameters with its i_app resolved (calibrate_s),
-    and the calibrated values for the manifest."""
-    p = _ml_params(config)
+def _neuron(config: dict) -> tuple[ml.MorrisLecarParams, float | str]:
+    """The config's neuron parameters and i_app spec, checked; nothing runs."""
+    return _ml_params(config), _iapp_spec(config.get("i_app", "calibrate"))
+
+
+def _calibrate(stages: dict, p: ml.MorrisLecarParams,
+               i_app) -> tuple[ml.MorrisLecarParams, dict]:
+    """p with the i_app spec resolved (calibrate_s), and the calibrated
+    values for the manifest."""
     with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(p, config.get("i_app", "calibrate"))
+        p, i_app = _resolve_iapp(p, i_app)
     return p, {"i_app": i_app, "v2": p.v2}
 
 
@@ -409,7 +436,9 @@ def cmd_simulate(args) -> int:
             window = resolved["filter_window"] = (
                 args.filter_window if args.filter_window is not None
                 else _odd_window(_config_number(config, "filter_window", 101, int)))
-        p, calibrated = _calibrate(stages, config)
+        p, i_app = _neuron(config)
+        _reject_unknown_keys(config, SIMULATE_KEYS[model], "simulate with model 'ml'")
+        p, calibrated = _calibrate(stages, p, i_app)
         x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
         path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
                                           noise_mode, window)
@@ -417,6 +446,7 @@ def cmd_simulate(args) -> int:
     elif model == "lure":
         if "system" not in config:
             raise CliError("lure model config needs a 'system' file path")
+        _reject_unknown_keys(config, SIMULATE_KEYS[model], "simulate with model 'lure'")
         system = _load_cert_target(config["system"], config.get("sigma"))
         x0 = np.asarray(config.get("x0", np.zeros(system.n)), dtype=float)
         with _stage(stages, "simulate_s"):
@@ -454,8 +484,10 @@ def cmd_approximate(args) -> int:
                                  getattr(defaults, field), type(getattr(defaults, field)))
            for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
     fit["box"] = _box(config.get("box", defaults.box))
+    p, i_app = _neuron(config)
+    _reject_unknown_keys(config, APPROXIMATE_KEYS, "approximate")
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
-    p, calibrated = _calibrate(stages, config)
+    p, calibrated = _calibrate(stages, p, i_app)
     report, outputs = _approximate(out_dir, stages, p,
                                    EmbeddingConfig(**fit, seed=seed, i_app=calibrated["i_app"]))
     if report.diverged:
@@ -514,7 +546,7 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     stages = {}
-    p, calibrated = _calibrate(stages, {})
+    p, calibrated = _calibrate(stages, ml.MorrisLecarParams(), "calibrate")
 
     if fig == "fig5":
         report, outputs = _approximate(out_dir, stages, p,

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import sarlab.certify as certify_module
 from conftest import make_scalar
 from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
-                            _solve_fixed_nu, certificate_matrix, certify, default_nu_grid,
+                            _pencil, _probes, _solve_fixed_nu, _top_eigs, certificate_matrix,
+                            certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, recompute_margin, save_certificate,
                             sigma_sweep)
@@ -71,6 +72,16 @@ def random_system(rng, n):
                       c=rng.normal(size=(n, n)), sigma=float(rng.uniform(0.0, 2.0)),
                       nonlinearity=TanhBank(s), sector_slopes=s,
                       deriv_bounds=s * rng.uniform(0.5, 2.0, size=n))
+
+
+def unit_stack(n):
+    """theta = 0, then each unit lambda_i, then each unit tau_i, as certify builds it."""
+    return np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)])
+
+
+def affine_parts(sys, nu):
+    """The (N0, basis) that certify solves at nu."""
+    return _affine_parts(_pencil(sys), unit_stack(sys.n), nu)
 
 
 def assert_stack_matches_calls(sys, nus, lams, taus):
@@ -294,7 +305,7 @@ def test_necessity_exit_is_sound_when_c_is_orthonormal():
         assert cert.witness == "necessity" and not cert.feasible
         top = float(np.linalg.eigvalsh(at.a + at.a.T)[-1])
         for nu in nu_grid:
-            n0, basis = _affine_parts(at, float(nu))
+            n0, basis = affine_parts(at, float(nu))
             margin, _, _ = _solve_fixed_nu(n0, basis, opts, _dual_lower_bound(at, float(nu), top))
             assert margin >= -opts.tol, (k, at.sigma, floor, nu, margin)
         settled += 1
@@ -536,3 +547,149 @@ def test_feasible_flag_is_consistent_with_margin(a, sigma):
     opts = SolverOptions()
     cert = certify(CertProblem(make_scalar(a, sigma), options=opts))
     assert cert.feasible == (cert.margin < -opts.tol)
+
+
+# -- the pencil and the probe stack -------------------------------------------
+
+def test_affine_parts_from_the_pencil_keep_every_bit(embedding_report):
+    # the unchecked pencil against the checked certificate_matrix, at the
+    # unit stack certify solves with
+    rng = np.random.default_rng(21)
+    systems = [random_system(rng, n) for n in range(1, 9) for _ in range(2)]
+    systems.append(embedding_report.embedding.system.with_sigma(20.0))
+    for sys in systems:
+        units = unit_stack(sys.n)
+        for nu in (0.05, float(rng.uniform(0.01, 0.99)), 0.95):
+            mats = certificate_matrix(sys, nu, units[:, :sys.n], units[:, sys.n:])
+            n0, basis = mats[0], mats[1:] - mats[0]
+            n0, basis = 0.5 * (n0 + n0.T), 0.5 * (basis + np.transpose(basis, (0, 2, 1)))
+            got = affine_parts(sys, nu)
+            assert got[0].tobytes() == n0.tobytes() and got[1].tobytes() == basis.tobytes()
+
+
+def top_eig_of_one(sym):
+    """The largest eigenvalue of one symmetric matrix, as the solver took it
+    before it scored stacks."""
+    if sym.shape[0] == 2:
+        a, b, d = sym[0, 0], sym[0, 1], sym[1, 1]
+        return float(0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
+    return float(np.linalg.eigh(sym)[0][-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_top_eigs_of_a_stack_match_each_matrix(n):
+    rng = np.random.default_rng(n)
+    mats = rng.normal(size=(16, 2 * n, 2 * n)) * 10.0 ** rng.integers(-8, 3, size=(16, 1, 1))
+    mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+    tops = _top_eigs(mats)
+    assert tops.shape == (16,)
+    for top, sym in zip(tops.tolist(), mats):
+        assert top == top_eig_of_one(sym)
+        if n > 1:
+            assert top == np.linalg.eigh(sym)[0][-1]
+
+
+def sequential_scan(n0, basis, opts, lower_bound):
+    """theta = 0 and the probes scored and scanned one point at a time.
+    Returns (value, theta, index of the exiting point or None when none
+    exits, the incumbent in scaled coordinates)."""
+    nparams = basis.shape[0]
+    ref = float(np.linalg.norm(n0)) + 1e-12
+    scale = ref / np.maximum(np.linalg.norm(basis.reshape(nparams, -1), axis=1), 1e-12 * ref)
+    flat = (basis * scale[:, None, None]).reshape(nparams, -1)
+
+    def value(phi):
+        mat = n0 + (phi @ flat).reshape(n0.shape)
+        return top_eig_of_one(0.5 * (mat + mat.T))
+
+    exit_level = max(-10.0 * opts.tol, lower_bound + 1e-12 * ref)
+    best_g, best_phi = value(np.zeros(nparams)), np.zeros(nparams)
+    if best_g < exit_level:
+        return best_g, best_phi * scale, 0, best_phi
+    index, half = 0, nparams // 2
+    for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        for family in (slice(half, None), slice(None), slice(0, half)):
+            index += 1
+            phi = np.zeros(nparams)
+            phi[family] = eps
+            g = value(phi)
+            if g < best_g:
+                best_g, best_phi = g, phi
+            if best_g < exit_level:
+                return best_g, best_phi * scale, index, best_phi
+    return best_g, best_phi * scale, None, best_phi
+
+
+def solver_inputs(sys):
+    """(N0, basis, lower bound) at each grid nu of sys."""
+    top = float(np.linalg.eigvalsh(sys.a + sys.a.T)[-1])
+    return [(*affine_parts(sys, nu), float(_dual_lower_bound(sys, nu, top)))
+            for nu in default_nu_grid().tolist()]
+
+
+def test_probe_stack_exits_where_the_sequential_scan_exits():
+    opts = SolverOptions()
+    exits = set()
+    systems = [make_scalar(0.5, 0.3), make_scalar(-1.0, 0.75), make_scalar(-1.0, 0.0, f=0.5),
+               make_scalar(0.1, 0.7), random_system(np.random.default_rng(22), 3)]
+    for sys in systems:
+        for n0, basis, bound in solver_inputs(sys):
+            value, theta, index, _ = sequential_scan(n0, basis, opts, bound)
+            if index is None:
+                continue
+            got = _solve_fixed_nu(n0, basis, opts, bound)
+            assert got[0] == value and got[1].tobytes() == theta.tobytes() and not got[2]
+            exits.add(index)
+    assert 0 in exits  # theta = 0 exits
+    assert exits & set(range(1, 15))  # a middle probe is the first to cross
+
+
+@pytest.mark.parametrize("sys", [
+    search_system(0.81),  # no probe exits, so L-BFGS-B starts from the best probe
+    # a negative derivative bound leaves no lower bound, and later probes tie
+    # theta = 0's value: the incumbent stays the first of the tied points
+    make_scalar(0.2, 0.0, delta=-1.0)])
+def test_probe_stack_hands_the_search_the_sequential_incumbent(sys, monkeypatch):
+    opts = SolverOptions()
+    starts = []
+
+    def stopped(fun, x0, **kwargs):  # the search stops where it starts
+        starts.append(np.array(x0))
+        return type("Result", (), {"x": np.array(x0), "nit": 0})()
+
+    monkeypatch.setattr(certify_module, "minimize", stopped)
+    for n0, basis, bound in solver_inputs(sys):
+        value, theta, index, phi = sequential_scan(n0, basis, opts, bound)
+        assert index is None
+        starts.clear()
+        got = _solve_fixed_nu(n0, basis, opts, bound)
+        assert len(starts) == 4 and all(x.tobytes() == phi.tobytes() for x in starts)
+        assert got[0] == value and got[1].tobytes() == theta.tobytes()
+
+
+def test_probes_are_read_only_and_in_scan_order():
+    probes = _probes(4)
+    assert not probes.flags.writeable
+    assert probes.shape == (16, 4)
+    np.testing.assert_array_equal(probes[0], 0.0)
+    np.testing.assert_array_equal(probes[4:7],
+                                  [[0, 0, 1e-6, 1e-6], [1e-6] * 4, [1e-6, 1e-6, 0, 0]])
+
+
+@pytest.mark.parametrize("theta", [np.array([-1e-3, 0.5]), np.array([0.5, 0.5, 0.5])])
+def test_the_stored_point_is_checked_before_its_margin(theta, monkeypatch):
+    monkeypatch.setattr(certify_module, "_solve_fixed_nu",
+                        lambda n0, basis, opts, bound: (-1.0, theta, False))
+    with pytest.raises(ValueError, match="outside the multiplier cone"):
+        certify(CertProblem(make_scalar(-1.0, 0.75)))
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_a_non_finite_sigma_is_an_error(sigma):
+    sys = make_scalar(0.1, 0.5)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        certify(CertProblem(sys.with_sigma(sigma)))
+    with pytest.raises(ValueError, match="sigma values must be finite"):
+        sigma_sweep(sys, [sigma])
+    with pytest.raises(ValueError, match="sigma values must be finite"):
+        sigma_sweep(sys, [0.2, sigma])

@@ -372,6 +372,45 @@ def test_fractional_count_in_config_is_a_usage_error(command, field, tmp_path, c
     assert f"error: {field} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, reader", [
+    # a typo of "width": the fit must not fall back to the default width of 10
+    ("approximate", {"widht": 3, "i_app": 40.0}, "approximate"),
+    # a typo of "sigma": the path must not run noise-free
+    ("simulate", {"sigmaa": 0.85}, "simulate with model 'ml'"),
+    ("simulate", {"model": "ml", "system": "good.json", "t_end": 1.0}, "simulate with model 'ml'"),
+])
+def test_config_key_the_command_does_not_read_is_a_usage_error(command, config, reader,
+                                                              monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("calibrate_iapp", "simulate_ml"):
+        monkeypatch.setattr(ml, name, no_work)
+    monkeypatch.setattr(cli, "build_embedding", no_work)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    unknown = sorted(set(config) - {"i_app", "model", "t_end"})
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config keys {unknown}: {reader} reads ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_lure_simulate_config_key_it_does_not_read_is_a_usage_error(scalar_files, tmp_path,
+                                                                   capsys):
+    # noise_mode and filter_window act on the neuron's path only
+    good, _ = scalar_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "lure", "system": str(good), "x0": [1.0],
+                                    "t_end": 1.0, "noise_mode": "state"}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys ['noise_mode']: simulate with model "
+                          "'lure' reads dt, model, record_stride, seed, sigma, system, t_end, x0")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 # -- approximate --------------------------------------------------------------
 
 @pytest.mark.parametrize("key", ["batch_size", "lr", "lr_decay"])
