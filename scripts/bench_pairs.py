@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent <rev> --pr <n> --seeds 2051:2060 \\
-        [--workload all] [--seconds 30]
+    python3 scripts/bench_pairs.py --parent <rev> --pr <n> --seeds 2051:2060
 
 Run from the root of a checkout.  Both sides run from fresh copies in
 temporary directories, so that neither runs where earlier runs left files:
 the parent revision's files exported with ``git archive``, and the working
 tree's tracked and untracked files (not the ignored ones).  For each
-workload and each seed, ``python3 perfbench/run.py --workload <w> --seed <s>
---seconds <t> --trace 0`` runs once in each copy, the parent first in the
+workload (scalar_oracle, neuron_pipeline) and each seed, ``python3
+perfbench/run.py --workload <w> --seed <s> --seconds 30 --trace 0`` runs
+once in each copy, the parent first in the
 1st, 3rd, 5th, ... pair and the working tree first in the others.  The
 metrics each run prints on its last line are summarized per side as medians
 and quartiles (statistics.quantiles, n=4), with the number of pairs in which
@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WORKLOADS = ("scalar_oracle", "neuron_pipeline")
+SECONDS = 30  # BENCHMARK.json's run_seconds
 
 
 def better_is_lower() -> dict[str, bool]:
@@ -71,10 +73,10 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
     }
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run in checkout; its last stdout line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -115,17 +117,12 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pr", required=True, type=int, help="writes BENCH_<pr>.json")
     ap.add_argument("--seeds", required=True, type=seed_range, help="first:last, one pair each")
-    ap.add_argument("--workload", default="all",
-                    choices=("all", "scalar_oracle", "neuron_pipeline"))
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
-    workloads = (("scalar_oracle", "neuron_pipeline") if args.workload == "all"
-                 else (args.workload,))
     revision = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                               capture_output=True, text=True, check=True).stdout.strip()
     lower = better_is_lower()
     out = {"pr": args.pr,
-           "what": (f"perfbench/run.py --seconds {args.seconds:g} --trace 0, parent commit "
+           "what": (f"perfbench/run.py --seconds {SECONDS} --trace 0, parent commit "
                     f"{revision} and the working tree, each copied into a fresh directory, "
                     "run in alternating order (the parent first in the 1st, 3rd, 5th, ... "
                     "pair of each workload), one pair per seed; values are the medians and "
@@ -137,13 +134,13 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (revision, None)):
             checkouts[side].mkdir()
             export(rev, checkouts[side])
-        for workload in workloads:
+        for workload in WORKLOADS:
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_bench(checkouts[side], workload, seed)
                     values = {k: v["value"] for k, v in pair[side]["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: {json.dumps(values)}", flush=True)
                 pairs.append(pair)

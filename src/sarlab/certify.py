@@ -24,7 +24,6 @@ boundary, and then builds every N through one pencil per call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,11 +49,8 @@ __all__ = [
 ]
 
 
-_DEFAULT_NU_GRID = np.linspace(0.05, 0.95, 19)
-
-
 def default_nu_grid() -> np.ndarray:
-    return _DEFAULT_NU_GRID.copy()
+    return np.linspace(0.05, 0.95, 19)
 
 
 _MAX_ITERS = 5000            # L-BFGS-B iterations per smoothing level
@@ -144,8 +140,7 @@ def _pencil(sys: LureSystem):
     delta = sys.deriv_bounds
 
     def matrix(nu, lam, tau) -> np.ndarray:
-        if not isinstance(nu, float):  # a float's arithmetic gives the same bits, cheaper
-            nu = np.asarray(nu)[..., None, None]
+        nu = np.asarray(nu)[..., None, None]
         # C^T Lambda Delta C with diagonal Lambda, Delta
         ctld_c = ct @ ((lam * delta)[..., :, None] * c)
         n11 = nu * (sym_a - s2 * (1.0 - nu) * eye) + s2 * ctld_c
@@ -219,21 +214,6 @@ def _dual_lower_bound(sys: LureSystem, nu, top_sym_a: float):
     return nu * (top_sym_a - sys.sigma ** 2 * (1.0 - nu))
 
 
-@functools.lru_cache(maxsize=8)
-def _probes(nparams: int) -> np.ndarray:
-    """theta = 0, then the deterministic probes in the order they are
-    scanned: for each eps, eps on the tau family, on both, on the lambda
-    family (scaled coordinates; read-only)."""
-    half = nparams // 2
-    families = np.zeros((3, nparams))
-    families[0, half:] = families[1] = families[2, :half] = 1.0
-    eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
-    probes = np.vstack([np.zeros((1, nparams)),
-                        (eps[:, None, None] * families).reshape(-1, nparams)])
-    probes.flags.writeable = False
-    return probes
-
-
 def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
                     lower_bound: float = -np.inf):
     """min over theta >= 0 of lambda_max(N0 + theta . B), best-effort.
@@ -241,7 +221,7 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     Returns (best value, best theta, hit_cap); hit_cap is set when some
     smoothing level ran into _MAX_ITERS.  Parameters are rescaled so a unit
     step in each scaled coordinate moves N by about ||N0||.  theta = 0 and
-    the probes of _probes are scored as one stack, then scanned in order;
+    15 fixed probes are scored as one stack, then scanned in order;
     the search returns at the first point whose incumbent is feasible or
     lies within 1e-12 ||N0|| of lower_bound, a proven lower bound on the
     minimum.
@@ -260,7 +240,13 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
 
     exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
 
-    probes = _probes(nparams)
+    # theta = 0, then for each eps: eps on the tau family, on both, on the lambda family
+    half = nparams // 2
+    families = np.zeros((3, nparams))
+    families[0, half:] = families[1] = families[2, :half] = 1.0
+    eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    probes = np.vstack([np.zeros((1, nparams)),
+                        (eps[:, None, None] * families).reshape(-1, nparams)])
     scores = values(probes)
     best = 0
     for k, g in enumerate(scores):

@@ -321,17 +321,17 @@ def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
 # computes its artifacts, writes them into out_dir, adds its seconds to
 # stages and prints its summary line
 
-def _neuron(config: dict) -> tuple[ml.MorrisLecarParams, float | str]:
-    """The config's neuron parameters and i_app spec, checked; nothing runs."""
-    return _ml_params(config), _iapp_spec(config.get("i_app", "calibrate"))
-
-
-def _calibrate(stages: dict, p: ml.MorrisLecarParams,
-               i_app) -> tuple[ml.MorrisLecarParams, dict]:
-    """p with the i_app spec resolved (calibrate_s), and the calibrated
-    values for the manifest."""
+def _calibrate(stages: dict, config: dict, known: frozenset,
+               reader: str) -> tuple[ml.MorrisLecarParams, dict]:
+    """The config's neuron parameters with its i_app resolved (calibrate_s),
+    and the calibrated values for the manifest.  The params block and i_app
+    are checked first, then any key outside known is a usage error (see
+    _reject_unknown_keys), before the calibration runs."""
+    p = _ml_params(config)
+    spec = _iapp_spec(config.get("i_app", "calibrate"))
+    _reject_unknown_keys(config, known, reader)
     with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(p, i_app)
+        p, i_app = _resolve_iapp(p, spec)
     return p, {"i_app": i_app, "v2": p.v2}
 
 
@@ -436,9 +436,8 @@ def cmd_simulate(args) -> int:
             window = resolved["filter_window"] = (
                 args.filter_window if args.filter_window is not None
                 else _odd_window(_config_number(config, "filter_window", 101, int)))
-        p, i_app = _neuron(config)
-        _reject_unknown_keys(config, SIMULATE_KEYS[model], "simulate with model 'ml'")
-        p, calibrated = _calibrate(stages, p, i_app)
+        p, calibrated = _calibrate(stages, config, SIMULATE_KEYS[model],
+                                   "simulate with model 'ml'")
         x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
         path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
                                           noise_mode, window)
@@ -484,10 +483,8 @@ def cmd_approximate(args) -> int:
                                  getattr(defaults, field), type(getattr(defaults, field)))
            for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
     fit["box"] = _box(config.get("box", defaults.box))
-    p, i_app = _neuron(config)
-    _reject_unknown_keys(config, APPROXIMATE_KEYS, "approximate")
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
-    p, calibrated = _calibrate(stages, p, i_app)
+    p, calibrated = _calibrate(stages, config, APPROXIMATE_KEYS, "approximate")
     report, outputs = _approximate(out_dir, stages, p,
                                    EmbeddingConfig(**fit, seed=seed, i_app=calibrated["i_app"]))
     if report.diverged:
@@ -546,7 +543,7 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     stages = {}
-    p, calibrated = _calibrate(stages, ml.MorrisLecarParams(), "calibrate")
+    p, calibrated = _calibrate(stages, {}, frozenset(), "reproduce")
 
     if fig == "fig5":
         report, outputs = _approximate(out_dir, stages, p,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sarlab.certify as certify_module
 from conftest import make_scalar
 from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
-                            _pencil, _probes, _solve_fixed_nu, _top_eigs, certificate_matrix,
+                            _pencil, _solve_fixed_nu, _top_eigs, certificate_matrix,
                             certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, recompute_margin, save_certificate,
@@ -665,15 +665,6 @@ def test_probe_stack_hands_the_search_the_sequential_incumbent(sys, monkeypatch)
         got = _solve_fixed_nu(n0, basis, opts, bound)
         assert len(starts) == 4 and all(x.tobytes() == phi.tobytes() for x in starts)
         assert got[0] == value and got[1].tobytes() == theta.tobytes()
-
-
-def test_probes_are_read_only_and_in_scan_order():
-    probes = _probes(4)
-    assert not probes.flags.writeable
-    assert probes.shape == (16, 4)
-    np.testing.assert_array_equal(probes[0], 0.0)
-    np.testing.assert_array_equal(probes[4:7],
-                                  [[0, 0, 1e-6, 1e-6], [1e-6] * 4, [1e-6, 1e-6, 0, 0]])
 
 
 @pytest.mark.parametrize("theta", [np.array([-1e-3, 0.5]), np.array([0.5, 0.5, 0.5])])
