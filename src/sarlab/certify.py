@@ -24,7 +24,6 @@ boundary, and then builds every N through one pencil per call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,13 +203,10 @@ def _dual_lower_bound(sys: LureSystem, nu, top_sym_a: float):
     Z = [v v^T 0; 0 0], with v the top eigenvector of A + A^T, is PSD with
     unit trace, so lambda_max(N) >= <Z, N> = nu (v^T (A + A^T) v
     - sigma^2 (1 - nu)) + sigma^2 v^T C^T Lambda Delta C v, and the last
-    term is >= 0 whenever Delta >= 0.  No C^T C = I is needed.  In the
-    scalar case theta = 0 attains the bound at every infeasible nu.
-    top_sym_a is lambda_max(A + A^T); the bound is -inf if some
-    deriv_bound is negative.
+    term is >= 0, since a LureSystem's Delta is positive.  No C^T C = I is
+    needed.  In the scalar case theta = 0 attains the bound at every
+    infeasible nu.  top_sym_a is lambda_max(A + A^T).
     """
-    if np.any(sys.deriv_bounds < 0):
-        return np.full(np.shape(nu), -np.inf)
     return nu * (top_sym_a - sys.sigma ** 2 * (1.0 - nu))
 
 
@@ -301,8 +297,6 @@ def certify(problem: CertProblem) -> Certificate:
     n = sys.n
     if sys.m != n:
         raise ValueError("certify needs a square system; use augment/embed first")
-    if not math.isfinite(sys.sigma):
-        raise ValueError(f"sigma must be finite, got {sys.sigma}")
     nu_grid = np.atleast_1d(np.asarray(problem.nu_grid, dtype=float))
     if nu_grid.size == 0 or np.any(nu_grid <= 0.0) or np.any(nu_grid >= 1.0):
         raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
@@ -423,17 +417,14 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     (:func:`sarlab.lure._fork_map`); a one-sigma grid, jobs=1 or a single
     usable core solves them in this process.  An
     exception in any worker is raised here, and no worker outlives the call.
-    jobs must be at least 1.
+    jobs must be at least 1.  A negative or non-finite sigma raises the
+    ValueError of LureSystem's constructor before any pool starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if sigmas.size == 0:
         raise ValueError("sigma grid is empty")
-    if not np.all(np.isfinite(sigmas)):
-        raise ValueError("sigma values must be finite")
-    if np.any(sigmas < 0):
-        raise ValueError("sigma values must be >= 0")
     if np.any(np.diff(sigmas) <= 0) and sigmas.size > 1:
         raise ValueError("sigma grid must be strictly ascending")
     if nu_grid is None:

@@ -33,7 +33,7 @@ from . import __version__
 from . import morris_lecar as ml
 from .certify import CertProblem, Certificate, certify, save_certificate, sigma_sweep
 from .embedding import CHANNELS, EmbeddingConfig, EmbeddingReport, build_embedding
-from .lure import LureSystem, load_system, read_json, validate, write_json
+from .lure import LureSystem, load_system, read_json, write_json
 from .sde import SdePath, SimConfig, lowpass, simulate
 from .shallow import load_embedding, save_embedding, save_net
 
@@ -128,8 +128,8 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
                    calibrated: dict | None, outputs: list[str], t0: float,
-                   stages: dict | None = None) -> None:
-    """manifest.json; stages, when given, maps a stage name to its seconds."""
+                   stages: dict) -> None:
+    """manifest.json; stages maps a stage name to its seconds."""
     doc = {
         "command": command,
         "config": config,
@@ -138,9 +138,8 @@ def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         "version": __version__,
         "outputs": outputs,
         "wall_time_s": time.monotonic() - t0,
+        "stages": stages,
     }
-    if stages is not None:
-        doc["stages"] = stages
     missing = [o for o in outputs if not (out_dir / o).is_file()]
     if missing:
         raise RuntimeError(f"manifest lists missing outputs: {missing}")
@@ -224,6 +223,8 @@ def _calibrated_iapp(p: ml.MorrisLecarParams) -> float:
 def _iapp_spec(spec):
     """A config's i_app: a number, or the string 'calibrate' (scan for the
     smallest current giving sustained spiking)."""
+    if isinstance(spec, bool):
+        raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
     if isinstance(spec, str):
         if spec != "calibrate":
             raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
@@ -284,8 +285,9 @@ def _box(value) -> tuple:
 def _load_cert_target(path, sigma=None) -> LureSystem:
     """A certification target is a bare system JSON or an embedding JSON
     (detected by the n_phys field), with its noise level replaced by sigma
-    when one is given.  Systems that fail validation are rejected; warnings
-    (such as a user system's C^T C != I) pass, and certify then refuses it."""
+    when one is given.  A system outside the model class is a usage error
+    that names the rules it breaks; a user system's C^T C != I passes, and
+    certify then refuses it."""
     doc = _load_json(path)
     try:
         system = load_embedding(path).system if "n_phys" in doc else load_system(path)
@@ -295,10 +297,7 @@ def _load_cert_target(path, sigma=None) -> LureSystem:
         try:
             system = system.with_sigma(float(sigma))
         except (TypeError, ValueError) as exc:
-            raise CliError(f"bad sigma {sigma!r}") from exc
-    errors = [v.code for v in validate(system) if v.severity == "error"]
-    if errors:
-        raise CliError(f"invalid system in {path}: {', '.join(errors)}")
+            raise CliError(f"bad sigma {sigma!r}: {exc}") from exc
     return system
 
 
@@ -431,11 +430,10 @@ def cmd_simulate(args) -> int:
         noise_mode = resolved["noise_mode"] = args.noise_mode or config.get("noise_mode", "state")
         if noise_mode not in ("state", "current"):
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")
-        window = None
+        window = (args.filter_window if args.filter_window is not None
+                  else _odd_window(_config_number(config, "filter_window", 101, int)))
         if sigma > 0.0:
-            window = resolved["filter_window"] = (
-                args.filter_window if args.filter_window is not None
-                else _odd_window(_config_number(config, "filter_window", 101, int)))
+            resolved["filter_window"] = window
         p, calibrated = _calibrate(stages, config, SIMULATE_KEYS[model],
                                    "simulate with model 'ml'")
         x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)

@@ -10,12 +10,15 @@ is confined to the sector
 
     0 <= y_i f_i(y_i) <= s_i y_i^2      (equivalently f_i (f_i - s_i y_i) <= 0)
 
-and has a bounded slope f_i' < delta_i.  The certificate machinery in
-:mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the bank of
-tanh units is needed for simulation.  The module also holds the BLAS
-thread scope that the L-BFGS-B fits of :mod:`sarlab.shallow` and
-:mod:`sarlab.certify` run in, and the package's one process pool,
-:func:`_fork_map`.
+and has a bounded slope f_i' < delta_i.  The class is enforced at
+construction: a LureSystem whose data break its rules (see LureSystem)
+cannot be built, so no consumer re-checks them.  C^T C = I is a hypothesis
+of the certificate, not a rule of the class; `c_defect` measures it.  The
+certificate machinery in :mod:`sarlab.certify` consumes only (A, F, C,
+sigma, s, delta); the bank of tanh units is needed for simulation.  The
+module also holds the BLAS thread scope that the L-BFGS-B fits of
+:mod:`sarlab.shallow` and :mod:`sarlab.certify` run in, and the package's
+one process pool, :func:`_fork_map`.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ import numpy as np
 
 __all__ = [
     "LureSystem",
-    "Violation",
     "TanhBank",
     "get_nonlinearity",
-    "validate",
     "augment",
     "save_system",
     "load_system",
@@ -107,8 +108,11 @@ class LureSystem:
     """Immutable value object holding the model data.
 
     a: (n, n) drift matrix, f_gain: (n, m) feedback gain, c: (m, n) output
-    map, sigma >= 0 noise level, nonlinearity: the TanhBank of feedback
+    map, sigma >= 0 noise level, nonlinearity: the TanhBank of m feedback
     units, sector_slopes s and deriv_bounds delta: length-m positive vectors.
+    All data are finite and no unit is steeper than its s_i or delta_i.
+    Construction enforces these rules: a system that breaks any of them
+    raises one ValueError naming each broken rule by its code.
     """
 
     a: np.ndarray
@@ -129,6 +133,9 @@ class LureSystem:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "sector_slopes", _frozen(np.atleast_1d(self.sector_slopes)))
         object.__setattr__(self, "deriv_bounds", _frozen(np.atleast_1d(self.deriv_bounds)))
+        broken = _broken_rules(self)
+        if broken:
+            raise ValueError("not a system of the model class: " + "; ".join(broken))
 
     __reduce__ = _reduce_through_init
 
@@ -152,14 +159,6 @@ class LureSystem:
         return d
 
 
-@dataclass(frozen=True)
-class Violation:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    value: float | None = None
-
-
 # the certificate hypothesis C^T C = I holds when ||C^T C - I||_F is at most this
 C_DEFECT_TOL = 1e-9
 
@@ -169,30 +168,28 @@ def c_defect(sys: LureSystem) -> float:
     return float(np.linalg.norm(sys.c.T @ sys.c - np.eye(sys.n)))
 
 
-def validate(sys: LureSystem) -> list[Violation]:
-    """Structural checks.  Dimension errors, non-finite data, nonpositive
-    bounds and tanh units steeper than their sector slope or derivative
-    bound are errors; a defect ||C^T C - I||_F > C_DEFECT_TOL is a warning:
-    the certificate hypothesis wants C^T C = I, which `embed` meets."""
-    out: list[Violation] = []
+def _broken_rules(sys: LureSystem) -> list[str]:
+    """'code: message' for each rule of the model class that sys breaks.
+    Wrong dimensions end the list, since the other rules read the data
+    with the system's shapes."""
+    out: list[str] = []
     n, m = sys.n, sys.m
 
     if sys.a.shape != (n, n):
-        out.append(Violation("error", "dim_a", f"a must be square, got {sys.a.shape}"))
+        out.append(f"dim_a: a must be square, got {sys.a.shape}")
     if sys.f_gain.shape != (n, m):
-        out.append(Violation("error", "dim_f_gain",
-                             f"f_gain must be ({n}, {m}), got {sys.f_gain.shape}"))
+        out.append(f"dim_f_gain: f_gain must be ({n}, {m}), got {sys.f_gain.shape}")
     if sys.c.shape != (m, n):
-        out.append(Violation("error", "dim_c", f"c must be ({m}, {n}), got {sys.c.shape}"))
+        out.append(f"dim_c: c must be ({m}, {n}), got {sys.c.shape}")
     if sys.sector_slopes.shape != (m,):
-        out.append(Violation("error", "dim_sector_slopes",
-                             f"sector_slopes must have length {m}"))
+        out.append(f"dim_sector_slopes: sector_slopes must have length {m}, "
+                   f"got shape {sys.sector_slopes.shape}")
     if sys.deriv_bounds.shape != (m,):
-        out.append(Violation("error", "dim_deriv_bounds",
-                             f"deriv_bounds must have length {m}"))
+        out.append(f"dim_deriv_bounds: deriv_bounds must have length {m}, "
+                   f"got shape {sys.deriv_bounds.shape}")
     bank = sys.nonlinearity
     if bank.slopes.shape != (m,):
-        out.append(Violation("error", "dim_bank", f"the tanh bank must have {m} units"))
+        out.append(f"dim_bank: the tanh bank must have {m} units, got {bank.slopes.size}")
     if out:
         return out
 
@@ -201,30 +198,19 @@ def validate(sys: LureSystem) -> list[Violation]:
             "unit slopes": bank.slopes, "unit biases": bank.biases}
     for name, value in data.items():
         if not np.isfinite(value).all():
-            out.append(Violation("error", "non_finite", f"{name} has non-finite entries"))
+            out.append(f"non_finite: {name} has non-finite entries")
     if sys.sigma < 0:
-        out.append(Violation("error", "sigma_negative", "sigma must be >= 0", sys.sigma))
+        out.append(f"sigma_negative: sigma must be >= 0, got {sys.sigma:g}")
     for i, s in enumerate(sys.sector_slopes):
         if not s > 0:
-            out.append(Violation("error", "bad_sector_slope",
-                                 f"sector slope s[{i}] must be > 0", float(s)))
+            out.append(f"bad_sector_slope: sector slope s[{i}] must be > 0, got {s:g}")
     for i, d in enumerate(sys.deriv_bounds):
         if not d > 0:
-            out.append(Violation("error", "bad_deriv_bound",
-                                 f"derivative bound delta[{i}] must be > 0", float(d)))
+            out.append(f"bad_deriv_bound: derivative bound delta[{i}] must be > 0, got {d:g}")
     # a unit of slope s_i lies in the sector [0, s_i] with slopes up to s_i, and no tighter
     for i in np.nonzero((bank.slopes > sys.sector_slopes) | (bank.slopes > sys.deriv_bounds))[0]:
-        out.append(Violation("error", "bank_outside_sector",
-                             f"tanh unit {i} has slope {bank.slopes[i]:g}, above its "
-                             "sector slope or derivative bound", float(bank.slopes[i])))
-
-    defect = c_defect(sys)
-    if defect > C_DEFECT_TOL:
-        out.append(Violation("warning", "c_not_orthonormal",
-                             f"||C^T C - I||_F = {defect:.6g} exceeds {C_DEFECT_TOL:g}; "
-                             "the certificate hypothesis C^T C = I does not hold",
-                             defect))
-
+        out.append(f"bank_outside_sector: tanh unit {i} has slope {bank.slopes[i]:g}, "
+                   "above its sector slope or derivative bound")
     return out
 
 

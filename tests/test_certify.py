@@ -68,10 +68,11 @@ def test_certificate_matrix_needs_square_feedback():
 def random_system(rng, n):
     """A square n-state system with random data (C^T C != I)."""
     s = rng.uniform(0.1, 3.0, size=n)
-    return LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, n)),
-                      c=rng.normal(size=(n, n)), sigma=float(rng.uniform(0.0, 2.0)),
-                      nonlinearity=TanhBank(s), sector_slopes=s,
-                      deriv_bounds=s * rng.uniform(0.5, 2.0, size=n))
+    a, f, c = rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    sigma = float(rng.uniform(0.0, 2.0))
+    delta = s * rng.uniform(0.5, 2.0, size=n)
+    return LureSystem(a=a, f_gain=f, c=c, sigma=sigma, nonlinearity=TanhBank(np.minimum(s, delta)),
+                      sector_slopes=s, deriv_bounds=delta)
 
 
 def unit_stack(n):
@@ -179,12 +180,13 @@ def test_dual_lower_bound_is_sound():
     rng = np.random.default_rng(11)
     for _ in range(400):
         n = int(rng.integers(1, 5))
-        sys = LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, n)),
-                         c=rng.normal(size=(n, n)),  # C^T C != I
-                         sigma=float(rng.uniform(0.0, 2.0)),
-                         nonlinearity=TanhBank(np.ones(n)),
-                         sector_slopes=rng.uniform(0.1, 3.0, size=n),
-                         deriv_bounds=rng.uniform(0.1, 3.0, size=n))
+        a, f = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        c = rng.normal(size=(n, n))  # C^T C != I
+        sigma = float(rng.uniform(0.0, 2.0))
+        s, delta = rng.uniform(0.1, 3.0, size=n), rng.uniform(0.1, 3.0, size=n)
+        sys = LureSystem(a=a, f_gain=f, c=c, sigma=sigma,
+                         nonlinearity=TanhBank(np.minimum(s, delta)),
+                         sector_slopes=s, deriv_bounds=delta)
         nu = float(rng.uniform(0.01, 0.99))
         top = float(np.linalg.eigvalsh(sys.a + sys.a.T)[-1])
         bound = _dual_lower_bound(sys, nu, top)
@@ -399,13 +401,14 @@ def test_search_is_deterministic():
     assert all(c.feasible and c.witness == "search" for _, c in seq)
 
 
-def test_sigma_sweep_requires_ascending():
+def test_sigma_sweep_requires_ascending(pools):
     with pytest.raises(ValueError):
         sigma_sweep(make_scalar(0.1, 0.0), [0.5, 0.4])
     with pytest.raises(ValueError, match="sigma grid is empty"):
         sigma_sweep(make_scalar(0.1, 0.0), [])
-    with pytest.raises(ValueError, match="sigma values must be >= 0"):
-        sigma_sweep(make_scalar(0.1, 0.0), [-0.1, 0.4])
+    with pytest.raises(ValueError, match="sigma_negative"):
+        sigma_sweep(make_scalar(0.1, 0.0), [-0.5, 0.2], jobs=2)
+    assert pools == []  # the system is built, and refused, before any pool starts
 
 
 def test_sigma_sweep_matches_closed_form_and_jobs_invariant():
@@ -645,11 +648,12 @@ def test_probe_stack_exits_where_the_sequential_scan_exits():
 
 
 @pytest.mark.parametrize("sys", [
-    search_system(0.81),  # no probe exits, so L-BFGS-B starts from the best probe
-    # a negative derivative bound leaves no lower bound, and later probes tie
-    # theta = 0's value: the incumbent stays the first of the tied points
-    make_scalar(0.2, 0.0, delta=-1.0)])
+    (search_system(0.81), None),  # no probe exits, so L-BFGS-B starts from the best probe
+    # with no lower bound, later probes tie theta = 0's value: the incumbent
+    # stays the first of the tied points
+    (make_scalar(0.2, 0.0), -np.inf)])
 def test_probe_stack_hands_the_search_the_sequential_incumbent(sys, monkeypatch):
+    sys, lower_bound = sys
     opts = SolverOptions()
     starts = []
 
@@ -659,6 +663,7 @@ def test_probe_stack_hands_the_search_the_sequential_incumbent(sys, monkeypatch)
 
     monkeypatch.setattr(certify_module, "minimize", stopped)
     for n0, basis, bound in solver_inputs(sys):
+        bound = bound if lower_bound is None else lower_bound
         value, theta, index, phi = sequential_scan(n0, basis, opts, bound)
         assert index is None
         starts.clear()
@@ -678,9 +683,9 @@ def test_the_stored_point_is_checked_before_its_margin(theta, monkeypatch):
 @pytest.mark.parametrize("sigma", [np.nan, np.inf])
 def test_a_non_finite_sigma_is_an_error(sigma):
     sys = make_scalar(0.1, 0.5)
-    with pytest.raises(ValueError, match="sigma must be finite"):
-        certify(CertProblem(sys.with_sigma(sigma)))
-    with pytest.raises(ValueError, match="sigma values must be finite"):
+    with pytest.raises(ValueError, match="non_finite: sigma"):
+        sys.with_sigma(sigma)
+    with pytest.raises(ValueError, match="non_finite: sigma"):
         sigma_sweep(sys, [sigma])
-    with pytest.raises(ValueError, match="sigma values must be finite"):
+    with pytest.raises(ValueError, match="non_finite: sigma"):
         sigma_sweep(sys, [0.2, sigma])

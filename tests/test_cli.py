@@ -11,7 +11,7 @@ import pytest
 from sarlab import cli
 from sarlab import morris_lecar as ml
 from sarlab.embedding import EmbeddingConfig, build_embedding
-from sarlab.lure import save_system
+from sarlab.lure import save_system, system_to_dict, write_json
 from sarlab.sde import SdePath
 
 from conftest import make_scalar, parent_layout_doc
@@ -84,7 +84,8 @@ def test_certify_rejects_range_sigma(scalar_files, tmp_path):
 def test_certify_rejects_system_outside_the_hypotheses(tmp_path, capsys):
     # negative sector and slope bounds: the search alone would report "feasible"
     path = tmp_path / "negative.json"
-    save_system(make_scalar(a=0.1, sigma=0.7, s=-1.0, delta=-1.0), path)
+    write_json(path, {**system_to_dict(make_scalar(a=0.1, sigma=0.7)), "unit_slopes": [-1.0],
+                      "sector_slopes": [-1.0], "deriv_bounds": [-1.0]})
     rc = cli.main(["certify", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -122,7 +123,7 @@ def test_certify_validates_the_overridden_sigma(scalar_files, tmp_path, capsys, 
 
 def test_certify_rejects_non_finite_system_data(tmp_path, capsys):
     path = tmp_path / "nan.json"
-    save_system(make_scalar(a=float("nan"), sigma=0.7), path)
+    write_json(path, {**system_to_dict(make_scalar(a=0.1, sigma=0.7)), "a": [[float("nan")]]})
     assert cli.main(["certify", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "non_finite" in capsys.readouterr().err
 
@@ -337,7 +338,8 @@ def test_params_block_with_a_key_it_does_not_read_is_a_usage_error(command, tmp_
 @pytest.mark.parametrize("command", ["simulate", "approximate"])
 @pytest.mark.parametrize("i_app, message", [
     ("calibrated", "i_app must be a number or 'calibrate', got 'calibrated'"),
-    ([40.0], "bad i_app: [40.0]")])
+    ([40.0], "bad i_app: [40.0]"),
+    (True, "i_app must be a number or 'calibrate', got True")])
 def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, i_app, message,
                                                                       tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -370,6 +372,17 @@ def test_fractional_count_in_config_is_a_usage_error(command, field, tmp_path, c
     cfg_path.write_text(json.dumps({"i_app": 40.0, "t_end": 1.0, "sigma": 0.5, field: 2.5}))
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert f"error: {field} must be an integer" in capsys.readouterr().err
+
+
+def test_a_config_filter_window_is_checked_at_any_sigma(tmp_path, capsys):
+    # at sigma = 0 the window filters nothing, but a bad one is an error, as
+    # --filter-window is
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "ml", "sigma": 0, "filter_window": 4}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: filter window must be a positive odd integer, got 4" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, config, reader", [

@@ -1,4 +1,4 @@
-"""Model-layer tests: nonlinearity banks, validation, augmentation,
+"""Model-layer tests: nonlinearity banks, the model-class gate, augmentation,
 serialization, the BLAS thread scope and the process pool."""
 
 import multiprocessing
@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import make_scalar
 from sarlab import lure
-from sarlab.lure import (LureSystem, TanhBank, Violation, augment, get_nonlinearity,
-                         load_system, read_json, save_system, system_from_dict,
-                         system_to_dict, validate, write_json)
+from sarlab.lure import (LureSystem, TanhBank, augment, get_nonlinearity, load_system,
+                         read_json, save_system, system_from_dict, system_to_dict, write_json)
 
 TANH1 = 0.7615941559557649  # tanh(1) to double precision
 
@@ -97,68 +96,91 @@ def test_registry_roundtrip_and_unknown():
             get_nonlinearity(name, slopes=np.ones(1), biases=np.array([0.5]))
 
 
+def _broken(make) -> set:
+    """The rule codes named by the ValueError that make() raises."""
+    with pytest.raises(ValueError, match="^not a system of the model class: ") as info:
+        make()
+    return {rule.split(":")[0] for rule in str(info.value).split(": ", 1)[1].split("; ")}
+
+
 def test_validate_clean_scalar():
-    assert validate(make_scalar(-1.0, 0.5)) == []
+    sys = make_scalar(-1.0, 0.5)
+    assert (sys.n, sys.m, sys.sigma) == (1, 1, 0.5)
 
 
 def test_validate_dimension_errors():
     sys = make_scalar(-1.0, 0.5)
-    for code, change in (("dim_f_gain", {"f_gain": np.zeros((1, 2))}),
-                         ("dim_a", {"a": np.zeros((1, 2))}),
-                         ("dim_c", {"c": np.ones((1, 2))}),
-                         ("dim_sector_slopes", {"sector_slopes": np.ones(2)}),
-                         ("dim_deriv_bounds", {"deriv_bounds": np.ones(2)})):
-        codes = {v.code for v in validate(replace(sys, **change))}
-        assert code in codes
+    # one slope or bound for two units is not broadcast over both
+    two = LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2), sigma=0.7,
+                     nonlinearity=TanhBank(np.ones(2)), sector_slopes=np.ones(2),
+                     deriv_bounds=np.ones(2))
+    for base, code, change in ((sys, "dim_f_gain", {"f_gain": np.zeros((1, 2))}),
+                               (sys, "dim_a", {"a": np.zeros((1, 2))}),
+                               (sys, "dim_c", {"c": np.ones((1, 2))}),
+                               (sys, "dim_sector_slopes", {"sector_slopes": np.ones(2)}),
+                               (sys, "dim_deriv_bounds", {"deriv_bounds": np.ones(2)}),
+                               (two, "dim_sector_slopes", {"sector_slopes": [1.0]}),
+                               (two, "dim_deriv_bounds", {"deriv_bounds": [1.0]})):
+        assert code in _broken(lambda: replace(base, **change))
 
 
 def test_validate_sign_errors():
-    sys = make_scalar(-1.0, -0.5)
-    codes = {v.code for v in validate(sys)}
-    assert "sigma_negative" in codes
+    assert _broken(lambda: make_scalar(-1.0, -0.5)) == {"sigma_negative"}
+    assert _broken(lambda: make_scalar(-1.0, 0.5).with_sigma(-0.7)) == {"sigma_negative"}
     sys2 = make_scalar(-1.0, 0.5, s=1.0)
-    bad = LureSystem(sys2.a, sys2.f_gain, sys2.c, 0.5, sys2.nonlinearity,
-                     np.array([-1.0]), sys2.deriv_bounds)
-    assert "bad_sector_slope" in {v.code for v in validate(bad)}
+    assert "bad_sector_slope" in _broken(lambda: LureSystem(
+        sys2.a, sys2.f_gain, sys2.c, 0.5, sys2.nonlinearity, np.array([-1.0]),
+        sys2.deriv_bounds))
+    assert "bad_deriv_bound" in _broken(lambda: make_scalar(-1.0, 0.5, delta=0.0))
 
 
 def test_validate_orthonormality_warning():
-    # two units reading the same scalar state: C^T C = 2 != 1
+    # two units reading the same scalar state: C^T C = 2 != 1.  That breaks
+    # the certificate's hypothesis, not the model class: the system is built
     bank = TanhBank(np.ones(2))
     sys = LureSystem(a=np.array([[-1.0]]), f_gain=np.zeros((1, 2)),
                      c=np.array([[1.0], [1.0]]), sigma=0.0, nonlinearity=bank,
                      sector_slopes=np.ones(2), deriv_bounds=np.ones(2))
-    vs = validate(sys)
-    warn = [v for v in vs if v.code == "c_not_orthonormal"]
-    assert len(warn) == 1 and warn[0].severity == "warning"
-    assert warn[0].value == pytest.approx(1.0)  # ||diag(2)-1||_F over 1x1 block
+    assert lure.c_defect(sys) == pytest.approx(1.0)  # ||diag(2)-1||_F over 1x1 block
+    assert lure.c_defect(sys) > lure.C_DEFECT_TOL
 
 
 def test_validate_flags_non_finite_data():
     ok = make_scalar(-1.0, 0.5)
     bank, s, d = ok.nonlinearity, ok.sector_slopes, ok.deriv_bounds
     cases = [
-        LureSystem(np.array([[np.nan]]), ok.f_gain, ok.c, 0.5, bank, s, d),
-        ok.with_sigma(np.inf),
-        LureSystem(ok.a, ok.f_gain, ok.c, 0.5, bank, np.array([np.inf]), np.array([np.inf])),
-        LureSystem(ok.a, ok.f_gain, ok.c, 0.5, TanhBank(np.ones(1), np.array([np.nan])), s, d),
+        lambda: LureSystem(np.array([[np.nan]]), ok.f_gain, ok.c, 0.5, bank, s, d),
+        lambda: ok.with_sigma(np.inf),
+        lambda: ok.with_sigma(np.nan),
+        lambda: LureSystem(ok.a, ok.f_gain, ok.c, 0.5, bank, np.array([np.inf]),
+                           np.array([np.inf])),
+        lambda: LureSystem(ok.a, ok.f_gain, ok.c, 0.5, TanhBank(np.ones(1), np.array([np.nan])),
+                           s, d),
     ]
-    for sys in cases:
-        assert "non_finite" in {v.code for v in validate(sys) if v.severity == "error"}
+    for make in cases:
+        assert "non_finite" in _broken(make)
 
 
 def test_validate_checks_the_bank_against_the_sector():
     def codes(bank, sector, deriv):
-        sys = LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2), sigma=0.1,
-                         nonlinearity=bank, sector_slopes=sector, deriv_bounds=deriv)
-        return {v.code for v in validate(sys) if v.severity == "error"}
+        return _broken(lambda: LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2),
+                                          sigma=0.1, nonlinearity=bank, sector_slopes=sector,
+                                          deriv_bounds=deriv))
 
     steep = TanhBank(np.array([3.0, 1.0]))
     assert codes(steep, np.ones(2), 5.0 * np.ones(2)) == {"bank_outside_sector"}
     assert codes(steep, 5.0 * np.ones(2), np.ones(2)) == {"bank_outside_sector"}
-    assert codes(steep, np.array([3.0, 1.0]), np.array([3.0, 1.0])) == set()
+    LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2), sigma=0.1, nonlinearity=steep,
+               sector_slopes=np.array([3.0, 1.0]), deriv_bounds=np.array([3.0, 1.0]))
     assert codes(TanhBank(np.ones(1)), np.ones(2), np.ones(2)) == {"dim_bank"}
-    assert codes(loose_sector_system().nonlinearity, 2.0 * np.ones(2), 2.0 * np.ones(2)) == set()
+
+
+def test_loading_a_system_outside_the_class_raises(tmp_path):
+    doc = system_to_dict(make_scalar(-1.0, 0.5))
+    for change in ({"sigma": -0.5}, {"sector_slopes": [1.0, 1.0]}, {"unit_slopes": [2.0]}):
+        write_json(tmp_path / "bad.json", {**doc, **change})
+        with pytest.raises(ValueError, match="not a system of the model class"):
+            load_system(tmp_path / "bad.json")
 
 
 def test_augment_block_structure():
@@ -248,7 +270,7 @@ def test_pickled_system_keeps_the_drift():
     sys = LureSystem(a=-np.eye(3), f_gain=rng.standard_normal((3, 3)),
                      c=rng.standard_normal((3, 3)), sigma=0.2,
                      nonlinearity=TanhBank(rng.uniform(0.5, 2.0, 3), rng.standard_normal(3)),
-                     sector_slopes=np.ones(3), deriv_bounds=np.ones(3))
+                     sector_slopes=2.0 * np.ones(3), deriv_bounds=2.0 * np.ones(3))
     back = pickle.loads(pickle.dumps(sys))
     x = rng.standard_normal((5, 3))
     np.testing.assert_array_equal(back.drift(x), sys.drift(x))
@@ -337,11 +359,6 @@ def test_centered_tanh_unit_slope_bound(slope, y, bias):
     h = 1e-6
     num = (bank(np.array([y + h]))[0] - bank(np.array([y - h]))[0]) / (2 * h)
     assert num <= slope * (1 + 1e-6) + 1e-9
-
-
-def test_violation_is_plain_record():
-    v = Violation("warning", "x", "msg", 1.0)
-    assert (v.severity, v.code, v.value) == ("warning", "x", 1.0)
 
 
 # -- the one-BLAS-thread scope ----------------------------------------------

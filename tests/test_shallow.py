@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import parent_layout_doc
 from sarlab import shallow
 from sarlab.lure import _usable_cores, c_defect
-from sarlab.shallow import (ShallowNet, TrainOptions, embed,
+from sarlab.shallow import (ShallowNet, TrainOptions, embed, embedding_to_dict,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
 
@@ -460,6 +460,19 @@ def test_embedding_roundtrip_keeps_the_drift(tmp_path):
     # the bank is plain data, so the embedded system also pickles exactly
     unpickled = pickle.loads(pickle.dumps(emb.system))
     np.testing.assert_array_equal(unpickled.drift(x), emb.system.drift(x))
+
+
+def test_loading_an_embedding_outside_the_class_raises(tmp_path):
+    net = two_unit_net()
+    doc = embedding_to_dict(embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.5))
+    m = len(doc["sector_slopes"])
+    for change in ({"sigma": -0.5}, {"deriv_bounds": doc["deriv_bounds"][:1]},
+                   {"unit_slopes": [2.0 * s for s in doc["unit_slopes"]]},
+                   {"unit_slopes": [1.0] * (m + 1), "biases": [0.0] * (m + 1)}):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ValueError, match="not a system of the model class"):
+            load_embedding(f)
 
 
 @settings(max_examples=30, deadline=None)
