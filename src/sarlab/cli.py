@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import sys
 import time
@@ -90,15 +91,31 @@ def _sigma_grid(text: str) -> np.ndarray:
     return sigmas
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _config_number(config: dict, key: str, default, kind=float):
     """config[key] (default when absent) as a float, or for kind=int an
     int; anything but a JSON number of that kind is a usage error."""
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise CliError(f"{key} must be a number, got {value!r}")
     if kind is int and not float(value).is_integer():
         raise CliError(f"{key} must be an integer, got {value!r}")
     return kind(value)
+
+
+def _config_array(config: dict, key: str, default) -> np.ndarray:
+    """config[key] (default when absent), a JSON number or nested lists of
+    them, as a float array; an entry that is not a JSON number is a usage
+    error."""
+    value = config.get(key, default)
+    entries = np.asarray(value, dtype=object)  # an entry of ragged lists is a list
+    if not all(map(_is_number, entries.flat)):
+        raise CliError(f"{key} must be an array of numbers, got {value!r}")
+    return entries.astype(float)
 
 
 def _odd_window(w) -> int:
@@ -271,17 +288,6 @@ def _reject_unknown_keys(config: dict, known: frozenset, reader: str) -> None:
                        f"{', '.join(sorted(known))}")
 
 
-def _box(value) -> tuple:
-    """The training box [[V_lo, N_lo], [V_hi, N_hi]] as a pair of float pairs."""
-    try:
-        box = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {value!r}") from exc
-    if box.shape != (2, 2):
-        raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {value!r}")
-    return tuple(map(float, box[0])), tuple(map(float, box[1]))
-
-
 def _load_cert_target(path, sigma=None) -> LureSystem:
     """A certification target is a bare system JSON or an embedding JSON
     (detected by the n_phys field), with its noise level replaced by sigma
@@ -293,12 +299,7 @@ def _load_cert_target(path, sigma=None) -> LureSystem:
         system = load_embedding(path).system if "n_phys" in doc else load_system(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad system file {path}: {exc}") from exc
-    if sigma is not None:
-        try:
-            system = system.with_sigma(float(sigma))
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad sigma {sigma!r}: {exc}") from exc
-    return system
+    return system if sigma is None else system.with_sigma(sigma)
 
 
 def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
@@ -434,18 +435,19 @@ def cmd_simulate(args) -> int:
                   else _odd_window(_config_number(config, "filter_window", 101, int)))
         if sigma > 0.0:
             resolved["filter_window"] = window
+        x0 = _config_array(config, "x0", ml.DEFAULT_INIT.tolist())
         p, calibrated = _calibrate(stages, config, SIMULATE_KEYS[model],
                                    "simulate with model 'ml'")
-        x0 = np.asarray(config.get("x0", ml.DEFAULT_INIT.tolist()), dtype=float)
         path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
                                           noise_mode, window)
         title = f"membrane trajectory, sigma={sigma:g}, mode={noise_mode}"
     elif model == "lure":
         if "system" not in config:
             raise CliError("lure model config needs a 'system' file path")
+        sigma = _config_number(config, "sigma", None) if "sigma" in config else None
         _reject_unknown_keys(config, SIMULATE_KEYS[model], "simulate with model 'lure'")
-        system = _load_cert_target(config["system"], config.get("sigma"))
-        x0 = np.asarray(config.get("x0", np.zeros(system.n)), dtype=float)
+        system = _load_cert_target(config["system"], sigma)
+        x0 = _config_array(config, "x0", np.zeros(system.n))
         with _stage(stages, "simulate_s"):
             path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
@@ -471,20 +473,20 @@ def cmd_approximate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
-    dropped = [key for key in ("batch_size", "lr", "lr_decay") if key in config]
-    if dropped:
-        raise CliError(f"{', '.join(dropped)}: training is full-batch L-BFGS, which takes "
-                       "no batch size or learning rate (epochs caps its iterations)")
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
     defaults = EmbeddingConfig()
     fit = {field: _config_number(config, "width" if field == "hidden" else field,
                                  getattr(defaults, field), type(getattr(defaults, field)))
            for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
-    fit["box"] = _box(config.get("box", defaults.box))
+    box = _config_array(config, "box", defaults.box)
+    if box.shape != (2, 2):
+        raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {config['box']!r}")
+    fit["box"] = tuple(map(tuple, box.tolist()))
+    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma, kappa or offset_tol
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
     p, calibrated = _calibrate(stages, config, APPROXIMATE_KEYS, "approximate")
     report, outputs = _approximate(out_dir, stages, p,
-                                   EmbeddingConfig(**fit, seed=seed, i_app=calibrated["i_app"]))
+                                   dataclasses.replace(ecfg, i_app=calibrated["i_app"]))
     if report.diverged:
         return 4
     write_manifest(out_dir, "approximate", dict(config, seed=seed), {"training": seed},

@@ -46,6 +46,15 @@ class EmbeddingConfig:
     i_app: float | None = None  # None -> p's own i_app
     offset_tol: float = 1e-3
 
+    def __post_init__(self):
+        # checked when built, so no calibration or fit runs for values embed would refuse
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
+        if not self.offset_tol > 0:
+            raise ValueError(f"offset_tol must be > 0, got {self.offset_tol!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingReport:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .lure import _fork_map
-from .sde import SimConfig, SdePath, _euler_maruyama, _recorded_paths, path_stream
+from .sde import SimConfig, SdePath, _euler_maruyama
 
 __all__ = [
     "MorrisLecarParams",
@@ -206,14 +206,12 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
     # scalars each one costs about twice what it costs on a float
     dt = cfg.dt
     field = _field_of(p)
-    streams = []
     if sigma == 0.0:
         def step(x, dw):
             v, n = x
             dv, dn = field(v, n)
             return v + dv * dt, n + dn * dt
     else:
-        streams = [path_stream(cfg.seed, path_index)]
         state_noise, cap = noise_mode == "state", p.cap
         current_amp = sigma * p.i_app / cap
 
@@ -223,8 +221,8 @@ def simulate_ml(p: MorrisLecarParams, x0, cfg: SimConfig, sigma: float = 0.0,
             amp = sigma * v / cap if state_noise else current_amp
             # + 0.0 is the recovery row's zero noise term (it turns -0.0 into 0.0)
             return v + dv * dt + amp * dw, n + dn * dt + 0.0
-    times, rec = _euler_maruyama(step, (float(x0[0]), float(x0[1])), cfg, streams)
-    path = _recorded_paths(times, rec, cfg.seed, float(sigma), [path_index])[0]
+    path = _euler_maruyama(step, (float(x0[0]), float(x0[1])), cfg, float(sigma),
+                           [path_index])[0]
     # recovery variable is nominally a gating fraction; flag excursions
     n = path.states[:, 1]
     if n.size and (np.nanmin(n) < -0.1 or np.nanmax(n) > 1.1):

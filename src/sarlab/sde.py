@@ -2,8 +2,9 @@
 
 One kernel, _euler_maruyama, steps every model in the package: Lur'e
 paths and ensembles here, and the Morris-Lecar neuron's paths in
-:mod:`sarlab.morris_lecar`.  The kernel owns the time grid, the Wiener
-increments and the record; each model supplies one function
+:mod:`sarlab.morris_lecar`.  The kernel owns the whole path: the time
+grid, each path's random stream, the Wiener increments, the record and
+the SdePaths it returns.  Each model supplies one function
 step(x, dw) -> next x that applies its own Euler-Maruyama update for one
 increment dw (None in a noise-free run).  So a batch steps as arrays, and
 a single neuron path steps as a pair of Python floats, without the
@@ -90,27 +91,28 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _euler_maruyama(step, x0, cfg: SimConfig, streams):
+def _euler_maruyama(step, x0, cfg: SimConfig, sigma: float, path_indices) -> list[SdePath]:
     """The one Euler-Maruyama loop: x <- step(x, dW), once per time step.
 
     x0 has shape batch + (n,): an array for a batch, or a plain sequence
-    of n scalars for one path, whichever step takes and returns.  streams
-    holds one generator per batch entry (in row-major order); each entry
-    draws one scalar dW ~ Normal(0, dt) per step, and step receives them as
-    dw of shape batch.  With no streams nothing is drawn and step gets
-    dw=None.  step must be a pure function of (x, dw): it reads no clock,
-    counter or other state.  So in a noise-free run a state that step maps
-    onto itself bit for bit stays there, and the run ends at such a fixed
-    point (probed once per chunk) with the rest of the record filled by it.
-    Every record_stride-th state is recorded.  Returns the times and the
-    (rows,) + batch + (n,) record.  In a one-path run (batch ()) each dw is
-    a Python float.
+    of n scalars for one path, whichever step takes and returns.  Batch
+    entry i (in row-major order) is path path_indices[i]; when sigma != 0
+    it draws one scalar dW ~ Normal(0, dt) per step from
+    path_stream(cfg.seed, path_indices[i]), and step receives them as dw of
+    shape batch (Python floats in a one-path run, batch ()).  At sigma == 0
+    nothing is drawn and step gets dw=None.  step must be a pure function
+    of (x, dw): it reads no clock, counter or other state.  So in a
+    noise-free run a state that step maps onto itself bit for bit stays
+    there, and the run ends at such a fixed point (probed once per chunk)
+    with the rest of the record filled by it.  Every record_stride-th state
+    is recorded; one SdePath per batch entry is returned (_recorded_paths).
     """
     batch = np.shape(x0)[:-1]
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     dt = cfg.dt
     sqdt = np.sqrt(dt)
+    streams = [path_stream(cfg.seed, i) for i in path_indices] if sigma != 0.0 else []
     # the time stamp of row k is (k * stride) * dt, rounded once
     times = np.arange(0, n_steps + 1, stride) * dt
     rec = np.empty((times.size,) + np.shape(x0))
@@ -141,7 +143,7 @@ def _euler_maruyama(step, x0, cfg: SimConfig, streams):
             if not streams and np.asarray(step(x, None)).tobytes() == np.asarray(x).tobytes():
                 rec[done // stride + 1:] = x
                 break
-    return times, rec
+    return _recorded_paths(times, rec, cfg.seed, sigma, path_indices)
 
 
 def _recorded_paths(times, rec, seed: int, sigma: float, path_indices) -> list[SdePath]:
@@ -161,7 +163,6 @@ def _recorded_paths(times, rec, seed: int, sigma: float, path_indices) -> list[S
 def _lure_paths(sys: LureSystem, x0, cfg: SimConfig, path_indices: list[int]) -> list[SdePath]:
     x0 = np.tile(np.asarray(x0, dtype=float).reshape(1, sys.n), (len(path_indices), 1))
     sigma, drift, dt = sys.sigma, sys.drift, cfg.dt
-    streams = []
     # drift returns a fresh array, and each step finishes x + drift(x) dt
     # (+ sigma dW x) in it, in that order of operations
     if sigma == 0.0:
@@ -171,16 +172,13 @@ def _lure_paths(sys: LureSystem, x0, cfg: SimConfig, path_indices: list[int]) ->
             d += x
             return d
     else:
-        streams = [path_stream(cfg.seed, i) for i in path_indices]
-
         def step(x, dw):
             d = drift(x)
             d *= dt
             d += x
             d += (sigma * dw)[..., None] * x
             return d
-    times, rec = _euler_maruyama(step, x0, cfg, streams)
-    return _recorded_paths(times, rec, cfg.seed, sigma, path_indices)
+    return _euler_maruyama(step, x0, cfg, sigma, path_indices)
 
 
 def simulate(sys: LureSystem, x0, cfg: SimConfig, path_index: int = 0) -> SdePath:

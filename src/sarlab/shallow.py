@@ -15,7 +15,7 @@ nets plus output combiners so the certificate machinery applies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -283,7 +283,7 @@ class SectorEmbedding:
     offset: np.ndarray
     kappa: float
     n_phys: int
-    lift: np.ndarray  # R: the system's state is [R (x - x*); 0], see _orthonormal_lift
+    lift: np.ndarray  # R: the system's state is [R (x - x*); 0], see embed
 
 
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
@@ -302,8 +302,13 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
     drift the assembled model assigns to z = 0, and it must stay below
     offset_tol * max(1, |x_star|_inf) for the origin-equilibrium form to
     apply (pruned constant units are included automatically through the
-    net evaluations).  The system comes in the coordinates of
-    :func:`_orthonormal_lift`, so C^T C = I.
+    net evaluations).  The system's state is the lift [R z; 0], where
+    D = Q[:, :n_phys] R is the complete QR of the unit directions D: C = Q,
+    and the physical blocks of augment's A and F become R A_phys R^-1 and
+    R F_phys.  Each unit still reads C [R z; 0] = D z, the fictitious
+    states stay 0, and C^T C = I.  The checks run in this order: augment's
+    (kappa > 0, no fewer units than physical states), the offset, the rank
+    of D; the system is built once, after them.
     """
     a_phys = np.atleast_2d(np.asarray(a_phys, dtype=float))
     n_phys = a_phys.shape[0]
@@ -337,9 +342,6 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
     biases = np.concatenate(biases)
     f_phys = np.hstack(cols)
     a_bar, f_bar = augment(a_phys, f_phys, kappa)
-    m = slopes.size
-    c_bar = np.zeros((m, m))
-    c_bar[:, :n_phys] = dirs
 
     scale = max(1.0, float(np.max(np.abs(x_star), initial=0.0)))
     if float(np.linalg.norm(offset)) > offset_tol * scale:
@@ -348,27 +350,17 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    system, lift = _orthonormal_lift(LureSystem(
-        a=a_bar, f_gain=f_bar, c=c_bar, sigma=sigma, nonlinearity=TanhBank(slopes, biases),
-        sector_slopes=slopes, deriv_bounds=slopes), n_phys)
-    return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys,
-                           lift=lift)
-
-
-def _orthonormal_lift(system: LureSystem, n_phys: int) -> tuple[LureSystem, np.ndarray]:
-    """(system', R) for a system laid out as C = [D 0], A = blockdiag(A_phys,
-    -kappa I), F = [F_phys; 0], in the state [R z; 0] with D = Q[:, :n_phys] R
-    (complete QR): C' = Q, A_phys' = R A_phys R^-1 and F_phys' = R F_phys.
-    Each unit still reads C'[R z; 0] = D z, and the fictitious states stay 0."""
-    d = system.c[:, :n_phys]
-    if np.linalg.matrix_rank(d) < n_phys:
+    if np.linalg.matrix_rank(dirs) < n_phys:
         raise ValueError(f"the unit directions span fewer than {n_phys} dimensions")
-    q, r = np.linalg.qr(d, mode="complete")
+    q, r = np.linalg.qr(dirs, mode="complete")
     r = r[:n_phys]
-    a, f = system.a.copy(), system.f_gain.copy()
-    a[:n_phys, :n_phys] = np.linalg.solve(r.T, (r @ a[:n_phys, :n_phys]).T).T
-    f[:n_phys] = r @ f[:n_phys]
-    return replace(system, a=a, f_gain=f, c=q), r
+    a_bar[:n_phys, :n_phys] = np.linalg.solve(r.T, (r @ a_bar[:n_phys, :n_phys]).T).T
+    f_bar[:n_phys] = r @ f_bar[:n_phys]
+    system = LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sigma,
+                        nonlinearity=TanhBank(slopes, biases),
+                        sector_slopes=slopes, deriv_bounds=slopes)
+    return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys,
+                           lift=r)
 
 
 # ---------------------------------------------------------------------------

@@ -350,15 +350,22 @@ def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, 
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command, field", [
-    ("simulate", "t_end"), ("simulate", "dt"), ("simulate", "record_stride"),
-    ("simulate", "sigma"), ("simulate", "seed"),
-    ("approximate", "width"), ("approximate", "epochs"), ("approximate", "n_samples"),
-    ("approximate", "kappa"), ("approximate", "offset_tol"), ("approximate", "seed")])
+@pytest.mark.parametrize("command, model, field", [
+    *[pytest.param(command, "ml", field, id=f"{command}-{field}") for command, field in [
+        ("simulate", "t_end"), ("simulate", "dt"), ("simulate", "record_stride"),
+        ("simulate", "sigma"), ("simulate", "seed"),
+        ("approximate", "width"), ("approximate", "epochs"), ("approximate", "n_samples"),
+        ("approximate", "kappa"), ("approximate", "offset_tol"), ("approximate", "seed")]],
+    *[pytest.param("simulate", "lure", field, id=f"simulate-lure-{field}")
+      for field in ("t_end", "dt", "record_stride", "sigma", "seed")]])
 @pytest.mark.parametrize("value", [[1], {"v": 1}, "10", True])
-def test_non_numeric_config_field_is_a_usage_error(command, field, value, tmp_path, capsys):
+def test_non_numeric_config_field_is_a_usage_error(command, model, field, value, scalar_files,
+                                                   tmp_path, capsys):
+    # a lure config names its system and reads no i_app
+    config = ({"model": "lure", "system": str(scalar_files[0])} if model == "lure"
+              else {"i_app": 40.0})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"i_app": 40.0, "t_end": 1.0, field: value}))
+    cfg_path.write_text(json.dumps({**config, "t_end": 1.0, field: value}))
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert f"error: {field} must be a number" in capsys.readouterr().err
 
@@ -424,15 +431,59 @@ def test_lure_simulate_config_key_it_does_not_read_is_a_usage_error(scalar_files
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("model, x0", [("ml", ["-52.14", 0.02]), ("ml", [-52.14, True]),
+                                       ("ml", "-52.14"), ("lure", ["1.0"]), ("lure", [True])])
+def test_config_x0_that_is_not_numbers_is_a_usage_error(model, x0, scalar_files, monkeypatch,
+                                                        tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # the neuron's x0 is checked before its current is calibrated
+    monkeypatch.setattr(cli, "_calibrated_iapp", no_work)
+    monkeypatch.setattr(ml, "simulate_ml", no_work)
+    monkeypatch.setattr(cli, "simulate", no_work)
+    config = {"model": model, "x0": x0, "t_end": 1.0}
+    if model == "lure":
+        config["system"] = str(scalar_files[0])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: x0 must be an array of numbers, got {x0!r}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # -- approximate --------------------------------------------------------------
 
 @pytest.mark.parametrize("key", ["batch_size", "lr", "lr_decay"])
 def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
+    # training is full-batch L-BFGS: these are keys approximate does not read
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"i_app": 40.0, key: 0.5}))
     assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}") and "full-batch" in err
+    assert err.startswith(f"error: unknown config keys ['{key}']: approximate reads ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", -0.5, "sigma must be finite and >= 0, got -0.5"),
+    ("sigma", float("nan"), "sigma must be finite and >= 0, got nan"),
+    ("kappa", 0, "kappa must be > 0, got 0.0"),
+    ("offset_tol", -1, "offset_tol must be > 0, got -1.0")])
+def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value, message,
+                                                                  monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ml, "calibrate_iapp", no_work)
+    monkeypatch.setattr(cli, "_calibrated_iapp", no_work)
+    monkeypatch.setattr(cli, "build_embedding", no_work)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))  # i_app defaults to "calibrate"
+    out = tmp_path / "out"
+    assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_approximate_defaults_are_the_embedding_config(monkeypatch, tmp_path):
@@ -448,7 +499,8 @@ def test_approximate_defaults_are_the_embedding_config(monkeypatch, tmp_path):
     assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert seen == [EmbeddingConfig(seed=0, i_app=40.0)]
 
-@pytest.mark.parametrize("box", [[[-80, 0]], 5, [["low", "N"], ["high", "N"]]])
+@pytest.mark.parametrize("box", [[[-80, 0]], 5, [["low", "N"], ["high", "N"]],
+                                 [["-80", 0], [120, 1]], [[-80, 0], [120, True]], True])
 def test_approximate_malformed_box_is_a_usage_error(box, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"box": box, "i_app": 40.0}))

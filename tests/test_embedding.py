@@ -137,3 +137,17 @@ def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, m
     report = build_embedding(p, EmbeddingConfig(hidden=3, n_samples=400, epochs=20))
     assert report.params == p
     np.testing.assert_array_equal(report.x_star, ml.equilibria(p)[-1])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", -0.5, "sigma must be finite and >= 0"),
+    ("sigma", float("nan"), "sigma must be finite and >= 0"),
+    ("sigma", float("inf"), "sigma must be finite and >= 0"),
+    ("kappa", 0.0, "kappa must be > 0"), ("kappa", -1.0, "kappa must be > 0"),
+    ("offset_tol", 0.0, "offset_tol must be > 0"), ("offset_tol", -1.0, "offset_tol must be > 0")])
+def test_embedding_config_refuses_bad_values_when_built(field, value, message):
+    # so build_embedding never fits nets for a config embed would refuse
+    with pytest.raises(ValueError, match=message):
+        EmbeddingConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        replace(EmbeddingConfig(), **{field: value})

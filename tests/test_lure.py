@@ -277,7 +277,7 @@ def test_pickled_system_keeps_the_drift():
 
 
 def test_unpickled_system_and_bank_stay_read_only():
-    # sweep workers receive pickled systems; they must be as frozen as the original
+    # a pickled system (a caller's own spawn pool or cache) must be as frozen as the original
     rng = np.random.default_rng(6)
     sys = LureSystem(a=-np.eye(2), f_gain=rng.standard_normal((2, 2)),
                      c=np.eye(2), sigma=0.3,

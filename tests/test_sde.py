@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_scalar
 from sarlab.cli import write_csv
 from sarlab.lure import LureSystem
-from sarlab.sde import (SimConfig, ensemble_moments, lowpass, path_stream, simulate,
-                        simulate_ensemble)
+from sarlab.sde import (SimConfig, _euler_maruyama, ensemble_moments, lowpass, path_stream,
+                        simulate, simulate_ensemble)
 
 
 def test_sim_config_validation():
@@ -102,6 +102,22 @@ def test_noise_free_path_ends_at_an_exact_fixed_point(monkeypatch):
     times = np.arange(0, cfg.n_steps + 1, cfg.record_stride) * cfg.dt
     assert path.times.tobytes() == times.tobytes()
     assert path.states.tobytes() == np.array(states).tobytes()
+
+
+def test_kernel_returns_paths_driven_by_their_own_streams():
+    # dx = x dW per step: path i multiplies by (1 + dW) from path_stream(seed, i)
+    cfg = SimConfig(t_end=0.05, dt=1e-3, seed=9, record_stride=5)
+    paths = _euler_maruyama(lambda x, dw: x + dw[:, None] * x, np.ones((2, 1)), cfg, 1.0,
+                            [3, 7])
+    assert [(p.path_index, p.seed, p.sigma, p.diverged) for p in paths] == [
+        (3, 9, 1.0, False), (7, 9, 1.0, False)]
+    for path, index in zip(paths, [3, 7]):
+        x, states = 1.0, [1.0]
+        for k, dw in enumerate(path_stream(9, index).standard_normal(cfg.n_steps), start=1):
+            x = x + dw * np.sqrt(cfg.dt) * x
+            if k % cfg.record_stride == 0:
+                states.append(x)
+        assert path.states[:, 0].tobytes() == np.array(states).tobytes()
 
 
 def test_path_stream_keying():

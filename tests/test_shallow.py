@@ -394,6 +394,45 @@ def test_embed_rejects_units_that_miss_a_physical_direction():
         embed([net], [np.eye(2)], -np.eye(2), kappa=1.0)
 
 
+# Units that read only V + N at x* = (1, 1): the nets' output there leaves an
+# offset, and the directions span one dimension, so every later check fails too.
+SLANTED_X_STAR = np.array([1.0, 1.0])
+SLANTED_COMB = np.array([[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+def test_embed_raises_augments_kappa_error_first(kappa):
+    net = ShallowNet([[1.0, 1.0], [2.0, 2.0]], np.zeros(2), [[1.0, 1.0]], [0.0])
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        embed([net], [SLANTED_COMB], -np.eye(2), kappa=kappa, x_star=SLANTED_X_STAR)
+
+
+def test_embed_raises_augments_unit_count_error_first():
+    one_unit = ShallowNet([[1.0, 1.0]], [0.0], [[1.0]], [0.0])
+    with pytest.raises(ValueError, match=r"need at least as many nonlinearities as states "
+                                         r"\(m=1 < n=2\)"):
+        embed([one_unit], [SLANTED_COMB], -np.eye(2), kappa=1.0, x_star=SLANTED_X_STAR)
+
+
+def test_embed_checks_the_offset_before_the_rank():
+    net = ShallowNet([[1.0, 1.0], [2.0, 2.0]], np.zeros(2), [[1.0, 1.0]], [0.0])
+    with pytest.raises(ValueError, match="constant drift residue"):
+        embed([net], [SLANTED_COMB], -np.eye(2), kappa=1.0, x_star=SLANTED_X_STAR)
+
+
+def test_embed_builds_its_system_once(monkeypatch):
+    built = []
+    post_init = shallow.LureSystem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(shallow.LureSystem, "__post_init__", counting)
+    emb = embed([two_unit_net()], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0)
+    assert built == [emb.system]
+
+
 def test_embed_recenter_shifts_unit_biases():
     net = ShallowNet([[1.0, 0.0], [0.0, 2.0]], [0.0, 0.1], [[0.5, -0.25]], [0.0])
     x_star = np.array([0.3, -0.2])
