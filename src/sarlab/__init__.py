@@ -12,7 +12,7 @@ from .lure import LureSystem, augment
 from .sde import SimConfig, SdePath, simulate, simulate_ensemble, ensemble_moments, lowpass
 # certify() is not re-exported: the name sarlab.certify stays the module
 from .certify import (CertProblem, Certificate, SolverOptions, certificate_matrix,
-                      max_eigenvalue, sigma_sweep)
+                      max_eigenvalue, paper_form, sigma_sweep)
 from .shallow import ShallowNet, TrainOptions, SectorEmbedding, train, extract_bounds, embed
 from .morris_lecar import MorrisLecarParams, simulate_ml, calibrate_iapp
 from .embedding import EmbeddingConfig, EmbeddingReport, build_embedding
@@ -32,6 +32,7 @@ __all__ = [
     "SolverOptions",
     "certificate_matrix",
     "max_eigenvalue",
+    "paper_form",
     "sigma_sweep",
     "ShallowNet",
     "TrainOptions",

@@ -19,7 +19,9 @@ early once its incumbent meets a dual lower bound (see `_dual_lower_bound`).
 N is written once, in `_pencil`, which binds a system's constants and
 builds N without checking its arguments; `certificate_matrix` is its
 checks plus the pencil.  `certify` checks its inputs once, at the
-boundary, and then builds every N through one pencil per call.
+boundary, and then builds every N through one pencil per call.  N needs a
+square system with C^T C = I: `certify` solves a system with m != n in its
+`paper_form`.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
 from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, _usable_cores,
-                   c_defect, read_json, write_json)
+                   augment, c_defect, read_json, write_json)
 
 __all__ = [
     "SolverOptions",
     "CertProblem",
     "Certificate",
     "default_nu_grid",
+    "paper_form",
     "certificate_matrix",
     "max_eigenvalue",
     "certify",
@@ -56,6 +59,7 @@ _MAX_ITERS = 5000            # L-BFGS-B iterations per smoothing level
 _FEASIBLE_EXIT_FACTOR = 10.0  # a search exits once its margin drops below -factor * tol
 _ASYM_TOL = 1e-8             # relative asymmetry max_eigenvalue accepts
 _NECESSITY_CORNERS = 200     # random theta corners linear_necessity_bound tries
+KAPPA = 1.0                  # decay rate of the fictitious states paper_form adds
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,33 @@ class Certificate:
     c_defect: float  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
 
 
+def paper_form(sys: LureSystem) -> LureSystem:
+    """The paper's square form of a system with m >= n units of rank n, on
+    the state [R z; 0]: augment's m - n fictitious states decaying at -KAPPA,
+    then, with sys.c = Q[:, :n] R a complete QR, C = Q (so C^T C = I) and the
+    physical blocks R A R^-1 and R F.  Each unit reads C [R z; 0] = sys.c z,
+    and the fictitious states stay 0."""
+    n = sys.n
+    a_bar, f_bar = augment(sys.a, sys.f_gain, KAPPA)
+    if np.linalg.matrix_rank(sys.c) < n:
+        raise ValueError(f"the unit directions span fewer than {n} dimensions")
+    q, r = np.linalg.qr(sys.c, mode="complete")
+    r = r[:n]
+    a_bar[:n, :n] = np.linalg.solve(r.T, (r @ a_bar[:n, :n]).T).T
+    f_bar[:n] = r @ f_bar[:n]
+    return LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sys.sigma,
+                      nonlinearity=sys.nonlinearity, sector_slopes=sys.sector_slopes,
+                      deriv_bounds=sys.deriv_bounds)
+
+
+def _square(sys: LureSystem) -> LureSystem:
+    """The system certify solves: sys itself when square, else paper_form(sys)."""
+    return sys if sys.m == sys.n else paper_form(sys)
+
+
 def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
     """Assemble the 2n x 2n block matrix N(nu, Lambda, T) for a square
-    system (m == n; augment first if needed).
+    system (m == n; see paper_form).
 
     Broadcasts over leading axes: nu of shape (...) and lam, tau of shape
     (..., n) (or scalars) give a (..., 2n, 2n) stack, each member equal bit
@@ -106,7 +134,7 @@ def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
     inputs, then builds N with :func:`_pencil`."""
     n = sys.n
     if sys.m != n:
-        raise ValueError(f"certificate needs a square system (m == n), got n={n}, m={sys.m}")
+        raise ValueError(f"certificate needs a square system, got n={n}, m={sys.m}: see paper_form")
     nu = np.asarray(nu, dtype=float)
     if not np.all((nu > 0.0) & (nu < 1.0)):
         raise ValueError("nu must lie in (0, 1)")
@@ -291,12 +319,11 @@ def certify(problem: CertProblem) -> Certificate:
     each grid point; feasible iff some margin drops below -tol.  Scanning
     stops at the first feasible nu.  A noise level with sigma^2/2 at most
     the growth rate of `linear_necessity_bound` is infeasible without a
-    search (witness "necessity"; lambda = tau = 0 at the best grid nu)."""
-    sys = problem.sys
+    search (witness "necessity"; lambda = tau = 0 at the best grid nu).
+    A system with m != n is certified, c_defect included, in its paper_form."""
+    sys = _square(problem.sys)
     opts = problem.options
     n = sys.n
-    if sys.m != n:
-        raise ValueError("certify needs a square system; use augment/embed first")
     nu_grid = np.atleast_1d(np.asarray(problem.nu_grid, dtype=float))
     if nu_grid.size == 0 or np.any(nu_grid <= 0.0) or np.any(nu_grid >= 1.0):
         raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
@@ -349,8 +376,8 @@ def certify(problem: CertProblem) -> Certificate:
 
 
 def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
-    """lambda_max of N rebuilt from a certificate's stored point."""
-    return max_eigenvalue(certificate_matrix(sys.with_sigma(cert.sigma), cert.nu,
+    """lambda_max of N rebuilt from a certificate's stored point, as certify built it."""
+    return max_eigenvalue(certificate_matrix(_square(sys).with_sigma(cert.sigma), cert.nu,
                                              cert.lam, cert.tau))
 
 

@@ -92,8 +92,10 @@ def _sigma_grid(text: str) -> np.ndarray:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: a float, or an int (never a bool)
+    no larger than the largest float."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _config_number(config: dict, key: str, default, kind=float):
@@ -276,8 +278,8 @@ _NEURON_KEYS = frozenset({"params", "i_app"})
 _PATH_KEYS = frozenset({"model", "seed", "t_end", "dt", "record_stride", "sigma", "x0"})
 SIMULATE_KEYS = {"ml": _PATH_KEYS | _NEURON_KEYS | {"noise_mode", "filter_window"},
                  "lure": _PATH_KEYS | {"system"}}
-APPROXIMATE_KEYS = _NEURON_KEYS | {"seed", "width", "kappa", "n_samples", "epochs", "sigma",
-                                   "offset_tol", "box"}
+APPROXIMATE_KEYS = _NEURON_KEYS | {"seed", "width", "n_samples", "epochs", "sigma", "offset_tol",
+                                   "box"}
 
 
 def _reject_unknown_keys(config: dict, known: frozenset, reader: str) -> None:
@@ -290,13 +292,13 @@ def _reject_unknown_keys(config: dict, known: frozenset, reader: str) -> None:
 
 def _load_cert_target(path, sigma=None) -> LureSystem:
     """A certification target is a bare system JSON or an embedding JSON
-    (detected by the n_phys field), with its noise level replaced by sigma
+    (detected by the offset field), with its noise level replaced by sigma
     when one is given.  A system outside the model class is a usage error
-    that names the rules it breaks; a user system's C^T C != I passes, and
-    certify then refuses it."""
+    that names the rules it breaks; a square user system's C^T C != I
+    passes, and certify then refuses it."""
     doc = _load_json(path)
     try:
-        system = load_embedding(path).system if "n_phys" in doc else load_system(path)
+        system = load_embedding(path).system if "offset" in doc else load_system(path)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad system file {path}: {exc}") from exc
     return system if sigma is None else system.with_sigma(sigma)
@@ -340,11 +342,13 @@ def _neuron_trajectory(out_dir: Path, stages: dict, name: str, p: ml.MorrisLecar
                        window: int | None) -> tuple[SdePath, list[str]]:
     """simulate's neuron core: one path (simulate_s), written to name
     (write_s) as t,V,N plus, when sigma > 0, V_filt,N_filt, its moving
-    average over window samples.  Returns the path and the CSV header."""
+    average over window samples.  A path that diverged before it had
+    (window + 1) / 2 finite samples is too short to filter and is written
+    as t,V,N.  Returns the path and the CSV header."""
     with _stage(stages, "simulate_s"):
         path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
         header, cols = ["t", "V", "N"], [path.times, *path.states.T]
-        if sigma > 0.0:
+        if sigma > 0.0 and not (path.diverged and 2 * path.times.size < window + 1):
             header += ["V_filt", "N_filt"]
             cols += [*lowpass(path.states, window).T]
     with _stage(stages, "write_s"):
@@ -477,12 +481,12 @@ def cmd_approximate(args) -> int:
     defaults = EmbeddingConfig()
     fit = {field: _config_number(config, "width" if field == "hidden" else field,
                                  getattr(defaults, field), type(getattr(defaults, field)))
-           for field in ("hidden", "kappa", "n_samples", "epochs", "sigma", "offset_tol")}
+           for field in ("hidden", "n_samples", "epochs", "sigma", "offset_tol")}
     box = _config_array(config, "box", defaults.box)
     if box.shape != (2, 2):
         raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {config['box']!r}")
     fit["box"] = tuple(map(tuple, box.tolist()))
-    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma, kappa or offset_tol
+    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma or offset_tol
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
     p, calibrated = _calibrate(stages, config, APPROXIMATE_KEYS, "approximate")
     report, outputs = _approximate(out_dir, stages, p,

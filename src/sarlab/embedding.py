@@ -9,7 +9,7 @@ third each), i.e. h(V,N) - grad h(x*) . (x - x*) with h = (n_ss - N)/tau_n.
 After training, output biases are shifted so every net is exact at the
 rest state x*, which makes the assembled model's origin offset vanish
 identically.  The union of the 30 hidden units then forms the feedback
-bank of a square 30-state Lur'e system (2 physical + 28 fictitious states).
+bank of a Lur'e system on the neuron's 2 states in the deviation x - x*.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ CHANNELS = ("leak", "calcium", "potassium")
 @dataclass(frozen=True)
 class EmbeddingConfig:
     hidden: int = 10
-    kappa: float = 1.0
     box: tuple = ((-80.0, 0.0), (120.0, 1.0))
     n_samples: int = 10000
     epochs: int = 700   # L-BFGS iteration cap per net
@@ -50,8 +49,6 @@ class EmbeddingConfig:
         # checked when built, so no calibration or fit runs for values embed would refuse
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
         if not self.offset_tol > 0:
             raise ValueError(f"offset_tol must be > 0, got {self.offset_tol!r}")
 
@@ -64,7 +61,6 @@ class EmbeddingReport:
     nets: list[ShallowNet]
     params: ml.MorrisLecarParams   # with the applied current actually used
     x_star: np.ndarray
-    a_phys: np.ndarray
     combiners: list[np.ndarray]
     channel_rms: np.ndarray        # RMS fit error per channel, raw units
     channel_range: np.ndarray      # peak-to-peak of each channel over the box
@@ -108,7 +104,7 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
 
     comb = np.array([[1.0 / p.cap, 0.0], [0.0, 1.0]])
     combiners = [comb] * 3
-    emb = embed(nets, combiners, a_phys, cfg.kappa, x_star=x_star, sigma=cfg.sigma,
+    emb = embed(nets, combiners, a_phys, x_star=x_star, sigma=cfg.sigma,
                 const_drift=np.array([p.i_app / p.cap, 0.0]), offset_tol=cfg.offset_tol)
 
     # fit quality on a fresh sample
@@ -121,9 +117,8 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     h_model = (probe - x_star) @ jac + sum(net(probe)[:, 1] for net in nets)
     h_err = h_model - h_true
     return EmbeddingReport(
-        embedding=emb, nets=nets, params=p, x_star=x_star, a_phys=a_phys,
-        combiners=combiners, channel_rms=np.asarray(chan_rms),
-        channel_range=np.asarray(chan_rng),
+        embedding=emb, nets=nets, params=p, x_star=x_star, combiners=combiners,
+        channel_rms=np.asarray(chan_rms), channel_range=np.asarray(chan_rng),
         recovery_rms=float(np.sqrt(np.mean(h_err ** 2))),
         recovery_max=float(np.max(np.abs(h_err))),
         loss_histories=result.loss_history, diverged=bool(result.diverged.any()))
@@ -134,7 +129,7 @@ def model_rhs(report: EmbeddingReport, x) -> np.ndarray:
     linear part plus combined net outputs plus the applied current."""
     x = np.asarray(x, dtype=float)
     z = x - report.x_star
-    out = z @ report.a_phys.T
+    out = z @ report.embedding.system.a.T
     out = out + np.array([report.params.i_app / report.params.cap, 0.0])
     for net, comb in zip(report.nets, report.combiners):
         out = out + net(x) @ comb.T
@@ -143,14 +138,8 @@ def model_rhs(report: EmbeddingReport, x) -> np.ndarray:
 
 def simulate_embedded(report: EmbeddingReport, x0_raw, cfg: SimConfig,
                       path_index: int = 0) -> SdePath:
-    """Integrate the embedded 30-state system from a physical initial
-    condition, lifted to [R (x0 - x*); 0], and return the path mapped back
-    through R^-1 to raw (V, N) coordinates."""
-    emb = report.embedding
-    z0 = np.zeros(emb.system.n)
-    z0[:emb.n_phys] = emb.lift @ (np.asarray(x0_raw, dtype=float) - report.x_star)
-    path = simulate(emb.system, z0, cfg, path_index=path_index)
-    states = np.linalg.solve(emb.lift, path.states[:, :emb.n_phys].T).T + report.x_star
-    return SdePath(times=path.times, states=states, seed=path.seed,
-                   sigma=path.sigma, path_index=path.path_index,
-                   diverged=path.diverged)
+    """Integrate the embedded system from a raw (V, N) initial condition
+    and return the path in raw coordinates."""
+    path = simulate(report.embedding.system, np.asarray(x0_raw, dtype=float) - report.x_star,
+                    cfg, path_index=path_index)
+    return replace(path, states=path.states + report.x_star)

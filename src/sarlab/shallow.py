@@ -8,8 +8,8 @@ reference point x*, is
     c_j = W1_j . x* + b1_j,
 
 which vanishes at 0, lies in the sector [0, s_j], and has slope at most
-s_j.  :func:`embed` assembles a square augmented Lur'e system from several
-nets plus output combiners so the certificate machinery applies.
+s_j.  :func:`embed` assembles a Lur'e system on the physical state from
+several nets plus output combiners; the certificate takes it as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lure import (LureSystem, TanhBank, _fork_map, _one_blas_thread, _usable_cores,
-                   augment, read_json, system_from_dict, system_to_dict, write_json)
+                   read_json, system_from_dict, system_to_dict, write_json)
 
 __all__ = [
     "ShallowNet",
@@ -276,59 +276,50 @@ def extract_bounds(net: ShallowNet) -> BankBounds:
 
 @dataclass(frozen=True, eq=False)
 class SectorEmbedding:
-    """Square Lur'e system built from tanh-net units around a reference
-    point, plus the residual drift the model assigns to the origin."""
+    """Lur'e system built from tanh-net units around a reference point, in
+    the deviation z = x - x*, plus the residual drift the model assigns to
+    the origin."""
 
     system: LureSystem
     offset: np.ndarray
-    kappa: float
-    n_phys: int
-    lift: np.ndarray  # R: the system's state is [R (x - x*); 0], see embed
 
 
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
-          kappa: float, x_star=None, sigma: float = 0.0, const_drift=None,
+          x_star=None, sigma: float = 0.0, const_drift=None,
           offset_tol: float = 1e-3) -> SectorEmbedding:
-    """Assemble the augmented system whose feedback bank is the union of
-    the nets' recentred hidden units.
+    """Assemble the system dz = (a_phys z + F g(D z)) dt + sigma z dbeta in
+    the deviation z = x - x_star (x_star defaults to 0), whose feedback bank
+    is the union of the nets' recentred hidden units and D their input
+    directions, one row per unit.
 
-    combiners[i] is the (n_phys, q_i) matrix mapping net i's outputs into
-    physical drift contributions, so the physical block of F picks up
-    column combiners[i] @ w2[:, j] for each unit j.  a_phys is the linear
-    drift of the physical block in deviation coordinates z = x - x_star
-    (x_star defaults to 0).  const_drift holds the model's constant terms
-    that are not net-mediated (e.g. an applied current); the reported
-    offset = const_drift + sum_i combiners[i] @ nets[i](x_star) is the
-    drift the assembled model assigns to z = 0, and it must stay below
-    offset_tol * max(1, |x_star|_inf) for the origin-equilibrium form to
-    apply (pruned constant units are included automatically through the
-    net evaluations).  The system's state is the lift [R z; 0], where
-    D = Q[:, :n_phys] R is the complete QR of the unit directions D: C = Q,
-    and the physical blocks of augment's A and F become R A_phys R^-1 and
-    R F_phys.  Each unit still reads C [R z; 0] = D z, the fictitious
-    states stay 0, and C^T C = I.  The checks run in this order: augment's
-    (kappa > 0, no fewer units than physical states), the offset, the rank
-    of D; the system is built once, after them.
+    combiners[i] is the (n, q_i) matrix mapping net i's outputs into
+    drift contributions, so F picks up column combiners[i] @ w2[:, j] for
+    each unit j.  const_drift holds the model's constant terms that are not
+    net-mediated (e.g. an applied current); the reported offset =
+    const_drift + sum_i combiners[i] @ nets[i](x_star) is the drift the
+    assembled model assigns to z = 0, and it must stay below offset_tol *
+    max(1, |x_star|_inf) for the origin-equilibrium form to apply (pruned
+    constant units are included through the net evaluations).
     """
     a_phys = np.atleast_2d(np.asarray(a_phys, dtype=float))
-    n_phys = a_phys.shape[0]
-    if a_phys.shape != (n_phys, n_phys):
+    n = a_phys.shape[0]
+    if a_phys.shape != (n, n):
         raise ValueError("a_phys must be square")
-    x_star = (np.zeros(n_phys) if x_star is None
+    x_star = (np.zeros(n) if x_star is None
               else np.atleast_1d(np.asarray(x_star, dtype=float)))
-    if x_star.shape != (n_phys,):
+    if x_star.shape != (n,):
         raise ValueError("x_star must have one entry per physical state")
     if len(nets) != len(combiners):
         raise ValueError("need one combiner per net")
 
-    offset = (np.zeros(n_phys) if const_drift is None
+    offset = (np.zeros(n) if const_drift is None
               else np.atleast_1d(np.asarray(const_drift, dtype=float)).copy())
     slopes, dirs, biases, cols = [], [], [], []
     for net, comb in zip(nets, combiners):
         comb = np.atleast_2d(np.asarray(comb, dtype=float))
-        if comb.shape != (n_phys, net.q_out):
-            raise ValueError(f"combiner must be ({n_phys}, {net.q_out}), got {comb.shape}")
-        if net.d_in != n_phys:
+        if comb.shape != (n, net.q_out):
+            raise ValueError(f"combiner must be ({n}, {net.q_out}), got {comb.shape}")
+        if net.d_in != n:
             raise ValueError("net input dimension must match the physical state")
         offset += comb @ net(x_star)
         bounds = extract_bounds(net)
@@ -337,12 +328,6 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
         biases.append(bounds.biases + bounds.directions @ x_star * bounds.slopes)
         cols.append(comb @ net.w2[:, bounds.kept])
 
-    slopes = np.concatenate(slopes)
-    dirs = np.vstack(dirs)
-    biases = np.concatenate(biases)
-    f_phys = np.hstack(cols)
-    a_bar, f_bar = augment(a_phys, f_phys, kappa)
-
     scale = max(1.0, float(np.max(np.abs(x_star), initial=0.0)))
     if float(np.linalg.norm(offset)) > offset_tol * scale:
         raise ValueError(
@@ -350,17 +335,11 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
             f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
             "assembled model (recenter the nets or pass a larger offset_tol)")
 
-    if np.linalg.matrix_rank(dirs) < n_phys:
-        raise ValueError(f"the unit directions span fewer than {n_phys} dimensions")
-    q, r = np.linalg.qr(dirs, mode="complete")
-    r = r[:n_phys]
-    a_bar[:n_phys, :n_phys] = np.linalg.solve(r.T, (r @ a_bar[:n_phys, :n_phys]).T).T
-    f_bar[:n_phys] = r @ f_bar[:n_phys]
-    system = LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sigma,
-                        nonlinearity=TanhBank(slopes, biases),
+    slopes = np.concatenate(slopes)
+    system = LureSystem(a=a_phys, f_gain=np.hstack(cols), c=np.vstack(dirs), sigma=sigma,
+                        nonlinearity=TanhBank(slopes, np.concatenate(biases)),
                         sector_slopes=slopes, deriv_bounds=slopes)
-    return SectorEmbedding(system=system, offset=offset, kappa=float(kappa), n_phys=n_phys,
-                           lift=r)
+    return SectorEmbedding(system=system, offset=offset)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +360,6 @@ def load_net(path) -> ShallowNet:
 def embedding_to_dict(e: SectorEmbedding) -> dict:
     doc = system_to_dict(e.system)
     doc["offset"] = np.asarray(e.offset).tolist()
-    doc["kappa"] = e.kappa
-    doc["n_phys"] = e.n_phys
-    doc["lift"] = e.lift.tolist()
     return doc
 
 
@@ -394,6 +370,4 @@ def save_embedding(e: SectorEmbedding, path) -> None:
 def load_embedding(path) -> SectorEmbedding:
     """Rebuild an embedding from JSON, with the drift it was saved with."""
     d = read_json(path)
-    return SectorEmbedding(system=system_from_dict(d), offset=np.asarray(d["offset"], dtype=float),
-                           kappa=float(d["kappa"]), n_phys=int(d["n_phys"]),
-                           lift=np.asarray(d["lift"], dtype=float))
+    return SectorEmbedding(system=system_from_dict(d), offset=np.asarray(d["offset"], dtype=float))

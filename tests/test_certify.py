@@ -17,8 +17,8 @@ from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_low
                             _pencil, _solve_fixed_nu, _top_eigs, certificate_matrix,
                             certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
-                            max_eigenvalue, recompute_margin, save_certificate,
-                            sigma_sweep)
+                            max_eigenvalue, paper_form, recompute_margin,
+                            save_certificate, sigma_sweep)
 from sarlab.cli import write_sweep
 from sarlab.lure import LureSystem, TanhBank, _usable_cores
 
@@ -59,10 +59,38 @@ def test_certificate_matrix_needs_square_feedback():
                       c=np.array([[1.0], [1.0]]), sigma=0.0,
                       nonlinearity=TanhBank(np.ones(2)),
                       sector_slopes=np.ones(2), deriv_bounds=np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square system.*see paper_form"):
         certificate_matrix(wide, 0.5, np.ones(2), np.ones(2))
-    with pytest.raises(ValueError, match="certify needs a square system"):
-        certify(CertProblem(wide))
+    # certify takes a wide system in its paper form, and no narrow one
+    assert certify(CertProblem(wide)).lam.shape == (2,)
+    narrow = LureSystem(a=-np.eye(2), f_gain=np.zeros((2, 1)), c=np.ones((1, 2)), sigma=0.0,
+                        nonlinearity=TanhBank(np.ones(1)), sector_slopes=np.ones(1),
+                        deriv_bounds=np.ones(1))
+    with pytest.raises(ValueError, match=r"need at least as many nonlinearities as states"):
+        certify(CertProblem(narrow))
+
+
+def wide_system(rng, n, m, sigma):
+    """An n-state system with m > n units and random data."""
+    s = rng.uniform(0.1, 3.0, size=m)
+    return LureSystem(a=rng.normal(size=(n, n)), f_gain=rng.normal(size=(n, m)),
+                      c=rng.normal(size=(m, n)), sigma=sigma, nonlinearity=TanhBank(s),
+                      sector_slopes=s, deriv_bounds=s)
+
+
+def test_certify_solves_the_paper_form_of_a_wide_system(embedding_report):
+    # the certificate of a wide system is the one of its paper form, bit for
+    # bit, and recompute_margin rebuilds it from either
+    rng = np.random.default_rng(27)
+    systems = [wide_system(rng, 2, 4, sigma) for sigma in (0.5, 1.5, 3.0)]
+    systems.append(embedding_report.embedding.system.with_sigma(0.85))
+    for sys in systems:
+        got, want = certify(CertProblem(sys)), certify(CertProblem(paper_form(sys)))
+        for field in ("sigma", "nu", "margin", "feasible", "capped", "witness", "c_defect"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.tau.tobytes() == want.tau.tobytes()
+        assert recompute_margin(sys, got) == recompute_margin(paper_form(sys), got)
 
 
 def random_system(rng, n):
@@ -98,7 +126,7 @@ def assert_stack_matches_calls(sys, nus, lams, taus):
 def test_stacked_certificate_matrix_keeps_every_bit(embedding_report):
     rng = np.random.default_rng(15)
     systems = [random_system(rng, n) for n in range(1, 9) for _ in range(3)]
-    systems.append(embedding_report.embedding.system.with_sigma(20.0))
+    systems.append(paper_form(embedding_report.embedding.system.with_sigma(20.0)))
     for sys in systems:
         n = sys.n
         nus = rng.uniform(0.01, 0.99, size=7)
@@ -322,8 +350,9 @@ def test_embedding_certificate_below_the_floor_has_a_necessity_witness(embedding
     assert recompute_margin(sys, cert) == cert.margin
     np.testing.assert_array_equal(cert.lam, 0.0)
     np.testing.assert_array_equal(cert.tau, 0.0)
-    zeros = np.zeros(sys.n)
-    margins = [max_eigenvalue(certificate_matrix(sys, nu, zeros, zeros))
+    square = paper_form(sys)
+    zeros = np.zeros(square.n)
+    margins = [max_eigenvalue(certificate_matrix(square, nu, zeros, zeros))
                for nu in default_nu_grid()]
     assert cert.margin == min(margins) and cert.nu == default_nu_grid()[np.argmin(margins)]
 
@@ -559,7 +588,7 @@ def test_affine_parts_from_the_pencil_keep_every_bit(embedding_report):
     # unit stack certify solves with
     rng = np.random.default_rng(21)
     systems = [random_system(rng, n) for n in range(1, 9) for _ in range(2)]
-    systems.append(embedding_report.embedding.system.with_sigma(20.0))
+    systems.append(paper_form(embedding_report.embedding.system.with_sigma(20.0)))
     for sys in systems:
         units = unit_stack(sys.n)
         for nu in (0.05, float(rng.uniform(0.01, 0.99)), 0.95):

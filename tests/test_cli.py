@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 from sarlab import cli
 from sarlab import morris_lecar as ml
 from sarlab.embedding import EmbeddingConfig, build_embedding
-from sarlab.lure import save_system, system_to_dict, write_json
+from sarlab.lure import augment, save_system, system_to_dict, write_json
 from sarlab.sde import SdePath
 
-from conftest import make_scalar, parent_layout_doc
+from conftest import make_scalar
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,27 @@ def test_simulate_divergence_names_the_path(tmp_path, capsys):
     assert float(rows[-1].split(",")[0]) == 37.65
 
 
+@pytest.mark.parametrize("sigma", [100.0, 300.0])
+def test_simulate_divergence_before_the_filter_window_names_the_path(sigma, tmp_path, capsys):
+    # the path goes non-finite within its first 51 samples, too few to
+    # filter with the default window of 101: traj.csv holds t,V,N up to its
+    # last finite sample
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40, "sigma": sigma, "t_end": 50, "seed": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the recovery variable's range
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 3
+    with open(tmp_path / "traj.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "V", "N"] and 1 < len(rows) < 52
+    assert capsys.readouterr().err == (
+        f"path 0 (sigma={sigma:g}) diverged: the state went non-finite after "
+        f"t={float(rows[-1][0]):g}, its last finite sample; the written trajectory ends there\n")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == ["traj.csv", "traj.plt"]
+
+
 def test_simulate_noiseless_ml_has_no_filtered_columns(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -355,10 +377,12 @@ def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, 
         ("simulate", "t_end"), ("simulate", "dt"), ("simulate", "record_stride"),
         ("simulate", "sigma"), ("simulate", "seed"),
         ("approximate", "width"), ("approximate", "epochs"), ("approximate", "n_samples"),
-        ("approximate", "kappa"), ("approximate", "offset_tol"), ("approximate", "seed")]],
+        ("approximate", "offset_tol"), ("approximate", "seed")]],
     *[pytest.param("simulate", "lure", field, id=f"simulate-lure-{field}")
       for field in ("t_end", "dt", "record_stride", "sigma", "seed")]])
-@pytest.mark.parametrize("value", [[1], {"v": 1}, "10", True])
+# an integer too large for a float is not a number any field can take
+@pytest.mark.parametrize("value", [[1], {"v": 1}, "10", True,
+                                   pytest.param(10 ** 400, id="int-beyond-float")])
 def test_non_numeric_config_field_is_a_usage_error(command, model, field, value, scalar_files,
                                                    tmp_path, capsys):
     # a lure config names its system and reads no i_app
@@ -398,6 +422,8 @@ def test_a_config_filter_window_is_checked_at_any_sigma(tmp_path, capsys):
     # a typo of "sigma": the path must not run noise-free
     ("simulate", {"sigmaa": 0.85}, "simulate with model 'ml'"),
     ("simulate", {"model": "ml", "system": "good.json", "t_end": 1.0}, "simulate with model 'ml'"),
+    # the fictitious states' decay rate belongs to the certificate's square form
+    ("approximate", {"kappa": 1.0, "i_app": 40.0}, "approximate"),
 ])
 def test_config_key_the_command_does_not_read_is_a_usage_error(command, config, reader,
                                                               monkeypatch, tmp_path, capsys):
@@ -432,7 +458,8 @@ def test_lure_simulate_config_key_it_does_not_read_is_a_usage_error(scalar_files
 
 
 @pytest.mark.parametrize("model, x0", [("ml", ["-52.14", 0.02]), ("ml", [-52.14, True]),
-                                       ("ml", "-52.14"), ("lure", ["1.0"]), ("lure", [True])])
+                                       ("ml", "-52.14"), ("lure", ["1.0"]), ("lure", [True]),
+                                       ("ml", [10 ** 400, 0.02]), ("lure", [10 ** 400])])
 def test_config_x0_that_is_not_numbers_is_a_usage_error(model, x0, scalar_files, monkeypatch,
                                                         tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -468,7 +495,6 @@ def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0, got -0.5"),
     ("sigma", float("nan"), "sigma must be finite and >= 0, got nan"),
-    ("kappa", 0, "kappa must be > 0, got 0.0"),
     ("offset_tol", -1, "offset_tol must be > 0, got -1.0")])
 def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value, message,
                                                                   monkeypatch, tmp_path, capsys):
@@ -521,7 +547,7 @@ def test_diverged_training_exits_four(argv, embedding_report, monkeypatch, tmp_p
     assert written == []
 
 
-def test_approximate_width_one_gives_three_state_embedding(tmp_path):
+def test_approximate_width_one_gives_a_three_unit_embedding(tmp_path):
     cfg = {"width": 1, "epochs": 60, "n_samples": 1500, "i_app": 40.0, "seed": 0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -529,12 +555,12 @@ def test_approximate_width_one_gives_three_state_embedding(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     residuals = json.loads((tmp_path / "residuals.json").read_text())
-    # lifted state is the stacked hidden layers: 3 nets x 1 unit
-    assert residuals["state_dim"] == 3
+    # the neuron's 2 states, fed back through 3 nets x 1 unit
+    assert residuals["state_dim"] == 2
     assert residuals["units"] == 3
     assert len(residuals["channel_rms_pct_of_range"]) == 3
     emb = json.loads((tmp_path / "embedding.json").read_text())
-    assert emb["n_phys"] == 2
+    assert np.shape(emb["c"]) == (3, 2) and len(emb["offset"]) == 2
     for name in cli.CHANNEL_NAMES:
         assert (tmp_path / f"net_{name}.json").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -696,12 +722,19 @@ def test_reproduce_fig5_artifacts_are_the_commands_artifacts(embedding_report, m
 
 
 def test_certify_rejects_an_unlifted_embedding_file(embedding_report, tmp_path, capsys):
-    # an embedding file written before embed lifted its output basis: C = [D 0]
+    # an embedding file written when embed padded the state but did not yet
+    # rotate it: a square system with C = [D 0], so C^T C != I
+    emb = embedding_report.embedding
+    a, f = augment(emb.system.a, emb.system.f_gain, 1.0)
+    c = np.zeros((emb.system.m, emb.system.m))
+    c[:, :2] = emb.system.c
+    doc = system_to_dict(replace(emb.system, a=a, f_gain=f, c=c))
+    doc.update(offset=emb.offset.tolist(), kappa=1.0, n_phys=2)
     path = tmp_path / "embedding.json"
-    path.write_text(json.dumps(parent_layout_doc(embedding_report.embedding)))
+    path.write_text(json.dumps(doc))
     rc = cli.main(["certify", str(path), "--sigma", "0.85", "--out", str(tmp_path / "cert")])
     assert rc == 2
-    assert f"bad system file {path}: 'lift'" in capsys.readouterr().err
+    assert "error: C^T C deviates from identity" in capsys.readouterr().err
     assert not (tmp_path / "cert" / "certificate.json").exists()
 
 

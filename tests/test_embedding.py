@@ -6,20 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import parent_layout
 from sarlab import morris_lecar as ml
+from sarlab.certify import paper_form
 from sarlab.embedding import EmbeddingConfig, build_embedding, model_rhs, simulate_embedded
 from sarlab.lure import c_defect
 from sarlab.sde import SimConfig, simulate
 
 
 def test_report_structure(embedding_report):
+    # the neuron's 2 states fed back through 30 units, each reading a unit
+    # direction of the deviation
     sys = embedding_report.embedding.system
-    assert sys.n == 30 and sys.m == 30
-    assert embedding_report.embedding.n_phys == 2
-    # the output map is orthogonal, and every unit feeds only the physical states
-    np.testing.assert_allclose(sys.c.T @ sys.c, np.eye(30), atol=1e-12)
-    assert np.all(sys.f_gain[2:] == 0.0)
+    assert sys.n == 2 and sys.m == 30
+    np.testing.assert_allclose(np.linalg.norm(sys.c, axis=1), 1.0, atol=1e-12)
+    # the paper's form has an orthogonal output map, and every unit feeds
+    # only the physical states
+    square = paper_form(sys)
+    assert square.n == square.m == 30
+    np.testing.assert_allclose(square.c.T @ square.c, np.eye(30), atol=1e-12)
+    assert np.all(square.f_gain[2:] == 0.0)
     assert not embedding_report.diverged
 
 
@@ -32,16 +37,17 @@ def test_offset_is_negligible(embedding_report):
 def test_linear_block_is_recovery_jacobian(embedding_report):
     rep = embedding_report
     jac = ml.recovery_jacobian(rep.x_star[0], rep.x_star[1], rep.params)
-    np.testing.assert_allclose(rep.a_phys[1], jac, atol=1e-12)
-    assert np.all(rep.a_phys[0] == 0.0)  # V-row dynamics all flow through nets
+    a = rep.embedding.system.a
+    np.testing.assert_allclose(a[1], jac, atol=1e-12)
+    assert np.all(a[0] == 0.0)  # V-row dynamics all flow through nets
 
 
 def test_embedded_system_passes_validation(embedding_report):
     # built anew from its own data, the embedded system passes the
-    # constructor's model-class rules, and it meets C^T C = I
+    # constructor's model-class rules, and its paper form meets C^T C = I
     sys = embedding_report.embedding.system
     np.testing.assert_array_equal(replace(sys).a, sys.a)
-    assert c_defect(sys) <= 1e-12
+    assert c_defect(paper_form(sys)) <= 1e-12
 
 
 def test_sector_data_consistency(embedding_report):
@@ -56,19 +62,22 @@ def test_channel_fit_quality(embedding_report):
 
 
 def test_model_rhs_matches_augmented_drift(embedding_report):
-    # the square system evaluated on [R z; 0], mapped back through R^-1,
-    # must equal the reduced model
+    # the system's drift at z = x - x*, and the paper form's on [R z; 0]
+    # mapped back through R^-1, must both equal the reduced model
     rep = embedding_report
-    sys, lift = rep.embedding.system, rep.embedding.lift
+    sys = rep.embedding.system
+    square = paper_form(sys)
+    r = square.c[:, :2].T @ sys.c  # C = Q[:, :2] R
     rng = np.random.default_rng(0)
     for _ in range(5):
         x_raw = np.array([rng.uniform(-60.0, 30.0), rng.uniform(0.0, 0.6)])
-        z = np.zeros(sys.n)
-        z[:2] = lift @ (x_raw - rep.x_star)
-        full = np.linalg.solve(lift, sys.drift(z)[:2])
         reduced = model_rhs(rep, x_raw)
+        np.testing.assert_allclose(sys.drift(x_raw - rep.x_star), reduced, atol=1e-10)
+        z = np.zeros(square.n)
+        z[:2] = r @ (x_raw - rep.x_star)
+        full = np.linalg.solve(r, square.drift(z)[:2])
         np.testing.assert_allclose(full, reduced, atol=1e-10)
-        assert np.abs(sys.drift(z)[2:]).max() < 1e-12  # fictitious rows stay put
+        assert np.abs(square.drift(z)[2:]).max() < 1e-12  # fictitious rows stay put
 
 
 def test_model_rhs_is_close_to_true_rhs_at_start(embedding_report):
@@ -87,23 +96,25 @@ def test_simulate_embedded_short_horizon_tracks(embedding_report):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.85])
-def test_simulate_embedded_matches_the_unlifted_layout(embedding_report, sigma):
-    # the lift changes coordinates only: the (V, N) path equals the one of
-    # the C = [D 0] layout, and the fictitious states stay exactly 0
+def test_paper_form_path_matches_the_physical_path(embedding_report, sigma):
+    # the paper form changes coordinates only: from [R z0; 0] its path,
+    # mapped back through R^-1, is the physical (V, N) path, and the
+    # fictitious states stay exactly 0
     emb = replace(embedding_report.embedding,
                   system=embedding_report.embedding.system.with_sigma(sigma))
     rep = replace(embedding_report, embedding=emb)
     cfg = SimConfig(t_end=100.0, dt=5e-3, seed=3, record_stride=10)
     path = simulate_embedded(rep, ml.DEFAULT_INIT, cfg)
-    z0 = np.zeros(emb.system.n)
-    z0[:2] = ml.DEFAULT_INIT - rep.x_star
-    unlifted = simulate(parent_layout(emb), z0, cfg)
-    assert not path.diverged and not unlifted.diverged
-    np.testing.assert_allclose(path.states, unlifted.states[:, :2] + rep.x_star,
-                               rtol=0, atol=1e-10)
-    z0[:2] = emb.lift @ z0[:2]
-    lifted = simulate(emb.system, z0, cfg)
+    square = paper_form(emb.system)
+    r = square.c[:, :2].T @ emb.system.c
+    z0 = np.zeros(square.n)
+    z0[:2] = r @ (ml.DEFAULT_INIT - rep.x_star)
+    lifted = simulate(square, z0, cfg)
+    assert not path.diverged and not lifted.diverged
     assert np.all(lifted.states[:, 2:] == 0.0)
+    np.testing.assert_allclose(path.states,
+                               np.linalg.solve(r, lifted.states[:, :2].T).T + rep.x_star,
+                               rtol=0, atol=1e-10)
 
 
 def test_training_is_seed_deterministic(spiking_params, calibrated_iapp):
@@ -118,13 +129,13 @@ def test_training_is_seed_deterministic(spiking_params, calibrated_iapp):
                                   b.embedding.system.f_gain)
 
 
-def test_small_width_embedding_is_square(spiking_params, calibrated_iapp):
+def test_small_width_embedding_has_one_fictitious_state(spiking_params, calibrated_iapp):
     cfg = EmbeddingConfig(hidden=1, epochs=20, n_samples=400, seed=1,
                           i_app=calibrated_iapp)
     rep = build_embedding(spiking_params, cfg)
     sys = rep.embedding.system
-    assert sys.n == sys.m == 3
-    assert sys.n - rep.embedding.n_phys == 1  # one fictitious state
+    assert (sys.n, sys.m) == (2, 3)
+    assert paper_form(sys).n == 3  # one fictitious state
 
 
 def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, monkeypatch):
@@ -143,7 +154,6 @@ def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, m
     ("sigma", -0.5, "sigma must be finite and >= 0"),
     ("sigma", float("nan"), "sigma must be finite and >= 0"),
     ("sigma", float("inf"), "sigma must be finite and >= 0"),
-    ("kappa", 0.0, "kappa must be > 0"), ("kappa", -1.0, "kappa must be > 0"),
     ("offset_tol", 0.0, "offset_tol must be > 0"), ("offset_tol", -1.0, "offset_tol must be > 0")])
 def test_embedding_config_refuses_bad_values_when_built(field, value, message):
     # so build_embedding never fits nets for a config embed would refuse

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parent_layout_doc
+import sarlab.certify as certify_module
 from sarlab import shallow
-from sarlab.lure import _usable_cores, c_defect
+from sarlab.certify import KAPPA, CertProblem, certify, paper_form
+from sarlab.lure import (LureSystem, TanhBank, _usable_cores, augment, c_defect,
+                         system_to_dict)
 from sarlab.shallow import (ShallowNet, TrainOptions, embed, embedding_to_dict,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
@@ -343,23 +345,24 @@ def two_unit_net():
 def test_embed_shapes_and_bank():
     net = two_unit_net()
     a_phys = -np.eye(2)
-    emb = embed([net], [np.array([[1.0], [0.0]])], a_phys, kappa=1.0)
+    emb = embed([net], [np.array([[1.0], [0.0]])], a_phys)
     sys = emb.system
     assert sys.n == sys.m == 2
-    assert emb.n_phys == 2
-    # physical F columns are combiner @ w2 per unit
+    np.testing.assert_array_equal(sys.a, a_phys)
+    # F columns are combiner @ w2 per unit, and C holds the units' directions
     np.testing.assert_allclose(sys.f_gain, [[0.5, -0.25], [0.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(sys.c, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
     np.testing.assert_allclose(sys.sector_slopes, [1.0, 2.0], atol=1e-15)
 
 
-def test_embed_pads_fictitious_states():
+def test_paper_form_pads_fictitious_states():
     # 1 physical state, 3 units -> 2 fictitious states
     net = ShallowNet([[1.0], [2.0], [0.5]], np.zeros(3), [[1.0, 1.0, 1.0]], [0.0])
-    emb = embed([net], [np.array([[1.0]])], [[-1.0]], kappa=2.0)
-    sys = emb.system
-    assert sys.n == 3 and emb.n_phys == 1
-    np.testing.assert_allclose(sys.a[1:, 1:], -2.0 * np.eye(2), atol=1e-15)
+    emb = embed([net], [np.array([[1.0]])], [[-1.0]])
+    assert (emb.system.n, emb.system.m) == (1, 3)
+    sys = paper_form(emb.system)
+    assert sys.n == 3
+    np.testing.assert_allclose(sys.a[1:, 1:], -KAPPA * np.eye(2), atol=1e-15)
     assert np.all(sys.f_gain[1:] == 0.0)
     np.testing.assert_allclose(sys.c.T @ sys.c, np.eye(3), atol=1e-15)
 
@@ -374,50 +377,66 @@ def random_vanishing_net(rng, n_phys, hidden):
 @settings(max_examples=30, deadline=None)
 @given(n_phys=st.sampled_from([1, 2, 3]), extra=st.integers(0, 6),
        seed=st.integers(0, 2**16))
-def test_embed_output_map_is_orthogonal(n_phys, extra, seed):
+def test_paper_form_output_map_is_orthogonal(n_phys, extra, seed):
     rng = np.random.default_rng(seed)
     net = random_vanishing_net(rng, n_phys, n_phys + extra)
-    emb = embed([net], [np.eye(n_phys)], rng.standard_normal((n_phys, n_phys)),
-                kappa=1.0)
-    assert c_defect(emb.system) <= 1e-12
-    # each unit still reads its own direction of the physical deviation
-    bounds = extract_bounds(net)
-    np.testing.assert_allclose(emb.system.c[:, :n_phys] @ emb.lift, bounds.directions,
-                               atol=1e-12)
+    sys = embed([net], [np.eye(n_phys)], rng.standard_normal((n_phys, n_phys))).system
+    lifted = paper_form(sys)
+    assert c_defect(lifted) <= 1e-12
+    # C^T D = [R; 0]: each unit still reads its own direction of the
+    # deviation, C[:, :n] R = D, through the upper-triangular factor R
+    rt = lifted.c.T @ sys.c
+    np.testing.assert_allclose(rt[n_phys:], 0.0, atol=1e-12)
+    r = rt[:n_phys]
+    np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lifted.c[:, :n_phys] @ r, sys.c, atol=1e-12)
+    # the physical blocks are R A R^-1 and R F; the fictitious rows of F are 0
+    np.testing.assert_allclose(lifted.a[:n_phys, :n_phys] @ r, r @ sys.a, atol=1e-10)
+    np.testing.assert_allclose(lifted.f_gain[:n_phys], r @ sys.f_gain, atol=1e-12)
+    assert np.all(lifted.f_gain[n_phys:] == 0.0)
 
 
-def test_embed_rejects_units_that_miss_a_physical_direction():
+def test_paper_form_rejects_units_that_miss_a_physical_direction():
     # every unit reads V + N (or its negative), so nothing sees V - N
     net = ShallowNet([[1.0, 1.0], [2.0, 2.0], [-0.5, -0.5]], np.zeros(3),
                      [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [0.0, 0.0])
+    sys = embed([net], [np.eye(2)], -np.eye(2)).system
     with pytest.raises(ValueError, match="span fewer than 2"):
-        embed([net], [np.eye(2)], -np.eye(2), kappa=1.0)
+        paper_form(sys)
 
 
 # Units that read only V + N at x* = (1, 1): the nets' output there leaves an
-# offset, and the directions span one dimension, so every later check fails too.
+# offset, and the directions span one dimension.
 SLANTED_X_STAR = np.array([1.0, 1.0])
 SLANTED_COMB = np.array([[1.0], [0.0]])
 
 
+def slanted_system(units: int):
+    """A 2-state system whose units all read V + N."""
+    one = np.ones(units)
+    return LureSystem(a=-np.eye(2), f_gain=np.ones((2, units)), c=np.ones((units, 2)),
+                      sigma=0.0, nonlinearity=TanhBank(one), sector_slopes=one,
+                      deriv_bounds=one)
+
+
 @pytest.mark.parametrize("kappa", [0.0, -1.0])
-def test_embed_raises_augments_kappa_error_first(kappa):
-    net = ShallowNet([[1.0, 1.0], [2.0, 2.0]], np.zeros(2), [[1.0, 1.0]], [0.0])
+def test_paper_form_raises_augments_kappa_error_first(kappa, monkeypatch):
+    monkeypatch.setattr(certify_module, "KAPPA", kappa)
     with pytest.raises(ValueError, match="kappa must be > 0"):
-        embed([net], [SLANTED_COMB], -np.eye(2), kappa=kappa, x_star=SLANTED_X_STAR)
+        paper_form(slanted_system(2))
 
 
-def test_embed_raises_augments_unit_count_error_first():
-    one_unit = ShallowNet([[1.0, 1.0]], [0.0], [[1.0]], [0.0])
+def test_paper_form_raises_augments_unit_count_error_first():
     with pytest.raises(ValueError, match=r"need at least as many nonlinearities as states "
                                          r"\(m=1 < n=2\)"):
-        embed([one_unit], [SLANTED_COMB], -np.eye(2), kappa=1.0, x_star=SLANTED_X_STAR)
+        paper_form(slanted_system(1))
 
 
 def test_embed_checks_the_offset_before_the_rank():
+    # embed checks the offset; the rank of the directions is paper_form's check
     net = ShallowNet([[1.0, 1.0], [2.0, 2.0]], np.zeros(2), [[1.0, 1.0]], [0.0])
     with pytest.raises(ValueError, match="constant drift residue"):
-        embed([net], [SLANTED_COMB], -np.eye(2), kappa=1.0, x_star=SLANTED_X_STAR)
+        embed([net], [SLANTED_COMB], -np.eye(2), x_star=SLANTED_X_STAR)
 
 
 def test_embed_builds_its_system_once(monkeypatch):
@@ -429,7 +448,7 @@ def test_embed_builds_its_system_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(shallow.LureSystem, "__post_init__", counting)
-    emb = embed([two_unit_net()], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0)
+    emb = embed([two_unit_net()], [np.array([[1.0], [0.0]])], -np.eye(2))
     assert built == [emb.system]
 
 
@@ -437,7 +456,7 @@ def test_embed_recenter_shifts_unit_biases():
     net = ShallowNet([[1.0, 0.0], [0.0, 2.0]], [0.0, 0.1], [[0.5, -0.25]], [0.0])
     x_star = np.array([0.3, -0.2])
     star_out = net(x_star)
-    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0,
+    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2),
                 x_star=x_star, const_drift=-np.array([star_out[0], 0.0]))
     # unit biases become b1 + (w1 . x_star): direction-scaled form
     expected = np.array([0.0 + 0.3, 0.1 + 2.0 * (-0.2)])
@@ -452,7 +471,7 @@ def test_embed_offset_gate():
     net = two_unit_net()
     x_star = np.array([1.0, 1.0])
     with pytest.raises(ValueError, match="offset"):
-        embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0,
+        embed([net], [np.array([[1.0], [0.0]])], -np.eye(2),
               x_star=x_star)  # net(x*) != 0 and no compensating const drift
 
 
@@ -460,26 +479,27 @@ def test_embed_validates_combiner_shape():
     net = two_unit_net()
     comb = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError):
-        embed([net], [np.eye(3)], -np.eye(2), kappa=1.0)
+        embed([net], [np.eye(3)], -np.eye(2))
     with pytest.raises(ValueError, match="a_phys must be square"):
-        embed([net], [comb], -np.ones((2, 3)), kappa=1.0)
+        embed([net], [comb], -np.ones((2, 3)))
     with pytest.raises(ValueError, match="x_star must have one entry per physical state"):
-        embed([net], [comb], -np.eye(2), kappa=1.0, x_star=np.zeros(3))
+        embed([net], [comb], -np.eye(2), x_star=np.zeros(3))
     with pytest.raises(ValueError, match="need one combiner per net"):
-        embed([net, net], [comb], -np.eye(2), kappa=1.0)
+        embed([net, net], [comb], -np.eye(2))
     with pytest.raises(ValueError, match="net input dimension"):
-        embed([net], [np.ones((3, 1))], -np.eye(3), kappa=1.0)
+        embed([net], [np.ones((3, 1))], -np.eye(3))
 
 
 def test_embedding_roundtrip(tmp_path):
     net = two_unit_net()
-    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.5)
+    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2))
     f = tmp_path / "emb.json"
     save_embedding(emb, f)
     back = load_embedding(f)
-    assert back.kappa == 1.5 and back.n_phys == 2
-    np.testing.assert_array_equal(back.lift, emb.lift)
+    assert set(json.loads(f.read_text())) == set(system_to_dict(emb.system)) | {"offset"}
+    np.testing.assert_array_equal(back.offset, emb.offset)
     np.testing.assert_array_equal(back.system.a, emb.system.a)
+    np.testing.assert_array_equal(back.system.c, emb.system.c)
     np.testing.assert_array_equal(back.system.f_gain, emb.system.f_gain)
     np.testing.assert_array_equal(back.system.sector_slopes, emb.system.sector_slopes)
 
@@ -490,7 +510,7 @@ def test_embedding_roundtrip_keeps_the_drift(tmp_path):
     net = ShallowNet(rng.standard_normal((4, 2)), rng.standard_normal(4),
                      rng.standard_normal((1, 4)), [0.0])
     net = ShallowNet(net.w1, net.b1, net.w2, -net(np.zeros(2)))  # vanish at the origin
-    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.0)
+    emb = embed([net], [np.array([[1.0], [0.0]])], -np.eye(2))
     f = tmp_path / "emb.json"
     save_embedding(emb, f)
     back = load_embedding(f)
@@ -503,7 +523,7 @@ def test_embedding_roundtrip_keeps_the_drift(tmp_path):
 
 def test_loading_an_embedding_outside_the_class_raises(tmp_path):
     net = two_unit_net()
-    doc = embedding_to_dict(embed([net], [np.array([[1.0], [0.0]])], -np.eye(2), kappa=1.5))
+    doc = embedding_to_dict(embed([net], [np.array([[1.0], [0.0]])], -np.eye(2)))
     m = len(doc["sector_slopes"])
     for change in ({"sigma": -0.5}, {"deriv_bounds": doc["deriv_bounds"][:1]},
                    {"unit_slopes": [2.0 * s for s in doc["unit_slopes"]]},
@@ -541,10 +561,35 @@ def test_loss_is_half_mean_squared_error(seed):
 
 
 def test_unlifted_embedding_file_is_rejected(tmp_path):
-    # a file written before embed lifted its output basis: C = [D 0], no lift
+    # a file written before embed lifted its output basis: C = [D 0] on the
+    # padded state, no lift.  It loads as the square system it holds, whose
+    # C^T C != I, so certify refuses it
     rng = np.random.default_rng(5)
-    emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2), kappa=1.0)
+    emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2))
+    a, f_gain = augment(emb.system.a, emb.system.f_gain, KAPPA)
+    c = np.zeros((6, 6))
+    c[:, :2] = emb.system.c
+    doc = system_to_dict(replace(emb.system, a=a, f_gain=f_gain, c=c))
+    doc.update(offset=emb.offset.tolist(), kappa=KAPPA, n_phys=2)
     f = tmp_path / "old.json"
-    f.write_text(json.dumps(parent_layout_doc(emb)))
-    with pytest.raises(KeyError, match="lift"):
-        load_embedding(f)
+    f.write_text(json.dumps(doc))
+    old = load_embedding(f).system
+    assert old.n == old.m == 6
+    with pytest.raises(ValueError, match=r"C\^T C deviates from identity"):
+        certify(CertProblem(old))
+
+
+def test_lifted_embedding_file_loads_as_its_square_system(tmp_path):
+    # a file written when embed returned the paper's square form: the system
+    # it holds, with the lift's bookkeeping keys ignored
+    rng = np.random.default_rng(5)
+    emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2))
+    lifted = paper_form(emb.system)
+    doc = system_to_dict(lifted)
+    doc.update(offset=emb.offset.tolist(), kappa=KAPPA, n_phys=2, lift=np.eye(2).tolist())
+    f = tmp_path / "old.json"
+    f.write_text(json.dumps(doc))
+    back = load_embedding(f).system
+    assert back.n == back.m == 6
+    for field in ("a", "f_gain", "c", "sector_slopes"):
+        np.testing.assert_array_equal(getattr(back, field), getattr(lifted, field))
