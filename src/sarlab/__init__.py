@@ -8,7 +8,7 @@ neuron demonstration.
 
 __version__ = "0.1.0"
 
-from .lure import LureSystem, augment
+from .lure import LureSystem
 from .sde import SimConfig, SdePath, simulate, simulate_ensemble, ensemble_moments, lowpass
 # certify() is not re-exported: the name sarlab.certify stays the module
 from .certify import (CertProblem, Certificate, SolverOptions, certificate_matrix,
@@ -20,7 +20,6 @@ from .embedding import EmbeddingConfig, EmbeddingReport, build_embedding
 __all__ = [
     "__version__",
     "LureSystem",
-    "augment",
     "SimConfig",
     "SdePath",
     "simulate",

@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize
 
 from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, _usable_cores,
-                   augment, c_defect, read_json, write_json)
+                   c_defect, read_json, write_json)
 
 __all__ = [
     "SolverOptions",
@@ -102,18 +101,21 @@ class Certificate:
 
 def paper_form(sys: LureSystem) -> LureSystem:
     """The paper's square form of a system with m >= n units of rank n, on
-    the state [R z; 0]: augment's m - n fictitious states decaying at -KAPPA,
-    then, with sys.c = Q[:, :n] R a complete QR, C = Q (so C^T C = I) and the
-    physical blocks R A R^-1 and R F.  Each unit reads C [R z; 0] = sys.c z,
-    and the fictitious states stay 0."""
-    n = sys.n
-    a_bar, f_bar = augment(sys.a, sys.f_gain, KAPPA)
+    the state [R z; 0]: m - n fictitious states decaying at -KAPPA, with
+    zero rows of F, and, with sys.c = Q[:, :n] R a complete QR, C = Q (so
+    C^T C = I) and the physical blocks R A R^-1 and R F.  Each unit reads
+    C [R z; 0] = sys.c z, and the fictitious states stay 0."""
+    n, m = sys.n, sys.m
+    if m < n:
+        raise ValueError(f"need at least as many nonlinearities as states (m={m} < n={n})")
     if np.linalg.matrix_rank(sys.c) < n:
         raise ValueError(f"the unit directions span fewer than {n} dimensions")
     q, r = np.linalg.qr(sys.c, mode="complete")
     r = r[:n]
-    a_bar[:n, :n] = np.linalg.solve(r.T, (r @ a_bar[:n, :n]).T).T
-    f_bar[:n] = r @ f_bar[:n]
+    a_bar = np.diag(np.full(m, -KAPPA))
+    a_bar[:n, :n] = np.linalg.solve(r.T, (r @ sys.a).T).T
+    f_bar = np.zeros((m, m))
+    f_bar[:n] = r @ sys.f_gain
     return LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sys.sigma,
                       nonlinearity=sys.nonlinearity, sector_slopes=sys.sector_slopes,
                       deriv_bounds=sys.deriv_bounds)
@@ -194,8 +196,7 @@ def max_eigenvalue(mat: np.ndarray) -> float:
     scale = max(1.0, float(np.linalg.norm(mat)))
     if float(np.linalg.norm(mat - mat.T)) > _ASYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (mat + mat.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+    return float(_top_eigs(0.5 * (mat + mat.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +217,13 @@ def _affine_parts(matrix, units: np.ndarray, nu: float):
 
 
 def _top_eigs(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each symmetric matrix of a (k, d, d) stack."""
+    """Largest eigenvalue of each symmetric matrix of a (..., d, d) stack,
+    unchecked: the certificate's one top-eigenvalue routine."""
     if mats.shape[-1] == 2:
         # closed form keeps scalar demos cheap
-        a, b, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        a, b, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
         return 0.5 * ((a + d) + np.hypot(a - d, 2.0 * b))
-    return np.linalg.eigh(mats)[0][:, -1]
+    return np.linalg.eigvalsh(mats)[..., -1]
 
 
 def _dual_lower_bound(sys: LureSystem, nu, top_sym_a: float):
@@ -285,12 +287,9 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     # convex and within mu log(2n) of lambda_max; it is divided by ||N0|| so
     # that L-BFGS-B's absolute tolerances act relative to the problem's scale
     def smoothed(phi, mu):
-        # SciPy's dsyevd, not np.linalg.eigh: at one BLAS thread both cost the
-        # same, but NumPy ships another OpenBLAS build whose eigenvectors differ
+        # from the upper triangle: LAPACK's answer from the lower one differs
         # in the last bits, which moves the search and its margins
-        w, v, info = dsyevd(n0 + (phi @ flat).reshape(n0.shape))
-        if info:
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        w, v = np.linalg.eigh(n0 + (phi @ flat).reshape(n0.shape), UPLO="U")
         weights = np.exp((w - w[-1]) / mu)
         total = weights.sum()
         grad = flat @ ((v * (weights / total)) @ v.T).ravel()
@@ -337,14 +336,14 @@ def certify(problem: CertProblem) -> Certificate:
 
     # the inputs are checked: from here on N is built through the unchecked pencil
     matrix = _pencil(sys)
-    top_sym_a = float(np.linalg.eigvalsh(sys.a + sys.a.T)[-1])
+    top_sym_a = float(_top_eigs(sys.a + sys.a.T))
     # no linear member grows faster than this ceiling; above it the bound cannot settle sigma
     ceiling = top_sym_a / 2.0 + float(np.linalg.norm(_linear_gain(sys)) * np.linalg.norm(sys.c))
     half_s2 = sys.sigma ** 2 / 2.0
     if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
         zeros = np.zeros(n)
-        # N(nu, 0, 0) is exactly symmetric, so eigvalsh needs no symmetrizing
-        margins = np.linalg.eigvalsh(matrix(nu_grid, zeros, zeros))[:, -1]
+        # N(nu, 0, 0) is exactly symmetric, so _top_eigs needs no symmetrizing
+        margins = _top_eigs(matrix(nu_grid, zeros, zeros))
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
                            margin=float(margins[best]), feasible=False, capped=False,
@@ -434,9 +433,10 @@ def linear_necessity_bound(sys: LureSystem):
 # sweeps
 
 
-def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | None = None,
+def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None,
                 jobs: int = 1) -> list[tuple[float, Certificate]]:
-    """Certify a template system at each noise level of an ascending grid.
+    """Certify a template system at each noise level of an ascending grid,
+    with the default SolverOptions.
 
     Each sigma is solved independently (results do not depend on jobs).
     The sigmas are solved on a forked process pool of at most jobs workers,
@@ -444,8 +444,9 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
     (:func:`sarlab.lure._fork_map`); a one-sigma grid, jobs=1 or a single
     usable core solves them in this process.  An
     exception in any worker is raised here, and no worker outlives the call.
-    jobs must be at least 1.  A negative or non-finite sigma raises the
-    ValueError of LureSystem's constructor before any pool starts.
+    jobs must be at least 1.  A negative or non-finite sigma, or one whose
+    square overflows, raises the ValueError of LureSystem's constructor
+    before any pool starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -456,11 +457,8 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None, options: SolverOptions | 
         raise ValueError("sigma grid must be strictly ascending")
     if nu_grid is None:
         nu_grid = default_nu_grid()
-    if options is None:
-        options = SolverOptions()
 
-    problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid), options)
-                for s in sigmas]
+    problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid)) for s in sigmas]
     certs = list(_fork_map(certify, problems, min(jobs, _usable_cores())))
     return [(float(s), c) for s, c in zip(sigmas, certs)]
 

@@ -77,7 +77,10 @@ def parse_range(text: str, name: str | None = None) -> np.ndarray:
         raise CliError(f"non-numeric bound in {text!r}") from exc
     if step <= 0:
         raise CliError(f"step must be > 0 in {text!r}")
-    grid = np.arange(a, b + step / 2.0, step)
+    try:
+        grid = np.arange(a, b + step / 2.0, step)
+    except MemoryError:
+        raise CliError(f"too many points to allocate in {text!r}") from None
     if grid.size == 0:
         raise CliError(f"empty range {text!r}")
     return grid
@@ -278,8 +281,7 @@ _NEURON_KEYS = frozenset({"params", "i_app"})
 _PATH_KEYS = frozenset({"model", "seed", "t_end", "dt", "record_stride", "sigma", "x0"})
 SIMULATE_KEYS = {"ml": _PATH_KEYS | _NEURON_KEYS | {"noise_mode", "filter_window"},
                  "lure": _PATH_KEYS | {"system"}}
-APPROXIMATE_KEYS = _NEURON_KEYS | {"seed", "width", "n_samples", "epochs", "sigma", "offset_tol",
-                                   "box"}
+APPROXIMATE_KEYS = _NEURON_KEYS | {"seed", "width", "n_samples", "epochs", "sigma", "box"}
 
 
 def _reject_unknown_keys(config: dict, known: frozenset, reader: str) -> None:
@@ -481,12 +483,12 @@ def cmd_approximate(args) -> int:
     defaults = EmbeddingConfig()
     fit = {field: _config_number(config, "width" if field == "hidden" else field,
                                  getattr(defaults, field), type(getattr(defaults, field)))
-           for field in ("hidden", "n_samples", "epochs", "sigma", "offset_tol")}
+           for field in ("hidden", "n_samples", "epochs", "sigma")}
     box = _config_array(config, "box", defaults.box)
     if box.shape != (2, 2):
         raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {config['box']!r}")
     fit["box"] = tuple(map(tuple, box.tolist()))
-    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma or offset_tol
+    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma
     stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
     p, calibrated = _calibrate(stages, config, APPROXIMATE_KEYS, "approximate")
     report, outputs = _approximate(out_dir, stages, p,

@@ -43,14 +43,11 @@ class EmbeddingConfig:
     seed: int = 0
     sigma: float = 0.0
     i_app: float | None = None  # None -> p's own i_app
-    offset_tol: float = 1e-3
 
     def __post_init__(self):
         # checked when built, so no calibration or fit runs for values embed would refuse
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        if not self.offset_tol > 0:
-            raise ValueError(f"offset_tol must be > 0, got {self.offset_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +102,7 @@ def build_embedding(p: ml.MorrisLecarParams, cfg: EmbeddingConfig | None = None)
     comb = np.array([[1.0 / p.cap, 0.0], [0.0, 1.0]])
     combiners = [comb] * 3
     emb = embed(nets, combiners, a_phys, x_star=x_star, sigma=cfg.sigma,
-                const_drift=np.array([p.i_app / p.cap, 0.0]), offset_tol=cfg.offset_tol)
+                const_drift=np.array([p.i_app / p.cap, 0.0]))
 
     # fit quality on a fresh sample
     probe, probe_currents = ml.make_training_set(p, cfg.box, cfg.n_samples, cfg.seed + 7919)

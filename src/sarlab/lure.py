@@ -38,7 +38,6 @@ __all__ = [
     "LureSystem",
     "TanhBank",
     "get_nonlinearity",
-    "augment",
     "save_system",
     "load_system",
     "system_to_dict",
@@ -110,7 +109,8 @@ class LureSystem:
     a: (n, n) drift matrix, f_gain: (n, m) feedback gain, c: (m, n) output
     map, sigma >= 0 noise level, nonlinearity: the TanhBank of m feedback
     units, sector_slopes s and deriv_bounds delta: length-m positive vectors.
-    All data are finite and no unit is steeper than its s_i or delta_i.
+    All data are finite, so is sigma^2, and no unit is steeper than its
+    s_i or delta_i.
     Construction enforces these rules: a system that breaks any of them
     raises one ValueError naming each broken rule by its code.
     """
@@ -201,6 +201,8 @@ def _broken_rules(sys: LureSystem) -> list[str]:
             out.append(f"non_finite: {name} has non-finite entries")
     if sys.sigma < 0:
         out.append(f"sigma_negative: sigma must be >= 0, got {sys.sigma:g}")
+    elif np.isfinite(sys.sigma) and np.isinf(sys.sigma * sys.sigma):
+        out.append(f"sigma_overflow: sigma^2 must be a finite float, got sigma={sys.sigma:g}")
     for i, s in enumerate(sys.sector_slopes):
         if not s > 0:
             out.append(f"bad_sector_slope: sector slope s[{i}] must be > 0, got {s:g}")
@@ -212,35 +214,6 @@ def _broken_rules(sys: LureSystem) -> list[str]:
         out.append(f"bank_outside_sector: tanh unit {i} has slope {bank.slopes[i]:g}, "
                    "above its sector slope or derivative bound")
     return out
-
-
-def augment(a_phys, f_phys, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pad an (n, m) system with p = m - n fictitious states decaying at
-    -kappa, so the feedback gain becomes square; returns (A_bar, F_bar):
-
-        A_bar = [[A, 0], [0, -kappa I_p]],   F_bar = [[F], [0]].
-    """
-    a_phys = np.atleast_2d(np.asarray(a_phys, dtype=float))
-    f_phys = np.atleast_2d(np.asarray(f_phys, dtype=float))
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    n = a_phys.shape[0]
-    if a_phys.shape != (n, n):
-        raise ValueError("a_phys must be square")
-    if f_phys.shape[0] != n:
-        raise ValueError("f_phys must have one row per physical state")
-    m = f_phys.shape[1]
-    if m < n:
-        raise ValueError(f"need at least as many nonlinearities as states (m={m} < n={n})")
-    p = m - n
-
-    a_bar = np.zeros((m, m))
-    a_bar[:n, :n] = a_phys
-    if p:
-        a_bar[n:, n:] = -kappa * np.eye(p)
-    f_bar = np.zeros((m, m))
-    f_bar[:n, :] = f_phys
-    return a_bar, f_bar
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ class SimConfig:
     record_stride: int = 10
 
     def __post_init__(self):
+        if not np.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if self.dt > self.t_end:
@@ -113,9 +115,13 @@ def _euler_maruyama(step, x0, cfg: SimConfig, sigma: float, path_indices) -> lis
     dt = cfg.dt
     sqdt = np.sqrt(dt)
     streams = [path_stream(cfg.seed, i) for i in path_indices] if sigma != 0.0 else []
-    # the time stamp of row k is (k * stride) * dt, rounded once
-    times = np.arange(0, n_steps + 1, stride) * dt
-    rec = np.empty((times.size,) + np.shape(x0))
+    try:
+        # the time stamp of row k is (k * stride) * dt, rounded once
+        times = np.arange(0, n_steps + 1, stride) * dt
+        rec = np.empty((times.size,) + np.shape(x0))
+    except MemoryError:
+        raise ValueError(f"t_end={cfg.t_end:g} at dt={dt:g} records {n_steps // stride + 1} "
+                         "samples, more than memory can hold") from None
     rec[0] = x0
 
     # a non-finite state propagates through the arithmetic on its own, so

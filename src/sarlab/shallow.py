@@ -284,9 +284,11 @@ class SectorEmbedding:
     offset: np.ndarray
 
 
+OFFSET_TOL = 1e-3  # largest |offset| / max(1, |x_star|_inf) embed accepts
+
+
 def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
-          x_star=None, sigma: float = 0.0, const_drift=None,
-          offset_tol: float = 1e-3) -> SectorEmbedding:
+          x_star=None, sigma: float = 0.0, const_drift=None) -> SectorEmbedding:
     """Assemble the system dz = (a_phys z + F g(D z)) dt + sigma z dbeta in
     the deviation z = x - x_star (x_star defaults to 0), whose feedback bank
     is the union of the nets' recentred hidden units and D their input
@@ -297,7 +299,7 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
     each unit j.  const_drift holds the model's constant terms that are not
     net-mediated (e.g. an applied current); the reported offset =
     const_drift + sum_i combiners[i] @ nets[i](x_star) is the drift the
-    assembled model assigns to z = 0, and it must stay below offset_tol *
+    assembled model assigns to z = 0, and it must stay below OFFSET_TOL *
     max(1, |x_star|_inf) for the origin-equilibrium form to apply (pruned
     constant units are included through the net evaluations).
     """
@@ -329,11 +331,11 @@ def embed(nets: Sequence[ShallowNet], combiners: Sequence[np.ndarray], a_phys,
         cols.append(comb @ net.w2[:, bounds.kept])
 
     scale = max(1.0, float(np.max(np.abs(x_star), initial=0.0)))
-    if float(np.linalg.norm(offset)) > offset_tol * scale:
+    if float(np.linalg.norm(offset)) > OFFSET_TOL * scale:
         raise ValueError(
             f"constant drift residue |offset| = {np.linalg.norm(offset):.3g} exceeds "
-            f"{offset_tol:g} * {scale:g}; the origin is not an equilibrium of the "
-            "assembled model (recenter the nets or pass a larger offset_tol)")
+            f"{OFFSET_TOL:g} * {scale:g}; the origin is not an equilibrium of the "
+            "assembled model (recenter the nets)")
 
     slopes = np.concatenate(slopes)
     system = LureSystem(a=a_phys, f_gain=np.hstack(cols), c=np.vstack(dirs), sigma=sigma,

@@ -15,7 +15,7 @@ import pytest
 
 from sarlab import cli
 from sarlab import morris_lecar as ml
-from sarlab.certify import (CertProblem, SolverOptions, certificate_matrix,
+from sarlab.certify import (CertProblem, certificate_matrix,
                             certify, default_nu_grid, linear_necessity_bound,
                             max_eigenvalue, sigma_sweep)
 from sarlab.embedding import simulate_embedded
@@ -179,9 +179,7 @@ def test_criterion_07_state_noise_quiets_filtered_voltage(base_params, calibrate
 def test_criterion_08_embedded_sweep_certifies_some_noise_level(embedding_report):
     sysm = embedding_report.embedding.system
     sigmas = np.round(np.arange(0.2, 2.0001, 0.2), 10)
-    results = sigma_sweep(sysm, sigmas,
-                          options=SolverOptions(seed=0),
-                          jobs=2)
+    results = sigma_sweep(sysm, sigmas, jobs=2)
     feasible = [s for s, cert in results if cert.feasible]
     if feasible:
         return

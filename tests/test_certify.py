@@ -600,12 +600,12 @@ def test_affine_parts_from_the_pencil_keep_every_bit(embedding_report):
 
 
 def top_eig_of_one(sym):
-    """The largest eigenvalue of one symmetric matrix, as the solver took it
-    before it scored stacks."""
+    """The largest eigenvalue of one symmetric matrix: the closed form at
+    2x2, else eigvalsh of that matrix alone."""
     if sym.shape[0] == 2:
         a, b, d = sym[0, 0], sym[0, 1], sym[1, 1]
         return float(0.5 * ((a + d) + np.hypot(a - d, 2.0 * b)))
-    return float(np.linalg.eigh(sym)[0][-1])
+    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30])
@@ -618,7 +618,29 @@ def test_top_eigs_of_a_stack_match_each_matrix(n):
     for top, sym in zip(tops.tolist(), mats):
         assert top == top_eig_of_one(sym)
         if n > 1:
-            assert top == np.linalg.eigh(sym)[0][-1]
+            assert top == np.linalg.eigvalsh(sym)[-1]
+
+
+@pytest.mark.parametrize("size", [2, 60])
+def test_max_eigenvalue_necessity_exit_and_probe_score_agree(size, embedding_report):
+    # the three places certify takes a top eigenvalue all go through
+    # _top_eigs, so on one matrix N(nu, 0, 0) they agree bit for bit
+    if size == 2:
+        sys = make_scalar(0.3, 0.2, f=0.7)
+    else:
+        sys = paper_form(embedding_report.embedding.system.with_sigma(0.85))
+    nu = 0.35
+    zeros = np.zeros(sys.n)
+    mat = certificate_matrix(sys, nu, zeros, zeros)
+    assert mat.shape == (size, size)
+    top = max_eigenvalue(mat)
+    cert = certify(CertProblem(sys, np.array([nu])))
+    assert cert.witness == "necessity"
+    # an infinite lower bound makes the scan return theta = 0's score
+    n0, basis = affine_parts(sys, nu)
+    score, theta, _ = _solve_fixed_nu(n0, basis, SolverOptions(), np.inf)
+    assert not theta.any()
+    assert top == cert.margin == score
 
 
 def sequential_scan(n0, basis, opts, lower_bound):
@@ -718,3 +740,13 @@ def test_a_non_finite_sigma_is_an_error(sigma):
         sigma_sweep(sys, [sigma])
     with pytest.raises(ValueError, match="non_finite: sigma"):
         sigma_sweep(sys, [0.2, sigma])
+
+
+def test_a_sweep_to_a_sigma_whose_square_overflows_does_no_work(pools, monkeypatch):
+    def no_matrix(sys):
+        raise AssertionError("built a certificate matrix")
+
+    monkeypatch.setattr(certify_module, "_pencil", no_matrix)
+    with pytest.raises(ValueError, match="sigma_overflow: sigma"):
+        sigma_sweep(make_scalar(0.1, 0.5), [0.0, 5e199, 1e200], jobs=2)
+    assert pools == []

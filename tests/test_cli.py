@@ -12,7 +12,7 @@ import pytest
 from sarlab import cli
 from sarlab import morris_lecar as ml
 from sarlab.embedding import EmbeddingConfig, build_embedding
-from sarlab.lure import augment, save_system, system_to_dict, write_json
+from sarlab.lure import save_system, system_to_dict, write_json
 from sarlab.sde import SdePath
 
 from conftest import make_scalar
@@ -114,11 +114,12 @@ def test_certify_missing_system_file(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan"])
+# 1e200: a sigma whose square overflows
+@pytest.mark.parametrize("sigma", ["-1", "nan", "1e200"])
 def test_certify_validates_the_overridden_sigma(scalar_files, tmp_path, capsys, sigma):
     good, _ = scalar_files
     assert cli.main(["certify", str(good), "--sigma", sigma, "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert re.search(r"^error: .*: sigma", capsys.readouterr().err)
     assert not (tmp_path / "certificate.json").exists()
 
 
@@ -163,10 +164,12 @@ GRID_ERRORS = {
                 ("0:1", "want a:b:step, got '0:1'"),
                 ("0:x:0.1", "non-numeric bound in '0:x:0.1'"),
                 ("0:1:0", "step must be > 0 in '0:1:0'"),
-                ("-0.5:0.5:0.5", "noise levels must be >= 0, got '-0.5:0.5:0.5'")],
+                ("-0.5:0.5:0.5", "noise levels must be >= 0, got '-0.5:0.5:0.5'"),
+                ("0:1:1e-13", "too many points to allocate in '0:1:1e-13'")],
     "--nu-grid": [("0.9:0.1:0.1", "empty range '0.9:0.1:0.1'"),
                   ("::", "non-numeric bound in '::'"),
-                  ("0.1:0.9:-0.1", "step must be > 0 in '0.1:0.9:-0.1'")],
+                  ("0.1:0.9:-0.1", "step must be > 0 in '0.1:0.9:-0.1'"),
+                  ("0.05:0.95:1e-13", "too many points to allocate in '0.05:0.95:1e-13'")],
 }
 GRID_FLAGS = [(["sweep", "x.json"], "--sigma"),
               (["sweep", "x.json", "--sigma", "0.5:0.5:0.1"], "--nu-grid"),
@@ -182,6 +185,16 @@ def test_a_bad_grid_names_its_flag_once(argv, flag, text, message, tmp_path, cap
     error = capsys.readouterr().err.strip().splitlines()[-1]
     assert error.endswith(f"error: argument {flag}: {message}")
     assert error.count(flag) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_grid_ending_at_a_sigma_whose_square_overflows(scalar_files, pools, tmp_path,
+                                                             capsys):
+    good, _ = scalar_files
+    assert cli.main(["sweep", str(good), "--sigma", "0:1e200:5e199", "--jobs", "2",
+                     "--out", str(tmp_path)]) == 2
+    assert "sigma_overflow: sigma" in capsys.readouterr().err
+    assert pools == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -320,6 +333,23 @@ def test_simulate_bad_model_and_missing_config(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+# JSON reads 1e400 as inf; at dt = 5e-3, t_end = 1e12 records 2e13 samples
+@pytest.mark.parametrize("model", ["ml", "lure"])
+@pytest.mark.parametrize("t_end, message", [
+    ("1e400", r"t_end must be finite, got inf"),
+    ("1e12", r"t_end=1e\+12 at dt=0.005 records 2\d{13} samples, more than memory can hold")])
+def test_simulate_t_end_beyond_the_machine_is_a_usage_error(model, t_end, message, scalar_files,
+                                                            tmp_path, capsys):
+    config = ({"model": "lure", "system": str(scalar_files[0])} if model == "lure"
+              else {"model": "ml", "i_app": 40.0})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config)[:-1] + f', "t_end": {t_end}}}')
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_bad_noise_mode_is_usage_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -377,7 +407,7 @@ def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, 
         ("simulate", "t_end"), ("simulate", "dt"), ("simulate", "record_stride"),
         ("simulate", "sigma"), ("simulate", "seed"),
         ("approximate", "width"), ("approximate", "epochs"), ("approximate", "n_samples"),
-        ("approximate", "offset_tol"), ("approximate", "seed")]],
+        ("approximate", "seed")]],
     *[pytest.param("simulate", "lure", field, id=f"simulate-lure-{field}")
       for field in ("t_end", "dt", "record_stride", "sigma", "seed")]])
 # an integer too large for a float is not a number any field can take
@@ -424,6 +454,8 @@ def test_a_config_filter_window_is_checked_at_any_sigma(tmp_path, capsys):
     ("simulate", {"model": "ml", "system": "good.json", "t_end": 1.0}, "simulate with model 'ml'"),
     # the fictitious states' decay rate belongs to the certificate's square form
     ("approximate", {"kappa": 1.0, "i_app": 40.0}, "approximate"),
+    # embed's offset tolerance is a constant
+    ("approximate", {"offset_tol": 1e-3, "i_app": 40.0}, "approximate"),
 ])
 def test_config_key_the_command_does_not_read_is_a_usage_error(command, config, reader,
                                                               monkeypatch, tmp_path, capsys):
@@ -494,8 +526,7 @@ def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0, got -0.5"),
-    ("sigma", float("nan"), "sigma must be finite and >= 0, got nan"),
-    ("offset_tol", -1, "offset_tol must be > 0, got -1.0")])
+    ("sigma", float("nan"), "sigma must be finite and >= 0, got nan")])
 def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value, message,
                                                                   monkeypatch, tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -725,9 +756,9 @@ def test_certify_rejects_an_unlifted_embedding_file(embedding_report, tmp_path, 
     # an embedding file written when embed padded the state but did not yet
     # rotate it: a square system with C = [D 0], so C^T C != I
     emb = embedding_report.embedding
-    a, f = augment(emb.system.a, emb.system.f_gain, 1.0)
-    c = np.zeros((emb.system.m, emb.system.m))
-    c[:, :2] = emb.system.c
+    m = emb.system.m
+    a, f, c = -np.eye(m), np.zeros((m, m)), np.zeros((m, m))
+    a[:2, :2], f[:2], c[:, :2] = emb.system.a, emb.system.f_gain, emb.system.c
     doc = system_to_dict(replace(emb.system, a=a, f_gain=f, c=c))
     doc.update(offset=emb.offset.tolist(), kappa=1.0, n_phys=2)
     path = tmp_path / "embedding.json"

@@ -153,8 +153,7 @@ def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, m
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0"),
     ("sigma", float("nan"), "sigma must be finite and >= 0"),
-    ("sigma", float("inf"), "sigma must be finite and >= 0"),
-    ("offset_tol", 0.0, "offset_tol must be > 0"), ("offset_tol", -1.0, "offset_tol must be > 0")])
+    ("sigma", float("inf"), "sigma must be finite and >= 0")])
 def test_embedding_config_refuses_bad_values_when_built(field, value, message):
     # so build_embedding never fits nets for a config embed would refuse
     with pytest.raises(ValueError, match=message):

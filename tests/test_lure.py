@@ -1,4 +1,4 @@
-"""Model-layer tests: nonlinearity banks, the model-class gate, augmentation,
+"""Model-layer tests: nonlinearity banks, the model-class gate,
 serialization, the BLAS thread scope and the process pool."""
 
 import multiprocessing
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scalar
 from sarlab import lure
-from sarlab.lure import (LureSystem, TanhBank, augment, get_nonlinearity, load_system,
+from sarlab.lure import (LureSystem, TanhBank, get_nonlinearity, load_system,
                          read_json, save_system, system_from_dict, system_to_dict, write_json)
 
 TANH1 = 0.7615941559557649  # tanh(1) to double precision
@@ -161,6 +161,18 @@ def test_validate_flags_non_finite_data():
         assert "non_finite" in _broken(make)
 
 
+def test_validate_refuses_a_sigma_whose_square_overflows():
+    # the drift's Ito term and the certificate take sigma^2
+    ok = make_scalar(-1.0, 0.5)
+    assert ok.with_sigma(1e154).sigma == 1e154
+    for sigma in (1.35e154, 1e200, np.finfo(float).max):
+        assert _broken(lambda: ok.with_sigma(sigma)) == {"sigma_overflow"}
+    with pytest.raises(ValueError, match=r"sigma_overflow: sigma\^2 must be a finite float, "
+                                         r"got sigma=1e\+200"):
+        ok.with_sigma(1e200)
+    assert _broken(lambda: ok.with_sigma(np.inf)) == {"non_finite"}
+
+
 def test_validate_checks_the_bank_against_the_sector():
     def codes(bank, sector, deriv):
         return _broken(lambda: LureSystem(a=-np.eye(2), f_gain=np.eye(2), c=np.eye(2),
@@ -181,27 +193,6 @@ def test_loading_a_system_outside_the_class_raises(tmp_path):
         write_json(tmp_path / "bad.json", {**doc, **change})
         with pytest.raises(ValueError, match="not a system of the model class"):
             load_system(tmp_path / "bad.json")
-
-
-def test_augment_block_structure():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    f = np.arange(1.0, 7.0).reshape(2, 3)
-    a_bar, f_bar = augment(a, f, kappa=2.0)
-    expect_a = np.array([[1, 2, 0], [3, 4, 0], [0, 0, -2.0]])
-    expect_f = np.vstack([f, np.zeros((1, 3))])
-    np.testing.assert_array_equal(a_bar, expect_a)
-    np.testing.assert_array_equal(f_bar, expect_f)
-
-
-def test_augment_rejects_narrow_and_bad_kappa():
-    with pytest.raises(ValueError):
-        augment(np.eye(3), np.zeros((3, 2)), 1.0)  # m < n
-    with pytest.raises(ValueError):
-        augment(np.eye(1), np.zeros((1, 1)), 0.0)
-    with pytest.raises(ValueError, match="square"):
-        augment(np.ones((2, 3)), np.zeros((2, 3)), 1.0)
-    with pytest.raises(ValueError, match="one row per physical state"):
-        augment(np.eye(2), np.zeros((3, 3)), 1.0)
 
 
 def test_drift_on_stacked_states():

@@ -17,11 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sarlab.certify as certify_module
 from sarlab import shallow
 from sarlab.certify import KAPPA, CertProblem, certify, paper_form
-from sarlab.lure import (LureSystem, TanhBank, _usable_cores, augment, c_defect,
-                         system_to_dict)
+from sarlab.lure import LureSystem, TanhBank, _usable_cores, c_defect, system_to_dict
 from sarlab.shallow import (ShallowNet, TrainOptions, embed, embedding_to_dict,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
@@ -419,17 +417,44 @@ def slanted_system(units: int):
                       deriv_bounds=one)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0])
-def test_paper_form_raises_augments_kappa_error_first(kappa, monkeypatch):
-    monkeypatch.setattr(certify_module, "KAPPA", kappa)
-    with pytest.raises(ValueError, match="kappa must be > 0"):
-        paper_form(slanted_system(2))
+def test_paper_form_block_structure():
+    # units that read the first two of three coordinates: Q = I and R = I,
+    # so the lift is A and F padded with a fictitious state at -KAPPA
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    f = np.arange(1.0, 7.0).reshape(2, 3)
+    one = np.ones(3)
+    sys = LureSystem(a=a, f_gain=f, c=np.eye(3)[:, :2], sigma=0.0, nonlinearity=TanhBank(one),
+                     sector_slopes=one, deriv_bounds=one)
+    lifted = paper_form(sys)
+    np.testing.assert_array_equal(lifted.a, [[1, 2, 0], [3, 4, 0], [0, 0, -KAPPA]])
+    np.testing.assert_array_equal(lifted.f_gain, np.vstack([f, np.zeros((1, 3))]))
+    np.testing.assert_array_equal(lifted.c, np.eye(3))
 
 
 def test_paper_form_raises_augments_unit_count_error_first():
+    # the unit count is checked before the rank of the directions, which
+    # m < n would also fail
     with pytest.raises(ValueError, match=r"need at least as many nonlinearities as states "
                                          r"\(m=1 < n=2\)"):
         paper_form(slanted_system(1))
+
+
+def test_narrow_and_misshaped_systems_never_reach_a_lift():
+    # a system with fewer units than states is refused by paper_form; a
+    # non-square A or an F without one row per state is not a system at all
+    one = np.ones(2)
+    narrow = LureSystem(a=-np.eye(3), f_gain=np.zeros((3, 2)), c=np.eye(3)[:2],
+                        sigma=0.0, nonlinearity=TanhBank(one), sector_slopes=one,
+                        deriv_bounds=one)
+    with pytest.raises(ValueError, match=r"\(m=2 < n=3\)"):
+        paper_form(narrow)
+    one = np.ones(3)
+    with pytest.raises(ValueError, match=r"dim_a: a must be square"):
+        LureSystem(a=np.ones((2, 3)), f_gain=np.zeros((2, 3)), c=np.eye(3)[:, :2], sigma=0.0,
+                   nonlinearity=TanhBank(one), sector_slopes=one, deriv_bounds=one)
+    with pytest.raises(ValueError, match=r"dim_f_gain: f_gain must be \(2, 3\)"):
+        LureSystem(a=np.eye(2), f_gain=np.zeros((3, 3)), c=np.eye(3)[:, :2], sigma=0.0,
+                   nonlinearity=TanhBank(one), sector_slopes=one, deriv_bounds=one)
 
 
 def test_embed_checks_the_offset_before_the_rank():
@@ -566,9 +591,8 @@ def test_unlifted_embedding_file_is_rejected(tmp_path):
     # C^T C != I, so certify refuses it
     rng = np.random.default_rng(5)
     emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2))
-    a, f_gain = augment(emb.system.a, emb.system.f_gain, KAPPA)
-    c = np.zeros((6, 6))
-    c[:, :2] = emb.system.c
+    a, f_gain, c = -KAPPA * np.eye(6), np.zeros((6, 6)), np.zeros((6, 6))
+    a[:2, :2], f_gain[:2], c[:, :2] = emb.system.a, emb.system.f_gain, emb.system.c
     doc = system_to_dict(replace(emb.system, a=a, f_gain=f_gain, c=c))
     doc.update(offset=emb.offset.tolist(), kappa=KAPPA, n_phys=2)
     f = tmp_path / "old.json"
