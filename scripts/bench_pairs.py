@@ -12,9 +12,11 @@ perfbench/run.py --workload <w> --seed <s> --seconds 30 --trace 0`` runs
 once in each copy, the parent first in the
 1st, 3rd, 5th, ... pair and the working tree first in the others.  The
 metrics each run prints on its last line are summarized per side as medians
-and quartiles (statistics.quantiles, n=4), with the number of pairs in which
-the change read better, and written to ``BENCH_<pr>.json``.  perfbench/ is
-only run, never changed.
+and quartiles (statistics.quantiles, n=4), with the change's median over the
+parent's (change_over_parent) and the number of pairs in which the change
+read better, and written to ``BENCH_<pr>.json``; one line per workload
+prints those two figures for each metric.  perfbench/ is only run, never
+changed.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
     Each pair is {"seed", "parent", "change"}; each side is the last line
     perfbench/run.py printed: {"metrics": {name: {"value", "unit"}},
     "attempted", "failed"}.  A pair counts towards change_better_pairs when
-    the change's value is strictly better; ties count for neither side."""
+    the change's value is strictly better; ties count for neither side.
+    change_over_parent is the change's median divided by the parent's (None
+    when the parent's median is 0)."""
     def quartiles(values: list[float]) -> dict:
         q1, _, q3 = statistics.quantiles(values, n=4)
         return {"q1": q1, "median": statistics.median(values), "q3": q3}
@@ -57,8 +61,10 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         better = sum((c < p) if lower else (c > p)
                      for p, c in zip(values["parent"], values["change"]))
-        metrics[name] = {"unit": pairs[0]["parent"]["metrics"][name]["unit"],
-                         **{side: quartiles(values[side]) for side in SIDES},
+        sides = {side: quartiles(values[side]) for side in SIDES}
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        metrics[name] = {"unit": pairs[0]["parent"]["metrics"][name]["unit"], **sides,
+                         "change_over_parent": change / parent if parent else None,
                          "change_better_pairs": better}
     return {
         "seeds": [p["seed"] for p in pairs],
@@ -71,6 +77,18 @@ def summarize(pairs: list[dict], lower_is_better: dict[str, bool]) -> dict:
                      for side in SIDES}}
                  for p in pairs],
     }
+
+
+def summary_line(workload: str, entry: dict) -> str:
+    """One workload's summary entry as one line: per metric, the change's
+    median over the parent's and the pairs the change won."""
+    def ratio(r):
+        return "n/a" if r is None else f"{r:.3f}"
+
+    metrics = ", ".join(f"{name} x{ratio(m['change_over_parent'])} "
+                        f"({m['change_better_pairs']}/{entry['pairs']} better)"
+                        for name, m in entry["metrics"].items())
+    return f"{workload}: change/parent medians: {metrics}"
 
 
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
@@ -145,6 +163,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {json.dumps(values)}", flush=True)
                 pairs.append(pair)
             out["workloads"][workload] = summarize(pairs, lower)
+            print(summary_line(workload, out["workloads"][workload]), flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

@@ -26,13 +26,14 @@ square system with C^T C = I: `certify` solves a system with m != n in its
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _one_blas_thread, _usable_cores,
-                   c_defect, read_json, write_json)
+from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _frobenius, _one_blas_thread,
+                   _usable_cores, c_defect, read_json, write_json)
 
 __all__ = [
     "SolverOptions",
@@ -50,8 +51,18 @@ __all__ = [
 ]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# the default nu grid, shared read-only by every CertProblem that does not name one
+_NU_GRID = _read_only(np.linspace(0.05, 0.95, 19))
+
+
 def default_nu_grid() -> np.ndarray:
-    return np.linspace(0.05, 0.95, 19)
+    """The default nu grid, linspace(0.05, 0.95, 19), as a fresh writable array."""
+    return _NU_GRID.copy()
 
 
 _MAX_ITERS = 5000            # L-BFGS-B iterations per smoothing level
@@ -75,11 +86,14 @@ class SolverOptions:
             raise ValueError("tol must be > 0")
 
 
+_DEFAULT_OPTIONS = SolverOptions()
+
+
 @dataclass(frozen=True, eq=False)
 class CertProblem:
     sys: LureSystem
-    nu_grid: np.ndarray = field(default_factory=default_nu_grid)
-    options: SolverOptions = field(default_factory=SolverOptions)
+    nu_grid: np.ndarray = field(default_factory=lambda: _NU_GRID)  # read-only when defaulted
+    options: SolverOptions = _DEFAULT_OPTIONS
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,25 +178,31 @@ def _pencil(sys: LureSystem):
     sym_a, cf, ct = a.T + a, c @ f, c.T
     cft = cf.T
     sct = (sys.sector_slopes[:, None] * c).T
-    eye, diag = np.eye(n), np.arange(n)
+    eye = np.eye(n)
+    # N22's diagonal (n + i, n + i), i < n, in the flattened (..., 4 n^2) output
+    diag22 = slice(n * (2 * n + 1), None, 2 * n + 1)
     s2 = sys.sigma ** 2
     delta = sys.deriv_bounds
 
     def matrix(nu, lam, tau) -> np.ndarray:
-        nu = np.asarray(nu)[..., None, None]
+        if not isinstance(nu, float):  # a float broadcasts as it is, with the same bits
+            nu = np.asarray(nu)[..., None, None]
         # C^T Lambda Delta C with diagonal Lambda, Delta
         ctld_c = ct @ ((lam * delta)[..., :, None] * c)
         n11 = nu * (sym_a - s2 * (1.0 - nu) * eye) + s2 * ctld_c
-        shift_t = np.swapaxes(a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye, -1, -2)
+        shift_t = (a - (s2 / 2.0) * (1.0 - nu / 2.0) * eye).swapaxes(-1, -2)
         # n12 carries every leading axis of nu, lam and tau
         n12 = nu * f + shift_t @ (ct * lam[..., None, :]) + sct * tau[..., None, :]
-        diag_tau = np.zeros(tau.shape + (n,))
-        diag_tau[..., diag, diag] = tau
         out = np.empty(n12.shape[:-2] + (2 * n, 2 * n))
         out[..., :n, :n] = n11
         out[..., :n, n:] = n12
-        out[..., n:, :n] = np.swapaxes(n12, -1, -2)
-        out[..., n:, n:] = -2.0 * diag_tau + (lam[..., :, None] * cf) + cft * lam[..., None, :]
+        out[..., n:, :n] = n12.swapaxes(-1, -2)
+        # N22 = (-2 T + Lambda C F) + F^T C^T Lambda: -2 tau_i joins the
+        # diagonal in place (x + -2 tau_i = -2 tau_i + x, and -0.0 + x = x off it)
+        n22 = out[..., n:, n:]
+        n22[...] = lam[..., :, None] * cf
+        out.reshape(out.shape[:-2] + (-1,))[..., diag22] += -2.0 * tau
+        n22 += cft * lam[..., None, :]
         return out
 
     return matrix
@@ -193,8 +213,8 @@ def max_eigenvalue(mat: np.ndarray) -> float:
     as (M + M^T)/2 first and rejected if the asymmetry exceeds 1e-8
     relative to its norm."""
     mat = np.asarray(mat, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    if float(np.linalg.norm(mat - mat.T)) > _ASYM_TOL * scale:
+    scale = max(1.0, _frobenius(mat))
+    if _frobenius(mat - mat.T) > _ASYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return float(_top_eigs(0.5 * (mat + mat.T)))
 
@@ -203,22 +223,44 @@ def max_eigenvalue(mat: np.ndarray) -> float:
 # solver
 
 
+@functools.cache
+def _unit_stack(n: int) -> np.ndarray:
+    """theta = 0, then each unit lambda_i, then each unit tau_i: the rows of
+    a read-only (2n + 1, 2n) array, built once per n."""
+    return _read_only(np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)]))
+
+
+@functools.cache
+def _probe_stack(nparams: int) -> np.ndarray:
+    """theta = 0, then for each eps: eps on the tau family, on both, on the
+    lambda family; the rows of a read-only (16, nparams) array, built once
+    per size."""
+    half = nparams // 2
+    families = np.zeros((3, nparams))
+    families[0, half:] = families[1] = families[2, :half] = 1.0
+    eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    return _read_only(np.vstack([np.zeros((1, nparams)),
+                                 (eps[:, None, None] * families).reshape(-1, nparams)]))
+
+
 def _affine_parts(matrix, units: np.ndarray, nu: float):
     """N(theta) = N0 + sum_p theta_p B_p with theta = (lambda, tau), from a
-    system's :func:`_pencil` and its unit stack: theta = 0, then each unit
-    lambda_i, then each unit tau_i (rows of a (2n + 1, 2n) array)."""
+    system's :func:`_pencil` and its :func:`_unit_stack`."""
     n = units.shape[1] // 2
     mats = matrix(nu, units[:, :n], units[:, n:])
     n0 = mats[0]
     basis = mats[1:] - n0
     n0 = 0.5 * (n0 + n0.T)
-    basis = 0.5 * (basis + np.transpose(basis, (0, 2, 1)))
+    basis = 0.5 * (basis + basis.transpose(0, 2, 1))
     return n0, basis
 
 
 def _top_eigs(mats: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each symmetric matrix of a (..., d, d) stack,
     unchecked: the certificate's one top-eigenvalue routine."""
+    if mats.shape[-1] == 1:
+        # LAPACK's dsyevd returns W(1) = A(1,1) for N = 1
+        return mats[..., 0, 0]
     if mats.shape[-1] == 2:
         # closed form keeps scalar demos cheap
         a, b, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
@@ -253,8 +295,9 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     minimum.
     """
     nparams = basis.shape[0]
-    ref = float(np.linalg.norm(n0)) + 1e-12
-    bnorm = np.linalg.norm(basis.reshape(nparams, -1), axis=1)
+    ref = _frobenius(n0) + 1e-12
+    rows = basis.reshape(nparams, -1)
+    bnorm = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm(rows, axis=1)
     scale = ref / np.maximum(bnorm, 1e-12 * ref)
     sbasis = basis * scale[:, None, None]
     flat = sbasis.reshape(nparams, -1)
@@ -262,17 +305,11 @@ def _solve_fixed_nu(n0: np.ndarray, basis: np.ndarray, opts: SolverOptions,
     def values(phis):
         # one (1, p) @ (p, d*d) product per row, as for a single phi
         mats = n0 + (phis[:, None, :] @ flat).reshape((-1,) + n0.shape)
-        return _top_eigs(0.5 * (mats + np.swapaxes(mats, -1, -2))).tolist()
+        return _top_eigs(0.5 * (mats + mats.swapaxes(-1, -2))).tolist()
 
     exit_level = max(-_FEASIBLE_EXIT_FACTOR * opts.tol, lower_bound + 1e-12 * ref)
 
-    # theta = 0, then for each eps: eps on the tau family, on both, on the lambda family
-    half = nparams // 2
-    families = np.zeros((3, nparams))
-    families[0, half:] = families[1] = families[2, :half] = 1.0
-    eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
-    probes = np.vstack([np.zeros((1, nparams)),
-                        (eps[:, None, None] * families).reshape(-1, nparams)])
+    probes = _probe_stack(nparams)
     scores = values(probes)
     best = 0
     for k, g in enumerate(scores):
@@ -323,9 +360,11 @@ def certify(problem: CertProblem) -> Certificate:
     sys = _square(problem.sys)
     opts = problem.options
     n = sys.n
-    nu_grid = np.atleast_1d(np.asarray(problem.nu_grid, dtype=float))
-    if nu_grid.size == 0 or np.any(nu_grid <= 0.0) or np.any(nu_grid >= 1.0):
-        raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
+    nu_grid = problem.nu_grid
+    if nu_grid is not _NU_GRID:  # the shared default needs no check
+        nu_grid = np.atleast_1d(np.asarray(nu_grid, dtype=float))
+        if nu_grid.size == 0 or not ((nu_grid > 0.0) & (nu_grid < 1.0)).all():
+            raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
 
     defect = c_defect(sys)
     if defect > C_DEFECT_TOL and not opts.allow_nonorthonormal_c:
@@ -338,7 +377,7 @@ def certify(problem: CertProblem) -> Certificate:
     matrix = _pencil(sys)
     top_sym_a = float(_top_eigs(sys.a + sys.a.T))
     # no linear member grows faster than this ceiling; above it the bound cannot settle sigma
-    ceiling = top_sym_a / 2.0 + float(np.linalg.norm(_linear_gain(sys)) * np.linalg.norm(sys.c))
+    ceiling = top_sym_a / 2.0 + _frobenius(_linear_gain(sys)) * _frobenius(sys.c)
     half_s2 = sys.sigma ** 2 / 2.0
     if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
         zeros = np.zeros(n)
@@ -349,13 +388,13 @@ def certify(problem: CertProblem) -> Certificate:
                            margin=float(margins[best]), feasible=False, capped=False,
                            witness="necessity", c_defect=defect)
 
-    units = np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)])
-    bounds = _dual_lower_bound(sys, nu_grid, top_sym_a).tolist()
+    units = _unit_stack(n)
     best = None  # (margin, nu, theta)
     capped = False
-    for nu, bound in zip(nu_grid.tolist(), bounds):
+    for nu in nu_grid.tolist():
         n0, basis = _affine_parts(matrix, units, nu)
-        margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts, bound)
+        margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts,
+                                                 _dual_lower_bound(sys, nu, top_sym_a))
         capped = capped or hit_cap
         if best is None or margin < best[0]:
             best = (margin, nu, theta)
@@ -364,7 +403,7 @@ def certify(problem: CertProblem) -> Certificate:
 
     margin, nu, theta = best
     # the one check of the point whose matrix the certificate reports
-    if theta.shape != (2 * n,) or np.any(theta < 0):
+    if theta.shape != (2 * n,) or (theta < 0).any():
         raise ValueError(f"the search returned a point outside the multiplier cone: {theta}")
     lam, tau = theta[:n].copy(), theta[n:].copy()
     # report the margin of the stored point exactly (reconstruction contract)
@@ -456,7 +495,7 @@ def sigma_sweep(sys: LureSystem, sigmas, nu_grid=None,
     if np.any(np.diff(sigmas) <= 0) and sigmas.size > 1:
         raise ValueError("sigma grid must be strictly ascending")
     if nu_grid is None:
-        nu_grid = default_nu_grid()
+        nu_grid = _NU_GRID
 
     problems = [CertProblem(sys.with_sigma(float(s)), np.asarray(nu_grid)) for s in sigmas]
     certs = list(_fork_map(certify, problems, min(jobs, _usable_cores())))

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -75,11 +76,14 @@ def parse_range(text: str, name: str | None = None) -> np.ndarray:
         a, b, step = (float(t) for t in parts)
     except ValueError as exc:
         raise CliError(f"non-numeric bound in {text!r}") from exc
+    for part, value in (("lower bound", a), ("upper bound", b), ("step", step)):
+        if not math.isfinite(value):
+            raise CliError(f"non-finite {part} in {text!r}")
     if step <= 0:
         raise CliError(f"step must be > 0 in {text!r}")
     try:
         grid = np.arange(a, b + step / 2.0, step)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: the count overflows NumPy's sizes
         raise CliError(f"too many points to allocate in {text!r}") from None
     if grid.size == 0:
         raise CliError(f"empty range {text!r}")
@@ -176,6 +180,15 @@ def _stage(stages: dict, name: str):
         yield
     finally:
         stages[name] = stages.get(name, 0.0) + (time.monotonic() - t)
+
+
+@contextlib.contextmanager
+def _writing(stages: dict, out_dir: Path):
+    """The write_s stage: out_dir is made here, when the first artifact is
+    written, so that an input refused before then leaves no directory."""
+    with _stage(stages, "write_s"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield
 
 
 def _report_divergence(paths: list[SdePath]) -> int:
@@ -353,7 +366,7 @@ def _neuron_trajectory(out_dir: Path, stages: dict, name: str, p: ml.MorrisLecar
         if sigma > 0.0 and not (path.diverged and 2 * path.times.size < window + 1):
             header += ["V_filt", "N_filt"]
             cols += [*lowpass(path.states, window).T]
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         write_csv(out_dir / name, header, cols)
     return path, header
 
@@ -379,7 +392,7 @@ def _approximate(out_dir: Path, stages: dict, p: ml.MorrisLecarParams,
         "state_dim": report.embedding.system.n,
         "units": int(report.embedding.system.m),
     }
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         outputs = _save_fit(out_dir, report)
         write_json(out_dir / "residuals.json", residuals)
     print(f"embedded system: n={report.embedding.system.n}, "
@@ -393,7 +406,7 @@ def _sweep(out_dir: Path, stages: dict, system: LureSystem, sigmas: np.ndarray,
     sweep.csv and sweep.plt (write_s)."""
     with _stage(stages, "sweep_s"):
         results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=jobs)
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         boundary = write_sweep(out_dir, results)
     if boundary is None:
         print(f"no feasible sigma among {sigmas.size} grid points "
@@ -409,7 +422,7 @@ def _certify(out_dir: Path, stages: dict, system: LureSystem,
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
     with _stage(stages, "certify_s"):
         cert = certify(CertProblem(system, **kwargs))
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         save_certificate(cert, out_dir / "certificate.json")
     verdict = "feasible" if cert.feasible else "infeasible"
     print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
@@ -419,7 +432,6 @@ def _certify(out_dir: Path, stages: dict, system: LureSystem,
 def cmd_simulate(args) -> int:
     config = _load_json(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
@@ -457,13 +469,13 @@ def cmd_simulate(args) -> int:
         with _stage(stages, "simulate_s"):
             path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
-        with _stage(stages, "write_s"):
+        with _writing(stages, out_dir):
             write_csv(out_dir / "traj.csv", header, [path.times, *path.states.T])
         title = f"state trajectory, sigma={system.sigma:g}"
     else:
         raise CliError(f"unknown model {model!r} (want ml or lure)")
 
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         (out_dir / "traj.plt").write_text(traj_plot_script("traj.csv", header[1:], title))
     write_manifest(out_dir, "simulate", resolved, {"simulation": seed},
                    calibrated, ["traj.csv", "traj.plt"], t0, stages)
@@ -476,7 +488,6 @@ def cmd_simulate(args) -> int:
 def cmd_approximate(args) -> int:
     config = _load_json(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
@@ -503,7 +514,6 @@ def cmd_approximate(args) -> int:
 def cmd_certify(args) -> int:
     system = _load_cert_target(args.system, args.sigma)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     stages = {"certify_s": 0.0, "write_s": 0.0}
@@ -518,7 +528,6 @@ def cmd_certify(args) -> int:
 def cmd_sweep(args) -> int:
     system = _load_cert_target(args.system)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
 
     stages = {"sweep_s": 0.0, "write_s": 0.0}
@@ -546,7 +555,6 @@ def cmd_reproduce(args) -> int:
     approximate, sweep and certify (fig5) on fixed inputs and seeds."""
     fig, seed = args.figure, args.seed
     out_dir = Path(args.out) / fig
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     stages = {}
     p, calibrated = _calibrate(stages, {}, frozenset(), "reproduce")
@@ -578,7 +586,7 @@ def cmd_reproduce(args) -> int:
     paths = [_neuron_trajectory(out_dir, stages, name, p, ml.DEFAULT_INIT, sim, sigma,
                                 "state", window)[0]
              for name, sigma in runs]
-    with _stage(stages, "write_s"):
+    with _writing(stages, out_dir):
         (out_dir / "traj.plt").write_text(script)
     write_manifest(out_dir, f"reproduce {fig}", config, {"simulation": seed}, calibrated,
                    [name for name, _ in runs] + ["traj.plt"], t0, stages)

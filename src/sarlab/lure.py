@@ -27,6 +27,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 import multiprocessing
 import os
 import warnings
@@ -163,9 +164,17 @@ class LureSystem:
 C_DEFECT_TOL = 1e-9
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F of a float array: the computation np.linalg.norm(x) does
+    (sqrt of the dot of x, flattened in memory order, with itself), without
+    its Python wrapper."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def c_defect(sys: LureSystem) -> float:
     """||C^T C - I||_F, the distance from the certificate hypothesis."""
-    return float(np.linalg.norm(sys.c.T @ sys.c - np.eye(sys.n)))
+    return _frobenius(sys.c.T @ sys.c - np.eye(sys.n))
 
 
 def _broken_rules(sys: LureSystem) -> list[str]:

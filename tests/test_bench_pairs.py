@@ -44,10 +44,10 @@ def test_summary_counts_pairs_the_change_wins(bench_pairs):
     assert run_s["unit"] == "s" and run_s["change_better_pairs"] == 3
     q1, _, q3 = statistics.quantiles(parent_run, n=4)
     assert run_s["parent"] == {"q1": q1, "median": 3.0, "q3": q3}
-    assert run_s["change"]["median"] == 3.0
+    assert run_s["change"]["median"] == 3.0 and run_s["change_over_parent"] == 1.0
     rate = out["metrics"]["verdicts_per_s"]
     assert rate["unit"] == "1/s" and rate["change_better_pairs"] == 3
-    assert rate["change"]["median"] == 30.0
+    assert rate["change"]["median"] == 30.0 and rate["change_over_parent"] == 1.0
     assert out["runs"][1] == {"seed": 101, "first": "change",
                               "parent": {"run_s": 3.0, "verdicts_per_s": 20.0},
                               "change": {"run_s": 3.0, "verdicts_per_s": 19.0}}
@@ -63,3 +63,15 @@ def test_seed_range_is_inclusive(bench_pairs):
     assert bench_pairs.seed_range("2051:2053") == [2051, 2052, 2053]
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.seed_range("5:4")
+
+
+def test_change_over_parent_and_the_summary_line(bench_pairs):
+    pairs = [{"seed": 7 + i, "first": ("parent", "change")[i % 2],
+              "parent": record(p, 0.0), "change": record(c, 0.0)}
+             for i, (p, c) in enumerate([(0.20, 0.12), (0.19, 0.13), (0.21, 0.125)])]
+    out = bench_pairs.summarize(pairs, {"run_s": True, "verdicts_per_s": False})
+    assert out["metrics"]["run_s"]["change_over_parent"] == 0.125 / 0.20
+    assert out["metrics"]["verdicts_per_s"]["change_over_parent"] is None  # parent median 0
+    assert bench_pairs.summary_line("scalar_oracle", out) == (
+        "scalar_oracle: change/parent medians: run_s x0.625 (3/3 better), "
+        "verdicts_per_s xn/a (0/3 better)")

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import sarlab.certify as certify_module
 from conftest import make_scalar
 from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
-                            _pencil, _solve_fixed_nu, _top_eigs, certificate_matrix,
-                            certify, default_nu_grid,
+                            _pencil, _probe_stack, _solve_fixed_nu, _top_eigs, _unit_stack,
+                            certificate_matrix, certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, paper_form, recompute_margin,
                             save_certificate, sigma_sweep)
 from sarlab.cli import write_sweep
-from sarlab.lure import LureSystem, TanhBank, _usable_cores
+from sarlab.lure import LureSystem, TanhBank, _frobenius, _usable_cores
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
 # sigma=1, nu=0.5, lambda=tau=1 assembles to [[-0.25,-0.125],[-0.125,-1]]
@@ -241,6 +241,19 @@ def test_certify_rejects_bad_nu_grid():
         certify(CertProblem(sys, nu_grid=np.array([0.0, 0.5])))
     with pytest.raises(ValueError):
         certify(CertProblem(sys, nu_grid=np.array([])))
+    with pytest.raises(ValueError):
+        certify(CertProblem(sys, nu_grid=np.array([0.5, np.nan])))
+
+
+def test_the_default_nu_grid_is_shared_read_only():
+    problem = CertProblem(make_scalar(0.0, 0.5))
+    assert not problem.nu_grid.flags.writeable
+    assert CertProblem(make_scalar(0.1, 0.2)).nu_grid is problem.nu_grid
+    grid = default_nu_grid()
+    assert grid.flags.writeable
+    assert grid.tobytes() == problem.nu_grid.tobytes() == np.linspace(0.05, 0.95, 19).tobytes()
+    grid[0] = 0.5  # a caller's copy is its own
+    assert problem.nu_grid[0] == 0.05 and default_nu_grid()[0] == 0.05
 
 
 def test_nonorthonormal_c_needs_flag():
@@ -619,6 +632,51 @@ def test_top_eigs_of_a_stack_match_each_matrix(n):
         assert top == top_eig_of_one(sym)
         if n > 1:
             assert top == np.linalg.eigvalsh(sym)[-1]
+
+
+def test_top_eigs_of_1x1_matrices_is_what_lapack_returns():
+    # LAPACK's dsyevd returns W(1) = A(1,1) for N = 1, signed zeros and
+    # subnormals included
+    values = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -1e-160, 1e160, -1e160,
+                       1e300, -1e300])
+    mats = values[:, None, None]
+    want = np.linalg.eigvalsh(mats)[..., -1]
+    assert _top_eigs(mats).tobytes() == want.tobytes() == values.tobytes()
+    for mat, top in zip(mats, want):
+        assert np.asarray(_top_eigs(mat)).tobytes() == top.tobytes()
+        with np.errstate(over="ignore"):  # the symmetry check's norm of 1e300 is inf
+            assert np.float64(max_eigenvalue(mat)).tobytes() == top.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9,), (2, 2), (60, 60)])
+def test_frobenius_is_numpys_norm(shape):
+    rng = np.random.default_rng(shape[0])
+    for _ in range(20):
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-100.0, 100.0, size=shape)
+        assert _frobenius(x) == float(np.linalg.norm(x))
+        assert _frobenius(x.T) == float(np.linalg.norm(x.T))  # not C-contiguous
+        if x.ndim == 2:  # the search's basis row norms
+            assert np.sqrt(np.add.reduce(x * x, axis=1)).tobytes() == \
+                np.linalg.norm(x, axis=1).tobytes()
+
+
+def probe_stack(nparams):
+    """theta = 0, then for each eps the tau family, both, the lambda family."""
+    half, rows = nparams // 2, [np.zeros(nparams)]
+    for eps in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        for family in (slice(half, None), slice(None), slice(0, half)):
+            rows.append(np.zeros(nparams))
+            rows[-1][family] = eps
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_the_cached_stacks_are_read_only_fresh_builds(n):
+    units, probes = _unit_stack(n), _probe_stack(2 * n)
+    assert units is _unit_stack(n) and probes is _probe_stack(2 * n)
+    assert not units.flags.writeable and not probes.flags.writeable
+    assert units.tobytes() == unit_stack(n).tobytes()
+    assert probes.shape == (16, 2 * n) and probes.tobytes() == probe_stack(2 * n).tobytes()
 
 
 @pytest.mark.parametrize("size", [2, 60])

@@ -46,6 +46,20 @@ def test_parse_range_rejects_bad_grids(text):
         cli.parse_range(text, "sigma")
 
 
+# a NaN step passes a `step <= 0` check, and NumPy's arange refuses all four
+NON_FINITE_GRIDS = [("0:inf:1", "non-finite upper bound in '0:inf:1'"),
+                    ("0.5:0.9:inf", "non-finite step in '0.5:0.9:inf'"),
+                    ("nan:1:0.1", "non-finite lower bound in 'nan:1:0.1'"),
+                    ("0:1:nan", "non-finite step in '0:1:nan'")]
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE_GRIDS)
+def test_parse_range_names_a_non_finite_part(text, message):
+    with pytest.raises(cli.CliError) as info:
+        cli.parse_range(text)
+    assert str(info.value) == message
+
+
 def test_odd_window_validation():
     assert cli._odd_window(101) == 101
     for bad in (100, 0, -3):
@@ -165,11 +179,15 @@ GRID_ERRORS = {
                 ("0:x:0.1", "non-numeric bound in '0:x:0.1'"),
                 ("0:1:0", "step must be > 0 in '0:1:0'"),
                 ("-0.5:0.5:0.5", "noise levels must be >= 0, got '-0.5:0.5:0.5'"),
-                ("0:1:1e-13", "too many points to allocate in '0:1:1e-13'")],
+                ("0:1:1e-13", "too many points to allocate in '0:1:1e-13'"),
+                # finite parts whose end b + step/2 overflows to inf
+                ("0:1.7e308:1.7e308", "too many points to allocate in '0:1.7e308:1.7e308'"),
+                *NON_FINITE_GRIDS],
     "--nu-grid": [("0.9:0.1:0.1", "empty range '0.9:0.1:0.1'"),
                   ("::", "non-numeric bound in '::'"),
                   ("0.1:0.9:-0.1", "step must be > 0 in '0.1:0.9:-0.1'"),
-                  ("0.05:0.95:1e-13", "too many points to allocate in '0.05:0.95:1e-13'")],
+                  ("0.05:0.95:1e-13", "too many points to allocate in '0.05:0.95:1e-13'"),
+                  *NON_FINITE_GRIDS],
 }
 GRID_FLAGS = [(["sweep", "x.json"], "--sigma"),
               (["sweep", "x.json", "--sigma", "0.5:0.5:0.1"], "--nu-grid"),
@@ -191,11 +209,12 @@ def test_a_bad_grid_names_its_flag_once(argv, flag, text, message, tmp_path, cap
 def test_sweep_grid_ending_at_a_sigma_whose_square_overflows(scalar_files, pools, tmp_path,
                                                              capsys):
     good, _ = scalar_files
+    out = tmp_path / "out"
     assert cli.main(["sweep", str(good), "--sigma", "0:1e200:5e199", "--jobs", "2",
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(out)]) == 2
     assert "sigma_overflow: sigma" in capsys.readouterr().err
     assert pools == []
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sweep_rejects_empty_and_negative_grids(scalar_files, tmp_path):
@@ -347,7 +366,7 @@ def test_simulate_t_end_beyond_the_machine_is_a_usage_error(model, t_end, messag
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_simulate_bad_noise_mode_is_usage_error(tmp_path):
@@ -540,7 +559,7 @@ def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value,
     out = tmp_path / "out"
     assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_approximate_defaults_are_the_embedding_config(monkeypatch, tmp_path):
