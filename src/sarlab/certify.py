@@ -20,26 +20,27 @@ N is written once, in `_pencil`, which binds a system's constants and
 builds N without checking its arguments; `certificate_matrix` is its
 checks plus the pencil.  `certify` checks its inputs once, at the
 boundary, and then builds every N through one pencil per call.  N needs a
-square system with C^T C = I: `certify` solves a system with m != n in its
-`paper_form`.
+square system with C^T C = I: `certify` solves every system in its
+`paper_form`, which meets that hypothesis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lure import (C_DEFECT_TOL, LureSystem, _fork_map, _frobenius, _one_blas_thread,
-                   _usable_cores, c_defect, read_json, write_json)
+from .lure import LureSystem, _fork_map, _one_blas_thread, _usable_cores, read_json, write_json
 
 __all__ = [
     "SolverOptions",
     "CertProblem",
     "Certificate",
     "default_nu_grid",
+    "c_defect",
     "paper_form",
     "certificate_matrix",
     "max_eigenvalue",
@@ -70,12 +71,16 @@ _FEASIBLE_EXIT_FACTOR = 10.0  # a search exits once its margin drops below -fact
 _ASYM_TOL = 1e-8             # relative asymmetry max_eigenvalue accepts
 _NECESSITY_CORNERS = 200     # random theta corners linear_necessity_bound tries
 KAPPA = 1.0                  # decay rate of the fictitious states paper_form adds
+# the certificate hypothesis C^T C = I holds when ||C^T C - I||_F is at most this
+C_DEFECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the feasibility search.  The search is deterministic:
-    `seed` is accepted for compatibility and ignored."""
+    """Knobs for the feasibility search.  `seed` and
+    `allow_nonorthonormal_c` are accepted for compatibility and ignored: the
+    search draws no random numbers, and certify lifts every system outside
+    C^T C = I into its paper_form."""
 
     tol: float = 1e-8           # feasible iff margin < -tol (absolute)
     seed: int = 0
@@ -110,16 +115,40 @@ class Certificate:
     feasible: bool
     capped: bool
     witness: str
-    c_defect: float  # ||C^T C - I||_F; above C_DEFECT_TOL, outside the theorem
+    c_defect: float  # ||C^T C - I||_F of the paper_form certified
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F of a float array: the computation np.linalg.norm(x) does
+    (sqrt of the dot of x, flattened in memory order, with itself), without
+    its Python wrapper."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def c_defect(sys: LureSystem) -> float:
+    """||C^T C - I||_F, the distance from the certificate hypothesis."""
+    return _frobenius(sys.c.T @ sys.c - np.eye(sys.n))
 
 
 def paper_form(sys: LureSystem) -> LureSystem:
-    """The paper's square form of a system with m >= n units of rank n, on
-    the state [R z; 0]: m - n fictitious states decaying at -KAPPA, with
-    zero rows of F, and, with sys.c = Q[:, :n] R a complete QR, C = Q (so
-    C^T C = I) and the physical blocks R A R^-1 and R F.  Each unit reads
-    C [R z; 0] = sys.c z, and the fictitious states stay 0."""
+    """The paper's square form (C^T C = I) of a system with m >= n units of
+    rank n: sys itself when square with c_defect at most C_DEFECT_TOL, else
+    its lift to the state [R z; 0]: m - n fictitious states decaying at
+    -KAPPA, with zero rows of F, and, with sys.c = Q[:, :n] R a complete QR,
+    C = Q and the physical blocks R A R^-1 and R F.  Each unit reads
+    C [R z; 0] = sys.c z, and the fictitious states stay 0; a square system
+    gains none, and y = R z keeps its sector data and its noise."""
+    return _paper_form(sys)[0]
+
+
+def _paper_form(sys: LureSystem) -> tuple[LureSystem, float]:
+    """paper_form(sys) and its c_defect, computed once."""
     n, m = sys.n, sys.m
+    if m == n:
+        defect = c_defect(sys)
+        if defect <= C_DEFECT_TOL:
+            return sys, defect
     if m < n:
         raise ValueError(f"need at least as many nonlinearities as states (m={m} < n={n})")
     if np.linalg.matrix_rank(sys.c) < n:
@@ -130,14 +159,10 @@ def paper_form(sys: LureSystem) -> LureSystem:
     a_bar[:n, :n] = np.linalg.solve(r.T, (r @ sys.a).T).T
     f_bar = np.zeros((m, m))
     f_bar[:n] = r @ sys.f_gain
-    return LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sys.sigma,
-                      nonlinearity=sys.nonlinearity, sector_slopes=sys.sector_slopes,
-                      deriv_bounds=sys.deriv_bounds)
-
-
-def _square(sys: LureSystem) -> LureSystem:
-    """The system certify solves: sys itself when square, else paper_form(sys)."""
-    return sys if sys.m == sys.n else paper_form(sys)
+    lifted = LureSystem(a=a_bar, f_gain=f_bar, c=q, sigma=sys.sigma,
+                        nonlinearity=sys.nonlinearity, sector_slopes=sys.sector_slopes,
+                        deriv_bounds=sys.deriv_bounds)
+    return lifted, c_defect(lifted)
 
 
 def certificate_matrix(sys: LureSystem, nu, lam, tau) -> np.ndarray:
@@ -213,8 +238,11 @@ def max_eigenvalue(mat: np.ndarray) -> float:
     as (M + M^T)/2 first and rejected if the asymmetry exceeds 1e-8
     relative to its norm."""
     mat = np.asarray(mat, dtype=float)
-    scale = max(1.0, _frobenius(mat))
-    if _frobenius(mat - mat.T) > _ASYM_TOL * scale:
+    judged, norm = mat, _frobenius(mat)
+    if not math.isfinite(norm):  # the norm overflowed: judge M / max |M_ij| instead
+        judged = mat / np.abs(mat).max()
+        norm = _frobenius(judged)
+    if _frobenius(judged - judged.T) > _ASYM_TOL * max(1.0, norm):
         raise ValueError("matrix is not symmetric within tolerance")
     return float(_top_eigs(0.5 * (mat + mat.T)))
 
@@ -356,8 +384,8 @@ def certify(problem: CertProblem) -> Certificate:
     stops at the first feasible nu.  A noise level with sigma^2/2 at most
     the growth rate of `linear_necessity_bound` is infeasible without a
     search (witness "necessity"; lambda = tau = 0 at the best grid nu).
-    A system with m != n is certified, c_defect included, in its paper_form."""
-    sys = _square(problem.sys)
+    Every system is certified, c_defect included, in its paper_form."""
+    sys, defect = _paper_form(problem.sys)
     opts = problem.options
     n = sys.n
     nu_grid = problem.nu_grid
@@ -365,13 +393,6 @@ def certify(problem: CertProblem) -> Certificate:
         nu_grid = np.atleast_1d(np.asarray(nu_grid, dtype=float))
         if nu_grid.size == 0 or not ((nu_grid > 0.0) & (nu_grid < 1.0)).all():
             raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
-
-    defect = c_defect(sys)
-    if defect > C_DEFECT_TOL and not opts.allow_nonorthonormal_c:
-        raise ValueError(
-            f"C^T C deviates from identity by {defect:.3g} (Frobenius); the certificate "
-            "hypothesis does not hold. Pass SolverOptions(allow_nonorthonormal_c=True) "
-            "to proceed anyway.")
 
     # the inputs are checked: from here on N is built through the unchecked pencil
     matrix = _pencil(sys)
@@ -415,7 +436,7 @@ def certify(problem: CertProblem) -> Certificate:
 
 def recompute_margin(sys: LureSystem, cert: Certificate) -> float:
     """lambda_max of N rebuilt from a certificate's stored point, as certify built it."""
-    return max_eigenvalue(certificate_matrix(_square(sys).with_sigma(cert.sigma), cert.nu,
+    return max_eigenvalue(certificate_matrix(paper_form(sys).with_sigma(cert.sigma), cert.nu,
                                              cert.lam, cert.tau))
 
 

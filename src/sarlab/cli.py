@@ -65,6 +65,9 @@ def _load_json(path) -> dict:
         raise CliError(str(exc)) from exc
 
 
+MAX_GRID_POINTS = 10 ** 6  # the most points a grid flag may ask for (8 MB of floats)
+
+
 # name is unused: argparse names the flag before a converter's error.  It
 # stays because perfbench/workloads.py calls parse_range(text, "sigma").
 def parse_range(text: str, name: str | None = None) -> np.ndarray:
@@ -81,10 +84,12 @@ def parse_range(text: str, name: str | None = None) -> np.ndarray:
             raise CliError(f"non-finite {part} in {text!r}")
     if step <= 0:
         raise CliError(f"step must be > 0 in {text!r}")
-    try:
-        grid = np.arange(a, b + step / 2.0, step)
-    except (MemoryError, ValueError):  # ValueError: the count overflows NumPy's sizes
-        raise CliError(f"too many points to allocate in {text!r}") from None
+    # np.arange's length is the ceiling of count; inf when b + step / 2 overflows
+    count = (b + step / 2.0 - a) / step
+    if count > MAX_GRID_POINTS:
+        points = math.ceil(count) if math.isfinite(count) else count
+        raise CliError(f"{text!r} has {points} points, more than {MAX_GRID_POINTS}")
+    grid = np.arange(a, b + step / 2.0, step)
     if grid.size == 0:
         raise CliError(f"empty range {text!r}")
     return grid
@@ -99,18 +104,21 @@ def _sigma_grid(text: str) -> np.ndarray:
 
 
 def _is_number(value) -> bool:
-    """A JSON number a float can hold: a float, or an int (never a bool)
-    no larger than the largest float."""
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                        and abs(value) <= sys.float_info.max)
+    """A finite JSON number a float can hold: a finite float (JSON reads
+    NaN, Infinity and 1e400 as floats too), or an int (never a bool) no
+    larger than the largest float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _config_number(config: dict, key: str, default, kind=float):
     """config[key] (default when absent) as a float, or for kind=int an
-    int; anything but a JSON number of that kind is a usage error."""
+    int; anything but a finite JSON number of that kind is a usage error."""
     value = config.get(key, default)
     if not _is_number(value):
-        raise CliError(f"{key} must be a number, got {value!r}")
+        raise CliError(f"{key} must be a finite number, got {value!r}")
     if kind is int and not float(value).is_integer():
         raise CliError(f"{key} must be an integer, got {value!r}")
     return kind(value)
@@ -123,7 +131,7 @@ def _config_array(config: dict, key: str, default) -> np.ndarray:
     value = config.get(key, default)
     entries = np.asarray(value, dtype=object)  # an entry of ragged lists is a list
     if not all(map(_is_number, entries.flat)):
-        raise CliError(f"{key} must be an array of numbers, got {value!r}")
+        raise CliError(f"{key} must be an array of finite numbers, got {value!r}")
     return entries.astype(float)
 
 
@@ -256,18 +264,13 @@ def _calibrated_iapp(p: ml.MorrisLecarParams) -> float:
 
 
 def _iapp_spec(spec):
-    """A config's i_app: a number, or the string 'calibrate' (scan for the
-    smallest current giving sustained spiking)."""
-    if isinstance(spec, bool):
-        raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
-    if isinstance(spec, str):
-        if spec != "calibrate":
-            raise CliError(f"i_app must be a number or 'calibrate', got {spec!r}")
+    """A config's i_app: a finite number, or the string 'calibrate' (scan
+    for the smallest current giving sustained spiking)."""
+    if spec == "calibrate":
         return spec
-    try:
-        return float(spec)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad i_app: {spec!r}") from exc
+    if not _is_number(spec):
+        raise CliError(f"i_app must be a finite number or 'calibrate', got {spec!r}")
+    return float(spec)
 
 
 def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, float]:
@@ -309,8 +312,8 @@ def _load_cert_target(path, sigma=None) -> LureSystem:
     """A certification target is a bare system JSON or an embedding JSON
     (detected by the offset field), with its noise level replaced by sigma
     when one is given.  A system outside the model class is a usage error
-    that names the rules it breaks; a square user system's C^T C != I
-    passes, and certify then refuses it."""
+    that names the rules it breaks; one with C^T C != I passes, and certify
+    lifts it into its paper_form."""
     doc = _load_json(path)
     try:
         system = load_embedding(path).system if "offset" in doc else load_system(path)
@@ -446,6 +449,8 @@ def cmd_simulate(args) -> int:
 
     if model == "ml":
         sigma = _config_number(config, "sigma", 0.0)
+        if sigma < 0.0:
+            raise CliError(f"sigma must be finite and >= 0, got {sigma!r}")
         noise_mode = resolved["noise_mode"] = args.noise_mode or config.get("noise_mode", "state")
         if noise_mode not in ("state", "current"):
             raise CliError(f"noise_mode must be state or current, got {noise_mode!r}")

@@ -12,11 +12,9 @@ is confined to the sector
 
 and has a bounded slope f_i' < delta_i.  The class is enforced at
 construction: a LureSystem whose data break its rules (see LureSystem)
-cannot be built, so no consumer re-checks them.  C^T C = I is a hypothesis
-of the certificate, not a rule of the class; `c_defect` measures it.  The
-certificate machinery in :mod:`sarlab.certify` consumes only (A, F, C,
-sigma, s, delta); the bank of tanh units is needed for simulation.  The
-module also holds the BLAS thread scope that the L-BFGS-B fits of
+cannot be built, so no consumer re-checks them.  The certificate machinery
+in :mod:`sarlab.certify` consumes only (A, F, C, sigma, s, delta); the bank
+of tanh units is needed for simulation.  The module also holds the BLAS thread scope that the L-BFGS-B fits of
 :mod:`sarlab.shallow` and :mod:`sarlab.certify` run in, and the package's
 one process pool, :func:`_fork_map`.
 """
@@ -27,7 +25,6 @@ import contextlib
 import ctypes
 import functools
 import json
-import math
 import multiprocessing
 import os
 import warnings
@@ -158,23 +155,6 @@ class LureSystem:
         d = x @ self.a.T  # a fresh array, which the sum reuses
         d += self.nonlinearity(x @ self.c.T) @ self.f_gain.T
         return d
-
-
-# the certificate hypothesis C^T C = I holds when ||C^T C - I||_F is at most this
-C_DEFECT_TOL = 1e-9
-
-
-def _frobenius(x: np.ndarray) -> float:
-    """||x||_F of a float array: the computation np.linalg.norm(x) does
-    (sqrt of the dot of x, flattened in memory order, with itself), without
-    its Python wrapper."""
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
-def c_defect(sys: LureSystem) -> float:
-    """||C^T C - I||_F, the distance from the certificate hypothesis."""
-    return _frobenius(sys.c.T @ sys.c - np.eye(sys.n))
 
 
 def _broken_rules(sys: LureSystem) -> list[str]:

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 
 import sarlab.certify as certify_module
 from conftest import make_scalar
-from sarlab.certify import (CertProblem, SolverOptions, _affine_parts, _dual_lower_bound,
-                            _pencil, _probe_stack, _solve_fixed_nu, _top_eigs, _unit_stack,
+from sarlab.certify import (C_DEFECT_TOL, CertProblem, SolverOptions, _affine_parts,
+                            _dual_lower_bound, _frobenius, _pencil, _probe_stack,
+                            _solve_fixed_nu, _top_eigs, _unit_stack, c_defect,
                             certificate_matrix, certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, paper_form, recompute_margin,
                             save_certificate, sigma_sweep)
 from sarlab.cli import write_sweep
-from sarlab.lure import LureSystem, TanhBank, _frobenius, _usable_cores
+from sarlab.lure import LureSystem, TanhBank, _usable_cores
+from test_certificate_bits import certificate_digest
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
 # sigma=1, nu=0.5, lambda=tau=1 assembles to [[-0.25,-0.125],[-0.125,-1]]
@@ -93,10 +95,12 @@ def test_certify_solves_the_paper_form_of_a_wide_system(embedding_report):
         assert recompute_margin(sys, got) == recompute_margin(paper_form(sys), got)
 
 
-def random_system(rng, n):
-    """A square n-state system with random data (C^T C != I)."""
+def random_system(rng, n, orthonormal=False):
+    """A square n-state system with random data (C^T C != I unless orthonormal)."""
     s = rng.uniform(0.1, 3.0, size=n)
     a, f, c = rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    if orthonormal:
+        c = np.linalg.qr(c)[0]
     sigma = float(rng.uniform(0.0, 2.0))
     delta = s * rng.uniform(0.5, 2.0, size=n)
     return LureSystem(a=a, f_gain=f, c=c, sigma=sigma, nonlinearity=TanhBank(np.minimum(s, delta)),
@@ -163,6 +167,17 @@ def test_stacked_certificate_matrix_validates_every_member():
 def test_max_eigenvalue_rejects_asymmetric():
     with pytest.raises(ValueError):
         max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
+def test_max_eigenvalue_judges_a_matrix_whose_norm_overflows(x):
+    # ||M||_F overflows past about 1.3e154, and with it a tolerance relative to it
+    with np.errstate(over="ignore"):
+        for asym in (x, 1e-5 * x):
+            with pytest.raises(ValueError, match="not symmetric"):
+                max_eigenvalue(np.array([[x, asym], [-asym, 0.0]]))
+        sym = np.array([[x, x / 3.0], [x / 3.0, -x]])
+        assert max_eigenvalue(sym) == float(_top_eigs(sym))
 
 
 def test_max_eigenvalue_diag():
@@ -256,14 +271,44 @@ def test_the_default_nu_grid_is_shared_read_only():
     assert problem.nu_grid[0] == 0.05 and default_nu_grid()[0] == 0.05
 
 
-def test_nonorthonormal_c_needs_flag():
+def test_nonorthonormal_c_is_lifted_not_refused():
     sys = make_scalar(-1.0, 0.5, c=2.0)  # C^T C = 4
-    with pytest.raises(ValueError):
-        certify(CertProblem(sys))
-    cert = certify(CertProblem(
-        sys, options=SolverOptions(allow_nonorthonormal_c=True)))
-    assert isinstance(cert.feasible, bool)
-    assert cert.c_defect == 3.0  # the certificate records that it is outside the theorem
+    assert c_defect(sys) == 3.0
+    cert = certify(CertProblem(sys))
+    assert cert.feasible and cert.c_defect <= 1e-12  # the lift meets the hypothesis
+
+
+def test_paper_form_keeps_a_system_already_in_form():
+    for sys in (make_scalar(-1.0, 0.5), make_scalar(0.3, 1.0, c=-1.0),
+                random_system(np.random.default_rng(31), 3, orthonormal=True)):
+        assert paper_form(sys) is sys
+
+
+@pytest.mark.parametrize("c", [2.0, -0.5, 3.0])
+def test_an_off_form_scalar_is_lifted_to_the_closed_form_verdict(c):
+    # y = c x is a change of coordinates: criterion 02's grid keeps its verdicts
+    for a in np.linspace(-1.0, 1.0, 10):
+        for sigma in np.linspace(0.0, 1.5, 10):
+            cert = certify(CertProblem(make_scalar(a, sigma, c=c)))
+            assert cert.feasible == scalar_closed_form(a, sigma), (c, a, sigma)
+            assert cert.c_defect <= 1e-12
+
+
+def test_an_off_form_square_system_is_certified_in_its_paper_form():
+    # certify lifts a square system with C^T C != I, and what the lift
+    # certifies is sound: nothing at or below the linear necessity floor
+    rng = np.random.default_rng(31)
+    feasible = 0
+    for _ in range(200):
+        sys = random_system(rng, int(rng.integers(2, 4))).with_sigma(rng.uniform(0.0, 3.0))
+        got, want = certify(CertProblem(sys)), certify(CertProblem(paper_form(sys)))
+        assert certificate_digest([got]) == certificate_digest([want])
+        assert recompute_margin(sys, got) == got.margin
+        assert got.c_defect <= C_DEFECT_TOL < c_defect(sys)
+        if got.feasible:
+            assert sys.sigma > linear_necessity_bound(sys)[1]
+            feasible += 1
+    assert feasible >= 15, feasible  # 19 of the 200
 
 
 def test_certificate_records_c_defect(tmp_path, embedding_report):

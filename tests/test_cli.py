@@ -53,11 +53,28 @@ NON_FINITE_GRIDS = [("0:inf:1", "non-finite upper bound in '0:inf:1'"),
                     ("0:1:nan", "non-finite step in '0:1:nan'")]
 
 
+# finite grids that NumPy would allocate: 7e7 points take 560 MB
+HUGE_GRIDS = [("1e308:1.7e308:1e300", "'1e308:1.7e308:1e300' has 70000001 points, "
+               "more than 1000000"),
+              ("0:1:1e-6", "'0:1:1e-6' has 1000001 points, more than 1000000")]
+
+
 @pytest.mark.parametrize("text, message", NON_FINITE_GRIDS)
 def test_parse_range_names_a_non_finite_part(text, message):
     with pytest.raises(cli.CliError) as info:
         cli.parse_range(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", HUGE_GRIDS)
+def test_parse_range_names_the_count_of_a_huge_grid(text, message):
+    with pytest.raises(cli.CliError) as info:
+        cli.parse_range(text)
+    assert str(info.value) == message
+
+
+def test_parse_range_takes_a_grid_of_the_most_points():
+    assert cli.parse_range("0:1:1.000001e-6").size == cli.MAX_GRID_POINTS
 
 
 def test_odd_window_validation():
@@ -179,14 +196,16 @@ GRID_ERRORS = {
                 ("0:x:0.1", "non-numeric bound in '0:x:0.1'"),
                 ("0:1:0", "step must be > 0 in '0:1:0'"),
                 ("-0.5:0.5:0.5", "noise levels must be >= 0, got '-0.5:0.5:0.5'"),
-                ("0:1:1e-13", "too many points to allocate in '0:1:1e-13'"),
+                ("0:1:1e-13", "'0:1:1e-13' has 10000000000001 points, more than 1000000"),
                 # finite parts whose end b + step/2 overflows to inf
-                ("0:1.7e308:1.7e308", "too many points to allocate in '0:1.7e308:1.7e308'"),
+                ("0:1.7e308:1.7e308", "'0:1.7e308:1.7e308' has inf points, more than 1000000"),
+                *HUGE_GRIDS,
                 *NON_FINITE_GRIDS],
     "--nu-grid": [("0.9:0.1:0.1", "empty range '0.9:0.1:0.1'"),
                   ("::", "non-numeric bound in '::'"),
                   ("0.1:0.9:-0.1", "step must be > 0 in '0.1:0.9:-0.1'"),
-                  ("0.05:0.95:1e-13", "too many points to allocate in '0.05:0.95:1e-13'"),
+                  ("0.05:0.95:1e-13", "'0.05:0.95:1e-13' has 9000000000001 points, more than 1000000"),
+                  *HUGE_GRIDS,
                   *NON_FINITE_GRIDS],
 }
 GRID_FLAGS = [(["sweep", "x.json"], "--sigma"),
@@ -355,7 +374,7 @@ def test_simulate_bad_model_and_missing_config(tmp_path):
 # JSON reads 1e400 as inf; at dt = 5e-3, t_end = 1e12 records 2e13 samples
 @pytest.mark.parametrize("model", ["ml", "lure"])
 @pytest.mark.parametrize("t_end, message", [
-    ("1e400", r"t_end must be finite, got inf"),
+    ("1e400", r"t_end must be a finite number, got inf"),
     ("1e12", r"t_end=1e\+12 at dt=0.005 records 2\d{13} samples, more than memory can hold")])
 def test_simulate_t_end_beyond_the_machine_is_a_usage_error(model, t_end, message, scalar_files,
                                                             tmp_path, capsys):
@@ -376,6 +395,16 @@ def test_simulate_bad_noise_mode_is_usage_error(tmp_path):
          "t_end": 1.0}))
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_ml_refuses_a_negative_sigma(tmp_path, capsys):
+    # as LureSystem, EmbeddingConfig and sweep --sigma do: it ran an unfiltered noisy path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"i_app": 40, "t_end": 1, "sigma": -1}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sigma must be finite and >= 0, got -1.0\n"
+    assert not out.exists()
 
 
 def test_simulate_lure_validates_the_config_sigma(scalar_files, tmp_path, capsys):
@@ -408,9 +437,10 @@ def test_params_block_with_a_key_it_does_not_read_is_a_usage_error(command, tmp_
 
 @pytest.mark.parametrize("command", ["simulate", "approximate"])
 @pytest.mark.parametrize("i_app, message", [
-    ("calibrated", "i_app must be a number or 'calibrate', got 'calibrated'"),
-    ([40.0], "bad i_app: [40.0]"),
-    (True, "i_app must be a number or 'calibrate', got True")])
+    ("calibrated", "i_app must be a finite number or 'calibrate', got 'calibrated'"),
+    ([40.0], "i_app must be a finite number or 'calibrate', got [40.0]"),
+    (float("nan"), "i_app must be a finite number or 'calibrate', got nan"),
+    (True, "i_app must be a finite number or 'calibrate', got True")])
 def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, i_app, message,
                                                                       tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -429,9 +459,11 @@ def test_i_app_that_is_neither_a_number_nor_calibrate_is_a_usage_error(command, 
         ("approximate", "seed")]],
     *[pytest.param("simulate", "lure", field, id=f"simulate-lure-{field}")
       for field in ("t_end", "dt", "record_stride", "sigma", "seed")]])
-# an integer too large for a float is not a number any field can take
+# an integer too large for a float is not a number any field can take, and
+# JSON's NaN and -Infinity are not finite
 @pytest.mark.parametrize("value", [[1], {"v": 1}, "10", True,
-                                   pytest.param(10 ** 400, id="int-beyond-float")])
+                                   pytest.param(10 ** 400, id="int-beyond-float"),
+                                   float("nan"), float("-inf")])
 def test_non_numeric_config_field_is_a_usage_error(command, model, field, value, scalar_files,
                                                    tmp_path, capsys):
     # a lure config names its system and reads no i_app
@@ -439,8 +471,10 @@ def test_non_numeric_config_field_is_a_usage_error(command, model, field, value,
               else {"i_app": 40.0})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**config, "t_end": 1.0, field: value}))
-    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert f"error: {field} must be a number" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: {field} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, field", [("simulate", "record_stride"),
@@ -510,7 +544,8 @@ def test_lure_simulate_config_key_it_does_not_read_is_a_usage_error(scalar_files
 
 @pytest.mark.parametrize("model, x0", [("ml", ["-52.14", 0.02]), ("ml", [-52.14, True]),
                                        ("ml", "-52.14"), ("lure", ["1.0"]), ("lure", [True]),
-                                       ("ml", [10 ** 400, 0.02]), ("lure", [10 ** 400])])
+                                       ("ml", [10 ** 400, 0.02]), ("lure", [10 ** 400]),
+                                       ("ml", [float("nan"), 0.02]), ("lure", [float("inf")])])
 def test_config_x0_that_is_not_numbers_is_a_usage_error(model, x0, scalar_files, monkeypatch,
                                                         tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -527,8 +562,8 @@ def test_config_x0_that_is_not_numbers_is_a_usage_error(model, x0, scalar_files,
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert f"error: x0 must be an array of numbers, got {x0!r}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert f"error: x0 must be an array of finite numbers, got {x0!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- approximate --------------------------------------------------------------
@@ -545,7 +580,8 @@ def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0, got -0.5"),
-    ("sigma", float("nan"), "sigma must be finite and >= 0, got nan")])
+    # JSON's NaN is not a finite number, which the config reader checks first
+    ("sigma", float("nan"), "sigma must be a finite number, got nan")])
 def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value, message,
                                                                   monkeypatch, tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -773,7 +809,8 @@ def test_reproduce_fig5_artifacts_are_the_commands_artifacts(embedding_report, m
 
 def test_certify_rejects_an_unlifted_embedding_file(embedding_report, tmp_path, capsys):
     # an embedding file written when embed padded the state but did not yet
-    # rotate it: a square system with C = [D 0], so C^T C != I
+    # rotate it: a square system with C = [D 0], whose units read only 2 of
+    # its states, so it has no paper form
     emb = embedding_report.embedding
     m = emb.system.m
     a, f, c = -np.eye(m), np.zeros((m, m)), np.zeros((m, m))
@@ -784,7 +821,8 @@ def test_certify_rejects_an_unlifted_embedding_file(embedding_report, tmp_path, 
     path.write_text(json.dumps(doc))
     rc = cli.main(["certify", str(path), "--sigma", "0.85", "--out", str(tmp_path / "cert")])
     assert rc == 2
-    assert "error: C^T C deviates from identity" in capsys.readouterr().err
+    assert (f"error: the unit directions span fewer than {m} dimensions"
+            in capsys.readouterr().err)
     assert not (tmp_path / "cert" / "certificate.json").exists()
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from sarlab import morris_lecar as ml
-from sarlab.certify import paper_form
+from sarlab.certify import c_defect, paper_form
 from sarlab.embedding import EmbeddingConfig, build_embedding, model_rhs, simulate_embedded
-from sarlab.lure import c_defect
 from sarlab.sde import SimConfig, simulate
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scalar
 from sarlab import lure
+from sarlab.certify import C_DEFECT_TOL, c_defect
 from sarlab.lure import (LureSystem, TanhBank, get_nonlinearity, load_system,
                          read_json, save_system, system_from_dict, system_to_dict, write_json)
 
@@ -134,15 +135,15 @@ def test_validate_sign_errors():
     assert "bad_deriv_bound" in _broken(lambda: make_scalar(-1.0, 0.5, delta=0.0))
 
 
-def test_validate_orthonormality_warning():
+def test_a_system_outside_the_certificate_hypothesis_is_built():
     # two units reading the same scalar state: C^T C = 2 != 1.  That breaks
     # the certificate's hypothesis, not the model class: the system is built
     bank = TanhBank(np.ones(2))
     sys = LureSystem(a=np.array([[-1.0]]), f_gain=np.zeros((1, 2)),
                      c=np.array([[1.0], [1.0]]), sigma=0.0, nonlinearity=bank,
                      sector_slopes=np.ones(2), deriv_bounds=np.ones(2))
-    assert lure.c_defect(sys) == pytest.approx(1.0)  # ||diag(2)-1||_F over 1x1 block
-    assert lure.c_defect(sys) > lure.C_DEFECT_TOL
+    assert c_defect(sys) == pytest.approx(1.0)  # ||diag(2)-1||_F over 1x1 block
+    assert c_defect(sys) > C_DEFECT_TOL
 
 
 def test_validate_flags_non_finite_data():

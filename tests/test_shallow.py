@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sarlab import shallow
-from sarlab.certify import KAPPA, CertProblem, certify, paper_form
-from sarlab.lure import LureSystem, TanhBank, _usable_cores, c_defect, system_to_dict
+from sarlab.certify import KAPPA, CertProblem, c_defect, certify, paper_form
+from sarlab.lure import LureSystem, TanhBank, _usable_cores, system_to_dict
 from sarlab.shallow import (ShallowNet, TrainOptions, embed, embedding_to_dict,
                             extract_bounds, load_embedding, load_net,
                             loss_and_grad, save_embedding, save_net, train)
@@ -588,7 +588,7 @@ def test_loss_is_half_mean_squared_error(seed):
 def test_unlifted_embedding_file_is_rejected(tmp_path):
     # a file written before embed lifted its output basis: C = [D 0] on the
     # padded state, no lift.  It loads as the square system it holds, whose
-    # C^T C != I, so certify refuses it
+    # units read only 2 of its 6 states, so certify cannot lift it
     rng = np.random.default_rng(5)
     emb = embed([random_vanishing_net(rng, 2, 6)], [np.eye(2)], -np.eye(2))
     a, f_gain, c = -KAPPA * np.eye(6), np.zeros((6, 6)), np.zeros((6, 6))
@@ -599,7 +599,7 @@ def test_unlifted_embedding_file_is_rejected(tmp_path):
     f.write_text(json.dumps(doc))
     old = load_embedding(f).system
     assert old.n == old.m == 6
-    with pytest.raises(ValueError, match=r"C\^T C deviates from identity"):
+    with pytest.raises(ValueError, match="the unit directions span fewer than 6 dimensions"):
         certify(CertProblem(old))
 
 
