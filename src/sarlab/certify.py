@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .lure import LureSystem, _fork_map, _one_blas_thread, _usable_cores, read_json, write_json
+from .lure import (LureSystem, _fork_map, _frozen, _one_blas_thread, _usable_cores, read_json,
+                   write_json)
 
 __all__ = [
     "SolverOptions",
@@ -52,13 +53,8 @@ __all__ = [
 ]
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 # the default nu grid, shared read-only by every CertProblem that does not name one
-_NU_GRID = _read_only(np.linspace(0.05, 0.95, 19))
+_NU_GRID = _frozen(np.linspace(0.05, 0.95, 19))
 
 
 def default_nu_grid() -> np.ndarray:
@@ -234,15 +230,18 @@ def _pencil(sys: LureSystem):
 
 
 def max_eigenvalue(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix; the input is symmetrized
-    as (M + M^T)/2 first and rejected if the asymmetry exceeds 1e-8
-    relative to its norm."""
+    """Largest eigenvalue of a symmetric matrix of finite entries; the
+    input is symmetrized as (M + M^T)/2 first and rejected if the asymmetry
+    exceeds 1e-8 relative to its norm."""
     mat = np.asarray(mat, dtype=float)
-    judged, norm = mat, _frobenius(mat)
-    if not math.isfinite(norm):  # the norm overflowed: judge M / max |M_ij| instead
-        judged = mat / np.abs(mat).max()
-        norm = _frobenius(judged)
-    if _frobenius(judged - judged.T) > _ASYM_TOL * max(1.0, norm):
+    norm = _frobenius(mat)
+    if not math.isfinite(norm):
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has a non-finite entry")
+        # the norm overflowed: judge M / s, s = max |M_ij|, and scale its top eigenvalue back
+        scale = np.abs(mat).max()
+        return float(scale * max_eigenvalue(mat / scale))
+    if _frobenius(mat - mat.T) > _ASYM_TOL * max(1.0, norm):
         raise ValueError("matrix is not symmetric within tolerance")
     return float(_top_eigs(0.5 * (mat + mat.T)))
 
@@ -255,7 +254,7 @@ def max_eigenvalue(mat: np.ndarray) -> float:
 def _unit_stack(n: int) -> np.ndarray:
     """theta = 0, then each unit lambda_i, then each unit tau_i: the rows of
     a read-only (2n + 1, 2n) array, built once per n."""
-    return _read_only(np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)]))
+    return _frozen(np.vstack([np.zeros((1, 2 * n)), np.eye(2 * n)]))
 
 
 @functools.cache
@@ -267,8 +266,8 @@ def _probe_stack(nparams: int) -> np.ndarray:
     families = np.zeros((3, nparams))
     families[0, half:] = families[1] = families[2, :half] = 1.0
     eps = np.array([1e-8, 1e-6, 1e-4, 1e-2, 1.0])
-    return _read_only(np.vstack([np.zeros((1, nparams)),
-                                 (eps[:, None, None] * families).reshape(-1, nparams)]))
+    return _frozen(np.vstack([np.zeros((1, nparams)),
+                              (eps[:, None, None] * families).reshape(-1, nparams)]))
 
 
 def _affine_parts(matrix, units: np.ndarray, nu: float):

@@ -1,11 +1,11 @@
 """Command-line front end: simulate, approximate, certify, sweep, reproduce.
 
 Artifacts are CSV files plus generated gnuplot scripts, never rendered
-images.  Every command writes a manifest.json recording the resolved
-configuration, the seeds, any calibrated values, the tool version, the
-produced files, the wall time and the seconds per stage; reproduce runs
-the commands' own cores on fixed inputs (simulate's for fig3 and fig4,
-approximate's, sweep's and certify's for fig5).
+images.  One run record (_Run) per command writes its files and its
+manifest.json, which records the resolved configuration, the seeds, any
+calibrated values, the tool version, the files written in order, the wall
+time and the seconds per stage.  reproduce runs the commands' own cores on fixed inputs (simulate's
+for fig3 and fig4, approximate's, sweep's and certify's for fig5).
 CSV output is a pure function of (config, seed, version): rerunning a
 command reproduces the data files byte for byte.  All numeric CSV fields
 use %.17g.
@@ -56,13 +56,12 @@ def _fmt(x: float) -> str:
 
 
 def _load_json(path) -> dict:
-    """read_json, with an unreadable or malformed file a usage error."""
+    """read_json, with an unreadable file a usage error (main reports a
+    malformed one's ValueError the same way)."""
     try:
         return read_json(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 MAX_GRID_POINTS = 10 ** 6  # the most points a grid flag may ask for (8 MB of floats)
@@ -160,43 +159,48 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
-                   calibrated: dict | None, outputs: list[str], t0: float,
-                   stages: dict) -> None:
-    """manifest.json; stages maps a stage name to its seconds."""
-    doc = {
-        "command": command,
-        "config": config,
-        "seeds": seeds,
-        "calibrated": calibrated,
-        "version": __version__,
-        "outputs": outputs,
-        "wall_time_s": time.monotonic() - t0,
-        "stages": stages,
-    }
-    missing = [o for o in outputs if not (out_dir / o).is_file()]
-    if missing:
-        raise RuntimeError(f"manifest lists missing outputs: {missing}")
-    write_json(out_dir / "manifest.json", doc)
+class _Run:
+    """One command's run: its output directory, the seconds per stage (in
+    the order of stages) and the files written, in the order written.  The
+    directory is made at the first write, so that an input refused before
+    then leaves none."""
 
+    def __init__(self, out_dir, stages: tuple[str, ...]):
+        self.out_dir = Path(out_dir)
+        self.t0 = time.monotonic()
+        self.stages = dict.fromkeys(stages, 0.0)
+        self.outputs: list[str] = []
 
-@contextlib.contextmanager
-def _stage(stages: dict, name: str):
-    """Add the seconds spent in the with-block to stages[name]."""
-    t = time.monotonic()
-    try:
-        yield
-    finally:
-        stages[name] = stages.get(name, 0.0) + (time.monotonic() - t)
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Add the seconds spent in the with-block to the stage name."""
+        t = time.monotonic()
+        try:
+            yield
+        finally:
+            self.stages[name] += time.monotonic() - t
 
+    def write(self, name: str, writer) -> None:
+        """writer(path) on the output file name (write_s), recorded as written."""
+        with self.stage("write_s"):
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            writer(self.out_dir / name)
+        self.outputs.append(name)
 
-@contextlib.contextmanager
-def _writing(stages: dict, out_dir: Path):
-    """The write_s stage: out_dir is made here, when the first artifact is
-    written, so that an input refused before then leaves no directory."""
-    with _stage(stages, "write_s"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        yield
+    def manifest(self, command: str, config: dict, seeds: dict,
+                 calibrated: dict | None) -> None:
+        """manifest.json: the run's inputs, the files it wrote, its wall time
+        and its seconds per stage."""
+        write_json(self.out_dir / "manifest.json", {
+            "command": command,
+            "config": config,
+            "seeds": seeds,
+            "calibrated": calibrated,
+            "version": __version__,
+            "outputs": self.outputs,
+            "wall_time_s": time.monotonic() - self.t0,
+            "stages": self.stages,
+        })
 
 
 def _report_divergence(paths: list[SdePath]) -> int:
@@ -228,12 +232,13 @@ def traj_plot_script(csv_name: str, columns: list[str], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep(out_dir: Path, results) -> float | None:
+def write_sweep(run: _Run, results) -> float | None:
     """Write sweep.csv (`sigma,margin,feasible` rows, feasible as 0/1) and
     sweep.plt, which marks the first feasible sigma; return it (or None)."""
-    write_csv(out_dir / "sweep.csv", ["sigma", "margin", "feasible"],
-              [[s for s, _ in results], [c.margin for _, c in results],
-               [c.feasible for _, c in results]])
+    run.write("sweep.csv", lambda path: write_csv(
+        path, ["sigma", "margin", "feasible"],
+        [[s for s, _ in results], [c.margin for _, c in results],
+         [c.feasible for _, c in results]]))
     boundary = next((s for s, cert in results if cert.feasible), None)
     lines = [
         "set datafile separator ','",
@@ -251,7 +256,7 @@ def write_sweep(out_dir: Path, results) -> float | None:
     else:
         lines.append("# no feasible sigma on the sweep grid; no boundary to mark")
     lines.append("plot 'sweep.csv' using 1:2 with linespoints, zero(x) with lines dashtype 3 title ''")
-    (out_dir / "sweep.plt").write_text("\n".join(lines) + "\n")
+    run.write("sweep.plt", lambda path: path.write_text("\n".join(lines) + "\n"))
     return boundary
 
 
@@ -261,23 +266,6 @@ def _calibrated_iapp(p: ml.MorrisLecarParams) -> float:
     process (reproduce_all resolves the same current for three figures; a
     process sees one or a few parameter sets)."""
     return ml.calibrate_iapp(p)
-
-
-def _iapp_spec(spec):
-    """A config's i_app: a finite number, or the string 'calibrate' (scan
-    for the smallest current giving sustained spiking)."""
-    if spec == "calibrate":
-        return spec
-    if not _is_number(spec):
-        raise CliError(f"i_app must be a finite number or 'calibrate', got {spec!r}")
-    return float(spec)
-
-
-def _resolve_iapp(p: ml.MorrisLecarParams, spec) -> tuple[ml.MorrisLecarParams, float]:
-    """p with the current that a checked i_app spec (see _iapp_spec) names,
-    and that current."""
-    value = _calibrated_iapp(p) if spec == "calibrate" else spec
-    return p.with_iapp(value), value
 
 
 def _ml_params(config: dict) -> ml.MorrisLecarParams:
@@ -322,68 +310,67 @@ def _load_cert_target(path, sigma=None) -> LureSystem:
     return system if sigma is None else system.with_sigma(sigma)
 
 
-def _save_fit(out_dir: Path, report: EmbeddingReport) -> list[str]:
+def _save_fit(run: _Run, report: EmbeddingReport) -> None:
     """Write the channel nets, the embedding and the training losses (one
-    row per L-BFGS iteration); return the file names."""
-    outputs = []
+    row per L-BFGS iteration)."""
     for name, net in zip(CHANNEL_NAMES, report.nets):
-        fname = f"net_{name}.json"
-        save_net(net, out_dir / fname)
-        outputs.append(fname)
-    save_embedding(report.embedding, out_dir / "embedding.json")
+        run.write(f"net_{name}.json", functools.partial(save_net, net))
+    run.write("embedding.json", functools.partial(save_embedding, report.embedding))
     epochs = np.arange(1, report.loss_histories.shape[1] + 1)
-    write_csv(out_dir / "loss.csv", ["epoch", *CHANNELS], [epochs, *report.loss_histories])
-    return outputs + ["embedding.json", "loss.csv"]
+    run.write("loss.csv", lambda path: write_csv(path, ["epoch", *CHANNELS],
+                                                 [epochs, *report.loss_histories]))
 
 
 # ---------------------------------------------------------------------------
 # commands: each cmd_* reads its arguments and config, then runs a core that
-# computes its artifacts, writes them into out_dir, adds its seconds to
-# stages and prints its summary line
+# computes its artifacts, writes them through the command's run, which times
+# its stages, and prints its summary line
 
-def _calibrate(stages: dict, config: dict, known: frozenset,
+def _calibrate(run: _Run, config: dict, known: frozenset,
                reader: str) -> tuple[ml.MorrisLecarParams, dict]:
     """The config's neuron parameters with its i_app resolved (calibrate_s),
-    and the calibrated values for the manifest.  The params block and i_app
-    are checked first, then any key outside known is a usage error (see
-    _reject_unknown_keys), before the calibration runs."""
+    and the calibrated values for the manifest.  i_app is a finite number or
+    'calibrate' (the default: scan for the smallest current giving sustained
+    spiking).  The params block and i_app are checked first, then any key
+    outside known is a usage error (see _reject_unknown_keys), before the
+    calibration runs."""
     p = _ml_params(config)
-    spec = _iapp_spec(config.get("i_app", "calibrate"))
+    i_app = config.get("i_app", "calibrate")
+    if i_app != "calibrate" and not _is_number(i_app):
+        raise CliError(f"i_app must be a finite number or 'calibrate', got {i_app!r}")
     _reject_unknown_keys(config, known, reader)
-    with _stage(stages, "calibrate_s"):
-        p, i_app = _resolve_iapp(p, spec)
+    with run.stage("calibrate_s"):
+        i_app = _calibrated_iapp(p) if i_app == "calibrate" else float(i_app)
+    p = p.with_iapp(i_app)
     return p, {"i_app": i_app, "v2": p.v2}
 
 
-def _neuron_trajectory(out_dir: Path, stages: dict, name: str, p: ml.MorrisLecarParams,
-                       x0, sim: SimConfig, sigma: float, noise_mode: str,
+def _neuron_trajectory(run: _Run, name: str, p: ml.MorrisLecarParams, x0, sim: SimConfig,
+                       sigma: float, noise_mode: str,
                        window: int | None) -> tuple[SdePath, list[str]]:
     """simulate's neuron core: one path (simulate_s), written to name
     (write_s) as t,V,N plus, when sigma > 0, V_filt,N_filt, its moving
     average over window samples.  A path that diverged before it had
     (window + 1) / 2 finite samples is too short to filter and is written
     as t,V,N.  Returns the path and the CSV header."""
-    with _stage(stages, "simulate_s"):
+    with run.stage("simulate_s"):
         path = ml.simulate_ml(p, x0, sim, sigma=sigma, noise_mode=noise_mode)
         header, cols = ["t", "V", "N"], [path.times, *path.states.T]
         if sigma > 0.0 and not (path.diverged and 2 * path.times.size < window + 1):
             header += ["V_filt", "N_filt"]
             cols += [*lowpass(path.states, window).T]
-    with _writing(stages, out_dir):
-        write_csv(out_dir / name, header, cols)
+    run.write(name, lambda out: write_csv(out, header, cols))
     return path, header
 
 
-def _approximate(out_dir: Path, stages: dict, p: ml.MorrisLecarParams,
-                 ecfg: EmbeddingConfig) -> tuple[EmbeddingReport, list[str]]:
+def _approximate(run: _Run, p: ml.MorrisLecarParams, ecfg: EmbeddingConfig) -> EmbeddingReport:
     """approximate's core: fit and embed (fit_s), then write the fit and
-    residuals.json (write_s).  Returns the report and the written file
-    names, none when training diverged."""
-    with _stage(stages, "fit_s"):
+    residuals.json (write_s), unless training diverged.  Returns the report."""
+    with run.stage("fit_s"):
         report = build_embedding(p, ecfg)
     if report.diverged:
         print("training diverged (non-finite loss); no embedding written", file=sys.stderr)
-        return report, []
+        return report
     rng_pct = 100.0 * report.channel_rms / report.channel_range
     residuals = {
         "channel_rms": report.channel_rms.tolist(),
@@ -395,22 +382,20 @@ def _approximate(out_dir: Path, stages: dict, p: ml.MorrisLecarParams,
         "state_dim": report.embedding.system.n,
         "units": int(report.embedding.system.m),
     }
-    with _writing(stages, out_dir):
-        outputs = _save_fit(out_dir, report)
-        write_json(out_dir / "residuals.json", residuals)
+    _save_fit(run, report)
+    run.write("residuals.json", lambda path: write_json(path, residuals))
     print(f"embedded system: n={report.embedding.system.n}, "
           f"channel RMS % of range: {np.array2string(rng_pct, precision=3)}")
-    return report, outputs + ["residuals.json"]
+    return report
 
 
-def _sweep(out_dir: Path, stages: dict, system: LureSystem, sigmas: np.ndarray,
+def _sweep(run: _Run, system: LureSystem, sigmas: np.ndarray,
            nu_grid: np.ndarray | None, jobs: int) -> None:
     """sweep's core: certify system at each sigma (sweep_s), then write
     sweep.csv and sweep.plt (write_s)."""
-    with _stage(stages, "sweep_s"):
+    with run.stage("sweep_s"):
         results = sigma_sweep(system, sigmas, nu_grid=nu_grid, jobs=jobs)
-    with _writing(stages, out_dir):
-        boundary = write_sweep(out_dir, results)
+    boundary = write_sweep(run, results)
     if boundary is None:
         print(f"no feasible sigma among {sigmas.size} grid points "
               f"(best margin {min(c.margin for _, c in results):.6g})")
@@ -418,15 +403,13 @@ def _sweep(out_dir: Path, stages: dict, system: LureSystem, sigmas: np.ndarray,
         print(f"first feasible sigma: {boundary:g}")
 
 
-def _certify(out_dir: Path, stages: dict, system: LureSystem,
-             nu_grid: np.ndarray | None = None) -> Certificate:
+def _certify(run: _Run, system: LureSystem, nu_grid: np.ndarray | None = None) -> Certificate:
     """certify's core: the certificate search (certify_s), then
     certificate.json (write_s)."""
     kwargs = {} if nu_grid is None else {"nu_grid": nu_grid}
-    with _stage(stages, "certify_s"):
+    with run.stage("certify_s"):
         cert = certify(CertProblem(system, **kwargs))
-    with _writing(stages, out_dir):
-        save_certificate(cert, out_dir / "certificate.json")
+    run.write("certificate.json", functools.partial(save_certificate, cert))
     verdict = "feasible" if cert.feasible else "infeasible"
     print(f"sigma={system.sigma:g}: {verdict}, margin={cert.margin:.6g}, nu={cert.nu:g}")
     return cert
@@ -434,8 +417,7 @@ def _certify(out_dir: Path, stages: dict, system: LureSystem,
 
 def cmd_simulate(args) -> int:
     config = _load_json(args.config)
-    out_dir = Path(args.out)
-    t0 = time.monotonic()
+    run = _Run(args.out, ("calibrate_s", "simulate_s", "write_s"))
 
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
     sim = SimConfig(t_end=_config_number(config, "t_end", 500.0),
@@ -445,7 +427,6 @@ def cmd_simulate(args) -> int:
     model = config.get("model", "ml")
     resolved = dict(config, seed=seed)
     calibrated = None
-    stages = {"calibrate_s": 0.0, "simulate_s": 0.0, "write_s": 0.0}
 
     if model == "ml":
         sigma = _config_number(config, "sigma", 0.0)
@@ -459,10 +440,8 @@ def cmd_simulate(args) -> int:
         if sigma > 0.0:
             resolved["filter_window"] = window
         x0 = _config_array(config, "x0", ml.DEFAULT_INIT.tolist())
-        p, calibrated = _calibrate(stages, config, SIMULATE_KEYS[model],
-                                   "simulate with model 'ml'")
-        path, header = _neuron_trajectory(out_dir, stages, "traj.csv", p, x0, sim, sigma,
-                                          noise_mode, window)
+        p, calibrated = _calibrate(run, config, SIMULATE_KEYS[model], "simulate with model 'ml'")
+        path, header = _neuron_trajectory(run, "traj.csv", p, x0, sim, sigma, noise_mode, window)
         title = f"membrane trajectory, sigma={sigma:g}, mode={noise_mode}"
     elif model == "lure":
         if "system" not in config:
@@ -471,29 +450,26 @@ def cmd_simulate(args) -> int:
         _reject_unknown_keys(config, SIMULATE_KEYS[model], "simulate with model 'lure'")
         system = _load_cert_target(config["system"], sigma)
         x0 = _config_array(config, "x0", np.zeros(system.n))
-        with _stage(stages, "simulate_s"):
+        with run.stage("simulate_s"):
             path = simulate(system, x0, sim)
         header = ["t"] + [f"x{i + 1}" for i in range(system.n)]
-        with _writing(stages, out_dir):
-            write_csv(out_dir / "traj.csv", header, [path.times, *path.states.T])
+        run.write("traj.csv", lambda out: write_csv(out, header, [path.times, *path.states.T]))
         title = f"state trajectory, sigma={system.sigma:g}"
     else:
         raise CliError(f"unknown model {model!r} (want ml or lure)")
 
-    with _writing(stages, out_dir):
-        (out_dir / "traj.plt").write_text(traj_plot_script("traj.csv", header[1:], title))
-    write_manifest(out_dir, "simulate", resolved, {"simulation": seed},
-                   calibrated, ["traj.csv", "traj.plt"], t0, stages)
+    script = traj_plot_script("traj.csv", header[1:], title)
+    run.write("traj.plt", lambda out: out.write_text(script))
+    run.manifest("simulate", resolved, {"simulation": seed}, calibrated)
     if _report_divergence([path]):
         return 3
-    print(f"wrote {out_dir / 'traj.csv'} ({path.times.size} samples)")
+    print(f"wrote {run.out_dir / 'traj.csv'} ({path.times.size} samples)")
     return 0
 
 
 def cmd_approximate(args) -> int:
     config = _load_json(args.config)
-    out_dir = Path(args.out)
-    t0 = time.monotonic()
+    run = _Run(args.out, ("calibrate_s", "fit_s", "write_s"))
 
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0, int)
     defaults = EmbeddingConfig()
@@ -504,43 +480,31 @@ def cmd_approximate(args) -> int:
     if box.shape != (2, 2):
         raise CliError(f"box must be [[V_lo, N_lo], [V_hi, N_hi]], got {config['box']!r}")
     fit["box"] = tuple(map(tuple, box.tolist()))
-    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad sigma
-    stages = {"calibrate_s": 0.0, "fit_s": 0.0, "write_s": 0.0}
-    p, calibrated = _calibrate(stages, config, APPROXIMATE_KEYS, "approximate")
-    report, outputs = _approximate(out_dir, stages, p,
-                                   dataclasses.replace(ecfg, i_app=calibrated["i_app"]))
-    if report.diverged:
+    ecfg = EmbeddingConfig(**fit, seed=seed)  # refuses a bad value before any work
+    p, calibrated = _calibrate(run, config, APPROXIMATE_KEYS, "approximate")
+    if _approximate(run, p, dataclasses.replace(ecfg, i_app=calibrated["i_app"])).diverged:
         return 4
-    write_manifest(out_dir, "approximate", dict(config, seed=seed), {"training": seed},
-                   calibrated, outputs, t0, stages)
+    run.manifest("approximate", dict(config, seed=seed), {"training": seed}, calibrated)
     return 0
 
 
 def cmd_certify(args) -> int:
     system = _load_cert_target(args.system, args.sigma)
-    out_dir = Path(args.out)
-    t0 = time.monotonic()
-
-    stages = {"certify_s": 0.0, "write_s": 0.0}
-    cert = _certify(out_dir, stages, system, args.nu_grid)
-    write_manifest(out_dir, "certify",
-                   {"system": str(args.system), "sigma": system.sigma,
-                    "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
-                   {}, None, ["certificate.json"], t0, stages)
+    run = _Run(args.out, ("certify_s", "write_s"))
+    cert = _certify(run, system, args.nu_grid)
+    run.manifest("certify", {"system": str(args.system), "sigma": system.sigma,
+                             "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
+                 {}, None)
     return 0 if cert.feasible else 1
 
 
 def cmd_sweep(args) -> int:
     system = _load_cert_target(args.system)
-    out_dir = Path(args.out)
-    t0 = time.monotonic()
-
-    stages = {"sweep_s": 0.0, "write_s": 0.0}
-    _sweep(out_dir, stages, system, args.sigma, args.nu_grid, args.jobs)
-    write_manifest(out_dir, "sweep",
-                   {"system": str(args.system), "sigmas": args.sigma.tolist(),
-                    "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
-                   {}, None, ["sweep.csv", "sweep.plt"], t0, stages)
+    run = _Run(args.out, ("sweep_s", "write_s"))
+    _sweep(run, system, args.sigma, args.nu_grid, args.jobs)
+    run.manifest("sweep", {"system": str(args.system), "sigmas": args.sigma.tolist(),
+                           "nu_grid": None if args.nu_grid is None else args.nu_grid.tolist()},
+                 {}, None)
     return 0
 
 
@@ -559,42 +523,37 @@ def cmd_reproduce(args) -> int:
     """A figure's recipe: the cores of simulate (fig3, fig4) or of
     approximate, sweep and certify (fig5) on fixed inputs and seeds."""
     fig, seed = args.figure, args.seed
-    out_dir = Path(args.out) / fig
-    t0 = time.monotonic()
-    stages = {}
-    p, calibrated = _calibrate(stages, {}, frozenset(), "reproduce")
+    run = _Run(Path(args.out) / fig,
+               ("calibrate_s", "fit_s", "write_s", "sweep_s", "certify_s") if fig == "fig5"
+               else ("calibrate_s", "simulate_s", "write_s"))
+    p, calibrated = _calibrate(run, {}, frozenset(), "reproduce")
 
     if fig == "fig5":
-        report, outputs = _approximate(out_dir, stages, p,
-                                       EmbeddingConfig(seed=seed, i_app=calibrated["i_app"]))
+        report = _approximate(run, p, EmbeddingConfig(seed=seed, i_app=calibrated["i_app"]))
         if report.diverged:
             return 4
-        _sweep(out_dir, stages, report.embedding.system, args.sigma, None, args.jobs)
-        _certify(out_dir, stages, report.embedding.system.with_sigma(0.85))
-        write_manifest(out_dir, "reproduce fig5",
-                       {"sigmas": args.sigma.tolist(), "embedding": "embedding.json"},
-                       {"training": seed}, calibrated,
-                       outputs + ["sweep.csv", "sweep.plt", "certificate.json"], t0, stages)
+        _sweep(run, report.embedding.system, args.sigma, None, args.jobs)
+        _certify(run, report.embedding.system.with_sigma(0.85))
+        run.manifest("reproduce fig5",
+                     {"sigmas": args.sigma.tolist(), "embedding": "embedding.json"},
+                     {"training": seed}, calibrated)
         return 0
 
     config = {"t_end": 500.0, "dt": 5e-3, "record_stride": 10}
     sim = SimConfig(**config, seed=seed)
     if fig == "fig3":
-        runs, window = [("traj.csv", 0.0)], None
+        trajectories, window = [("traj.csv", 0.0)], None
         config["sigma"] = 0.0
         script = traj_plot_script("traj.csv", ["V", "N"],
                                   f"unforced spiking, i_app={calibrated['i_app']:g}")
     else:
-        runs, script = [("traj_sigma0.csv", 0.0), ("traj_sigma085.csv", 0.85)], FIG4_PLOT
+        trajectories, script = [("traj_sigma0.csv", 0.0), ("traj_sigma085.csv", 0.85)], FIG4_PLOT
         window = args.filter_window
         config.update(sigmas=[0.0, 0.85], noise_mode="state", filter_window=window)
-    paths = [_neuron_trajectory(out_dir, stages, name, p, ml.DEFAULT_INIT, sim, sigma,
-                                "state", window)[0]
-             for name, sigma in runs]
-    with _writing(stages, out_dir):
-        (out_dir / "traj.plt").write_text(script)
-    write_manifest(out_dir, f"reproduce {fig}", config, {"simulation": seed}, calibrated,
-                   [name for name, _ in runs] + ["traj.plt"], t0, stages)
+    paths = [_neuron_trajectory(run, name, p, ml.DEFAULT_INIT, sim, sigma, "state", window)[0]
+             for name, sigma in trajectories]
+    run.write("traj.plt", lambda path: path.write_text(script))
+    run.manifest(f"reproduce {fig}", config, {"simulation": seed}, calibrated)
     return _report_divergence(paths)
 
 

@@ -45,9 +45,18 @@ class EmbeddingConfig:
     i_app: float | None = None  # None -> p's own i_app
 
     def __post_init__(self):
-        # checked when built, so no calibration or fit runs for values embed would refuse
+        # checked when built, so no calibration or fit runs for values the fit
+        # would refuse or score as an infinite error: the probe range is a
+        # peak-to-peak over n_samples points of the box
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        for name, least in (("hidden", 1), ("epochs", 1), ("n_samples", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        lo, hi = np.asarray(self.box, dtype=float)
+        if not (np.isfinite([lo, hi]).all() and (lo < hi).all()):
+            raise ValueError(f"box must be finite with lo < hi in each coordinate, "
+                             f"got {self.box!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ solver invariants and sweeps."""
 
 import itertools
 import json
+import math
 import multiprocessing
 import pickle
 
@@ -20,7 +21,7 @@ from sarlab.certify import (C_DEFECT_TOL, CertProblem, SolverOptions, _affine_pa
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, paper_form, recompute_margin,
                             save_certificate, sigma_sweep)
-from sarlab.cli import write_sweep
+from sarlab.cli import _Run, write_sweep
 from sarlab.lure import LureSystem, TanhBank, _usable_cores
 from test_certificate_bits import certificate_digest
 
@@ -178,6 +179,15 @@ def test_max_eigenvalue_judges_a_matrix_whose_norm_overflows(x):
                 max_eigenvalue(np.array([[x, asym], [-asym, 0.0]]))
         sym = np.array([[x, x / 3.0], [x / 3.0, -x]])
         assert max_eigenvalue(sym) == float(_top_eigs(sym))
+        # the top eigenvalue is that of M / max |M_ij|, scaled back: near the
+        # largest float, M + M^T overflows where the top eigenvalue does not
+        big, phi = math.copysign(1e308, x), (1.0 + math.sqrt(5.0)) / 2.0
+        assert max_eigenvalue(np.array([[big, big], [big, 0.0]])) == pytest.approx(
+            max(big * phi, big * (1.0 - phi)), rel=1e-15)
+        # a non-finite entry makes the norm non-finite too; it is refused
+        for bad in ([[np.nan, x], [x, 0.0]], [[np.inf, 0.0], [0.0, x]], np.diag([x, np.nan, 1.0])):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                max_eigenvalue(np.array(bad))
 
 
 def test_max_eigenvalue_diag():
@@ -585,7 +595,9 @@ def test_sarlab_certify_is_the_module():
 def test_sweep_to_csv_format(tmp_path):
     sys = make_scalar(0.1, 0.0)
     res = sigma_sweep(sys, [0.0, 0.7])
-    assert write_sweep(tmp_path, res) == 0.7
+    run = _Run(tmp_path, ("write_s",))
+    assert write_sweep(run, res) == 0.7
+    assert run.outputs == ["sweep.csv", "sweep.plt"]
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "sigma,margin,feasible"
     assert lines[1].startswith("0,") and lines[1].endswith(",0")

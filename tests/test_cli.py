@@ -29,6 +29,14 @@ def scalar_files(tmp_path_factory):
     return good, bad
 
 
+def assert_outputs(out_dir, outputs):
+    """The manifest lists outputs, in the order they were written, and
+    out_dir holds exactly those files besides the manifest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["outputs"] == outputs
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
 # -- parse_range --------------------------------------------------------------
 
 def test_parse_range_inclusive_endpoints():
@@ -101,6 +109,7 @@ def test_certify_sigma_override_flips_verdict(scalar_files, tmp_path):
     assert rc == 1
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["sigma"] == pytest.approx(0.3)
+    assert_outputs(tmp_path, ["certificate.json"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert list(manifest["stages"]) == ["certify_s", "write_s"]
     assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
@@ -179,7 +188,7 @@ def test_sweep_reports_boundary_and_writes_artifacts(scalar_files, tmp_path, cap
     assert (tmp_path / "sweep.plt").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "sweep"
-    assert set(manifest["outputs"]) >= {"sweep.csv", "sweep.plt"}
+    assert_outputs(tmp_path, ["sweep.csv", "sweep.plt"])
     assert list(manifest["stages"]) == ["sweep_s", "write_s"]
     assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
     assert manifest["wall_time_s"] >= sum(manifest["stages"].values())
@@ -279,8 +288,10 @@ def test_simulate_manifest_records_stage_timings(model, scalar_files, tmp_path):
            {"model": "lure", "system": str(scalar_files[0]), "x0": [1.0], "t_end": 1.0})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert_outputs(out, ["traj.csv", "traj.plt"])
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert set(stages) == {"calibrate_s", "simulate_s", "write_s"}
     assert all(seconds >= 0.0 for seconds in stages.values())
 
@@ -323,18 +334,18 @@ def test_simulate_divergence_before_the_filter_window_names_the_path(sigma, tmp_
     # last finite sample
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"i_app": 40, "sigma": sigma, "t_end": 50, "seed": 1}))
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the recovery variable's range
-        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3
-    with open(tmp_path / "traj.csv") as fh:
+    with open(out / "traj.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "V", "N"] and 1 < len(rows) < 52
     assert capsys.readouterr().err == (
         f"path 0 (sigma={sigma:g}) diverged: the state went non-finite after "
         f"t={float(rows[-1][0]):g}, its last finite sample; the written trajectory ends there\n")
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["outputs"] == ["traj.csv", "traj.plt"]
+    assert_outputs(out, ["traj.csv", "traj.plt"])
 
 
 def test_simulate_noiseless_ml_has_no_filtered_columns(tmp_path):
@@ -581,7 +592,15 @@ def test_approximate_rejects_minibatch_options(key, tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0, got -0.5"),
     # JSON's NaN is not a finite number, which the config reader checks first
-    ("sigma", float("nan"), "sigma must be a finite number, got nan")])
+    ("sigma", float("nan"), "sigma must be a finite number, got nan"),
+    ("width", 0, "hidden must be >= 1, got 0"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    # a probe range of 0 made residuals.json hold Infinity
+    ("n_samples", 1, "n_samples must be >= 2, got 1"),
+    ("box", [[0, 0], [0, 1]], "box must be finite with lo < hi in each coordinate, "
+                              "got ((0.0, 0.0), (0.0, 1.0))"),
+    ("box", [[100, 0], [-80, 1]], "box must be finite with lo < hi in each coordinate, "
+                                  "got ((100.0, 0.0), (-80.0, 1.0))")])
 def test_approximate_rejects_a_bad_embedding_value_before_any_work(field, value, message,
                                                                   monkeypatch, tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -637,20 +656,18 @@ def test_approximate_width_one_gives_a_three_unit_embedding(tmp_path):
     cfg = {"width": 1, "epochs": 60, "n_samples": 1500, "i_app": 40.0, "seed": 0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc = cli.main(["approximate", "--config", str(cfg_path),
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    residuals = json.loads((tmp_path / "residuals.json").read_text())
+    out = tmp_path / "out"
+    assert cli.main(["approximate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    residuals = json.loads((out / "residuals.json").read_text())
     # the neuron's 2 states, fed back through 3 nets x 1 unit
     assert residuals["state_dim"] == 2
     assert residuals["units"] == 3
     assert len(residuals["channel_rms_pct_of_range"]) == 3
-    emb = json.loads((tmp_path / "embedding.json").read_text())
+    emb = json.loads((out / "embedding.json").read_text())
     assert np.shape(emb["c"]) == (3, 2) and len(emb["offset"]) == 2
-    for name in cli.CHANNEL_NAMES:
-        assert (tmp_path / f"net_{name}.json").exists()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert "embedding.json" in manifest["outputs"]
+    assert_outputs(out, ["net_leak.json", "net_ca.json", "net_k.json", "embedding.json",
+                         "loss.csv", "residuals.json"])
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["calibrated"] == {"i_app": 40.0, "v2": 18.0}
     assert list(manifest["stages"]) == ["calibrate_s", "fit_s", "write_s"]
     assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
@@ -722,7 +739,7 @@ def test_reproduce_calibrates_once_per_process(monkeypatch, tmp_path, fresh_cali
         assert manifest["calibrated"]["i_app"] == 40.0
     assert len(calls) == 1
     # other parameters are another calibration
-    cli._resolve_iapp(ml.MorrisLecarParams(g_ca=4.4), "calibrate")
+    cli._calibrated_iapp(ml.MorrisLecarParams(g_ca=4.4))
     assert len(calls) == 2
 
 

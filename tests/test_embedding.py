@@ -152,7 +152,14 @@ def test_build_embedding_without_a_current_fits_at_the_params_own(base_params, m
 @pytest.mark.parametrize("field, value, message", [
     ("sigma", -0.5, "sigma must be finite and >= 0"),
     ("sigma", float("nan"), "sigma must be finite and >= 0"),
-    ("sigma", float("inf"), "sigma must be finite and >= 0")])
+    ("sigma", float("inf"), "sigma must be finite and >= 0"),
+    ("hidden", 0, "hidden must be >= 1, got 0"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("n_samples", 1, "n_samples must be >= 2, got 1"),
+    ("box", ((0.0, 0.0), (0.0, 1.0)), "box must be finite with lo < hi"),
+    ("box", ((100.0, 0.0), (-80.0, 1.0)), "box must be finite with lo < hi"),
+    ("box", ((-80.0, 0.0), (float("inf"), 1.0)), "box must be finite with lo < hi"),
+    ("box", ((-80.0, float("nan")), (120.0, 1.0)), "box must be finite with lo < hi")])
 def test_embedding_config_refuses_bad_values_when_built(field, value, message):
     # so build_embedding never fits nets for a config embed would refuse
     with pytest.raises(ValueError, match=message):
