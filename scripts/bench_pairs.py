@@ -116,10 +116,11 @@ def export(revision: str | None, dest: Path) -> None:
 
 
 def seed_range(text: str) -> list[int]:
-    """'a:b' -> the seeds a..b inclusive."""
+    """'a:b' -> the seeds a..b inclusive, at least two of them (the summary's
+    quartiles need two pairs)."""
     first, last = (int(t) for t in text.split(":"))
-    if last < first:
-        raise argparse.ArgumentTypeError(f"want first:last with first <= last, got {text!r}")
+    if last <= first:
+        raise argparse.ArgumentTypeError(f"want first:last with first < last, got {text!r}")
     return list(range(first, last + 1))
 
 

@@ -16,12 +16,17 @@ of it by L-BFGS-B under the bounds lambda, tau >= 0, with the smoothing
 shrunk over four levels.  The search draws no random numbers.  It stops
 early once its incumbent meets a dual lower bound (see `_dual_lower_bound`).
 
-N is written once, in `_pencil`, which binds a system's constants and
-builds N without checking its arguments; `certificate_matrix` is its
-checks plus the pencil.  `certify` checks its inputs once, at the
-boundary, and then builds every N through one pencil per call.  N needs a
-square system with C^T C = I: `certify` solves every system in its
-`paper_form`, which meets that hypothesis.
+N is written in `_pencil`, which binds a system's constants and builds N
+without checking its arguments; `certificate_matrix` is its checks plus
+the pencil.  `certify` checks its inputs once, at the boundary, and then
+builds every N through one pencil per call.  A 1-state system's search and
+reported matrix take `_scalar_pencil`, which builds N's three distinct
+entries on Python floats with `_pencil`'s operations in their order and
+so its bits; a test compares the two byte for byte.  Everything else (the
+necessity exit's grid stack, the probe scoring, the top eigenvalues, the
+continuation) is shared by every size.  N needs a square system with
+C^T C = I: `certify` solves every system in its `paper_form`, which meets
+that hypothesis.
 """
 
 from __future__ import annotations
@@ -232,8 +237,11 @@ def _pencil(sys: LureSystem):
 def max_eigenvalue(mat: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix of finite entries; the
     input is symmetrized as (M + M^T)/2 first and rejected if the asymmetry
-    exceeds 1e-8 relative to its norm."""
+    exceeds 1e-8 relative to its norm.  Any input that is not a non-empty
+    square 2-D matrix is refused."""
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {mat.shape}")
     norm = _frobenius(mat)
     if not math.isfinite(norm):
         if not np.isfinite(mat).all():
@@ -280,6 +288,50 @@ def _affine_parts(matrix, units: np.ndarray, nu: float):
     n0 = 0.5 * (n0 + n0.T)
     basis = 0.5 * (basis + basis.transpose(0, 2, 1))
     return n0, basis
+
+
+def _scalar_pencil(sys: LureSystem):
+    """:func:`_affine_parts` and :func:`_pencil` of a 1-state system on
+    Python floats: (parts, matrix), with parts(nu) the (N0, basis) that
+    _affine_parts builds at _unit_stack(1) and matrix(nu, lam, tau) the
+    2 x 2 array that the pencil builds at lam, tau of shape (1,), each equal
+    to theirs bit for bit.
+
+    N's three distinct entries are computed with the pencil's operations in
+    their order, less its factors of eye's 1.0 (x * 1.0 is x).  Each 1 x 1
+    matmul of the pencil is one product plus 0.0, which is what NumPy's
+    matmul returns (a -0.0 product comes out as +0.0).
+    """
+    a, f, c = float(sys.a[0, 0]), float(sys.f_gain[0, 0]), float(sys.c[0, 0])
+    s, delta = float(sys.sector_slopes[0]), float(sys.deriv_bounds[0])
+    sym_a, cf, sc = a + a, c * f + 0.0, s * c
+    s2 = sys.sigma ** 2
+
+    def entries(nu, lam, tau):
+        n11 = nu * (sym_a - s2 * (1.0 - nu)) + s2 * (c * (lam * delta * c) + 0.0)
+        shift = a - s2 / 2.0 * (1.0 - nu / 2.0)
+        n12 = nu * f + (shift * (c * lam) + 0.0) + sc * tau
+        n22 = lam * cf + -2.0 * tau + cf * lam
+        return n11, n12, n22
+
+    def parts(nu: float):
+        # the pencil at theta = 0, e_lambda, e_tau, symmetrized as _affine_parts does
+        z11, z12, z22 = entries(nu, 0.0, 0.0)
+        h12 = 0.5 * (z12 + z12)
+        n0 = np.array([[0.5 * (z11 + z11), h12], [h12, 0.5 * (z22 + z22)]])
+        basis = []
+        for lam, tau in ((1.0, 0.0), (0.0, 1.0)):
+            p11, p12, p22 = entries(nu, lam, tau)
+            d11, d12, d22 = p11 - z11, p12 - z12, p22 - z22
+            b12 = 0.5 * (d12 + d12)
+            basis.append([[0.5 * (d11 + d11), b12], [b12, 0.5 * (d22 + d22)]])
+        return n0, np.array(basis)
+
+    def matrix(nu: float, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        n11, n12, n22 = entries(nu, float(lam[0]), float(tau[0]))
+        return np.array([[n11, n12], [n12, n22]])
+
+    return parts, matrix
 
 
 def _top_eigs(mats: np.ndarray) -> np.ndarray:
@@ -393,8 +445,7 @@ def certify(problem: CertProblem) -> Certificate:
         if nu_grid.size == 0 or not ((nu_grid > 0.0) & (nu_grid < 1.0)).all():
             raise ValueError("nu grid must be non-empty and lie strictly inside (0, 1)")
 
-    # the inputs are checked: from here on N is built through the unchecked pencil
-    matrix = _pencil(sys)
+    # the inputs are checked: from here on N is built through an unchecked pencil
     top_sym_a = float(_top_eigs(sys.a + sys.a.T))
     # no linear member grows faster than this ceiling; above it the bound cannot settle sigma
     ceiling = top_sym_a / 2.0 + _frobenius(_linear_gain(sys)) * _frobenius(sys.c)
@@ -402,17 +453,21 @@ def certify(problem: CertProblem) -> Certificate:
     if half_s2 <= ceiling and half_s2 <= linear_necessity_bound(sys)[0]:
         zeros = np.zeros(n)
         # N(nu, 0, 0) is exactly symmetric, so _top_eigs needs no symmetrizing
-        margins = _top_eigs(matrix(nu_grid, zeros, zeros))
+        margins = _top_eigs(_pencil(sys)(nu_grid, zeros, zeros))
         best = int(np.argmin(margins))
         return Certificate(sigma=sys.sigma, nu=float(nu_grid[best]), lam=zeros, tau=zeros.copy(),
                            margin=float(margins[best]), feasible=False, capped=False,
                            witness="necessity", c_defect=defect)
 
-    units = _unit_stack(n)
+    if n == 1:  # N's entries on Python floats, with the pencil's bits
+        parts, matrix = _scalar_pencil(sys)
+    else:
+        matrix = _pencil(sys)
+        parts = functools.partial(_affine_parts, matrix, _unit_stack(n))
     best = None  # (margin, nu, theta)
     capped = False
     for nu in nu_grid.tolist():
-        n0, basis = _affine_parts(matrix, units, nu)
+        n0, basis = parts(nu)
         margin, theta, hit_cap = _solve_fixed_nu(n0, basis, opts,
                                                  _dual_lower_bound(sys, nu, top_sym_a))
         capped = capped or hit_cap
@@ -463,6 +518,10 @@ def linear_necessity_bound(sys: LureSystem):
 
     def growth(thetas):  # (corners, m) -> (corners,)
         mats = sys.a + (fk * thetas[:, None, :]) @ sys.c
+        if sys.n == 1:
+            # LAPACK's dgeev returns A(1,1) for N = 1 (except in the last bit
+            # where it scales a matrix outside about [1e-138, 1e138])
+            return mats[:, 0, 0]
         return np.linalg.eigvals(mats).real.max(axis=1)
 
     exhaustive = 2 ** m <= 2 + m + _NECESSITY_CORNERS

@@ -65,6 +65,20 @@ def test_seed_range_is_inclusive(bench_pairs):
         bench_pairs.seed_range("5:4")
 
 
+def test_fewer_than_two_seeds_are_refused_before_any_run(bench_pairs, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    monkeypatch.setattr(bench_pairs, "export", no_run)
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.seed_range("5:5")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--pr", "0", "--seeds", "5:5"])
+    assert exit_info.value.code == 2
+    assert "first < last" in capsys.readouterr().err
+
+
 def test_change_over_parent_and_the_summary_line(bench_pairs):
     pairs = [{"seed": 7 + i, "first": ("parent", "change")[i % 2],
               "parent": record(p, 0.0), "change": record(c, 0.0)}

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ import sarlab.certify as certify_module
 from conftest import make_scalar
 from sarlab.certify import (C_DEFECT_TOL, CertProblem, SolverOptions, _affine_parts,
                             _dual_lower_bound, _frobenius, _pencil, _probe_stack,
-                            _solve_fixed_nu, _top_eigs, _unit_stack, c_defect,
+                            _scalar_pencil, _solve_fixed_nu, _top_eigs, _unit_stack, c_defect,
                             certificate_matrix, certify, default_nu_grid,
                             linear_necessity_bound, load_certificate,
                             max_eigenvalue, paper_form, recompute_margin,
                             save_certificate, sigma_sweep)
 from sarlab.cli import _Run, write_sweep
 from sarlab.lure import LureSystem, TanhBank, _usable_cores
-from test_certificate_bits import certificate_digest
+from test_certificate_bits import certificate_digest, one_state
 
 # frozen by hand before implementation: n=1, a=-1, F=0.5, c=1, s=delta=1,
 # sigma=1, nu=0.5, lambda=tau=1 assembles to [[-0.25,-0.125],[-0.125,-1]]
@@ -168,6 +169,11 @@ def test_stacked_certificate_matrix_validates_every_member():
 def test_max_eigenvalue_rejects_asymmetric():
     with pytest.raises(ValueError):
         max_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # anything but a non-empty square matrix is refused, its shape named
+    for bad in (np.ones(2), np.float64(1.0), np.ones((0, 0)), np.ones((2, 2, 2)),
+                np.ones((2, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            max_eigenvalue(bad)
 
 
 @pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
@@ -667,6 +673,36 @@ def test_affine_parts_from_the_pencil_keep_every_bit(embedding_report):
             n0, basis = 0.5 * (n0 + n0.T), 0.5 * (basis + np.transpose(basis, (0, 2, 1)))
             got = affine_parts(sys, nu)
             assert got[0].tobytes() == n0.tobytes() and got[1].tobytes() == basis.tobytes()
+
+
+def test_the_float_pencil_of_a_one_state_system_keeps_the_pencils_bytes():
+    # bytes, not values, so that a -0.0 where the pencil has +0.0 counts
+    rng = np.random.default_rng(33)
+    systems = [make_scalar(-1.0, 1.0, f=0.5), make_scalar(0.3, 0.0, f=-0.0, c=-1.0),
+               make_scalar(-0.0, 0.0, f=-0.0, c=-1.0),
+               make_scalar(0.0, 2.0, f=0.0, s=0.5, delta=2.0, c=-1.0)]
+    for k in range(60):
+        a, f, s, delta, sigma = rng.normal(size=2).tolist() + rng.uniform(0.1, 3.0, size=3).tolist()
+        c = (1.0, -1.0, rng.uniform(-4.0, 4.0))[k % 3]  # the last is lifted
+        systems.append(paper_form(one_state(a, f, c, s, delta, sigma)))
+    units = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-0.0, 0.0)]
+    for sys in systems:
+        parts, matrix = _scalar_pencil(sys)
+        pencil = _pencil(sys)
+        nus = [0.05, 0.95, *rng.uniform(0.0, 1.0, size=3).tolist()]
+        scaled = rng.uniform(0.0, 10.0, size=(4, 2)) * 10.0 ** rng.integers(-6, 3, size=(4, 2))
+        points = units + [tuple(point) for point in scaled.tolist()]
+        for nu in nus:
+            for lam, tau in points:
+                lam, tau = np.array([lam]), np.array([tau])
+                assert matrix(nu, lam, tau).tobytes() == pencil(nu, lam, tau).tobytes(), \
+                    (sys, nu, lam, tau)
+            got, want = parts(nu), _affine_parts(pencil, _unit_stack(1), nu)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        cert = certify(CertProblem(sys))
+        if cert.witness == "search":  # the float path's margin, rebuilt by the pencil
+            assert np.float64(recompute_margin(sys, cert)).tobytes() == \
+                np.float64(cert.margin).tobytes()
 
 
 def top_eig_of_one(sym):
